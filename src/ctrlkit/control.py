@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .models import sip_factored_model
-from .numerics import least_squares, qp_small
+from .numerics import least_squares
 from .synthesis import design_gain_matrix, sip_partial_design_model
 
 logger = logging.getLogger(__name__)
@@ -126,25 +126,29 @@ class MotorcycleGuidance:
         return float(-(K @ np.array([y_bar, phi_bar, roll, roll_rate])))
 
 
+def lookup_region(theta):
+    """Gain-lookup region of a pendulum angle: 0 for |theta| < pi/6, 1 for |theta| < pi/3, else 2."""
+    if abs(theta) < math.pi / 6:
+        return 0
+    if abs(theta) < math.pi / 3:
+        return 1
+    return 2
+
+
 def adaptive_gain(theta, mode, desired_eigs, L=1.0, g=10.0, theta_max=0.4 * math.pi):
     """Angle-scheduled pole-placement gain for the 3-state pendulum model.
 
     mode "per-period" re-runs pole placement on the factored model frozen at
-    the current angle (small-angle branch included); mode "lookup" selects
-    among three gains precomputed at theta in {0, pi/4, theta_max} with
-    region boundaries |theta| < pi/6 and |theta| < pi/3.
+    the current angle (small-angle branch included); mode "lookup" places
+    the poles on the model frozen at the design angle of theta's
+    lookup_region: 0, pi/4 or theta_max.
     """
     if mode == "per-period":
         A4, B4 = sip_factored_model(theta, L, g)
         idx = np.array([0, 1, 3])
         return design_gain_matrix(A4[np.ix_(idx, idx)], B4[idx], desired_eigs)
     if mode == "lookup":
-        if abs(theta) < math.pi / 6:
-            design_theta = 0.0
-        elif abs(theta) < math.pi / 3:
-            design_theta = math.pi / 4
-        else:
-            design_theta = theta_max
+        design_theta = (0.0, math.pi / 4, theta_max)[lookup_region(theta)]
         A, B = sip_partial_design_model(design_theta, L, g)
         return design_gain_matrix(A, B, desired_eigs)
     raise ValueError(f"unknown adaptive mode {mode!r}")
@@ -241,19 +245,51 @@ def clf_cbf_step(u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h, lam=0.25, H=1.0):
     Lyapunov-decrease row LfV + LgV*u <= -gamma_V + delta and the hard
     barrier row Lfh + Lgh*u >= -alpha_h.  gamma_V and alpha_h are the
     already-evaluated gamma(V(x)) and alpha(h(x)).
+
+    Solved in closed form.  With b1 = -LfV - gamma_V and b2 = Lfh + alpha_h
+    the rows read LgV*u - delta <= b1 and -Lgh*u <= b2.  The active sets are
+    tried in the order numerics.qp_small enumerates them, and the first KKT
+    point whose multipliers (mu for the CLF row, nu for the barrier row) and
+    inactive rows pass qp_small's 1e-9 tolerance is the minimizer:
+
+    - none: u = u_ref, delta = 0;
+    - CLF row: mu = (LgV*u_ref - b1) / (LgV^2/H + 1/lam),
+      u = u_ref - LgV*mu/H, delta = mu/lam;
+    - barrier row: u = -b2/Lgh, delta = 0, nu = H*(u - u_ref)/Lgh;
+    - both rows: u = -b2/Lgh, delta = LgV*u - b1, mu = lam*delta,
+      nu = (H*(u - u_ref) + LgV*mu)/Lgh.
+
+    Lgh == 0 makes the last two singular and they are skipped.  qp_small,
+    which solves the same program as a general QP, is the reference this
+    closed form is tested against.  Unlike qp_small it does not re-check
+    the active rows, which hold by construction: where |u| or delta reaches
+    about 1e6 (a tiny Lgh), rounding on them exceeds 1e-9 and qp_small can
+    call a feasible program infeasible.
     """
     if lam <= 0 or H <= 0:
         raise ValueError("lam and H must be positive")
-    H_qp = np.array([[H, 0.0], [0.0, lam]])
-    c = np.array([-H * u_ref, 0.0])
-    A = np.array([[LgV, -1.0], [-Lgh, 0.0]])
-    b = np.array([-LfV - gamma_V, Lfh + alpha_h])
-    z = qp_small(H_qp, c, A, b)
-    if z is None:
-        raise RuntimeError(
-            "relaxed safety program infeasible "
-            f"(LfV={LfV:.6g}, LgV={LgV:.6g}, Lfh={Lfh:.6g}, Lgh={Lgh:.6g})")
-    return float(z[0]), float(z[1])
+    tol = 1e-9
+    b1 = -LfV - gamma_V
+    b2 = Lfh + alpha_h
+    if LgV * u_ref - b1 <= tol and -Lgh * u_ref - b2 <= tol:
+        return float(u_ref), 0.0
+    mu = (LgV * u_ref - b1) / (LgV * LgV / H + 1.0 / lam)
+    u = u_ref - LgV * mu / H
+    if mu >= -tol and -Lgh * u - b2 <= tol:
+        return float(u), float(mu / lam)
+    if Lgh != 0:
+        u = -b2 / Lgh
+        nu = H * (u - u_ref) / Lgh
+        if nu >= -tol and LgV * u - b1 <= tol:
+            return float(u), 0.0
+        delta = LgV * u - b1
+        mu = lam * delta
+        nu = (H * (u - u_ref) + LgV * mu) / Lgh
+        if mu >= -tol and nu >= -tol:
+            return float(u), float(delta)
+    raise RuntimeError(
+        "relaxed safety program infeasible "
+        f"(LfV={LfV:.6g}, LgV={LgV:.6g}, Lfh={Lfh:.6g}, Lgh={Lgh:.6g})")
 
 
 def lyapunov_ref_2d(x, y):

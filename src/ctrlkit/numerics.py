@@ -3,6 +3,10 @@
 Everything operates on plain numpy arrays and is deterministic: eigenvalue
 output is sorted, the rank-one factorization is closed form, and the QP
 solver enumerates active sets exhaustively instead of iterating.
+
+qp_small is the general solver for QPs of up to 3 variables and 4 rows.
+No simulation step calls it: control.clf_cbf_step solves its 2-variable
+program in closed form, and qp_small is the reference it is tested against.
 """
 
 from itertools import combinations

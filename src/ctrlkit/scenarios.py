@@ -17,7 +17,7 @@ import numpy as np
 from .control import (CBF_SINGULARITY_THRESHOLD, MotorcycleGuidance,
                       SlidingTargetDIP, SysIdWindow, adaptive_gain,
                       cbf_filter_scalar, clf_cbf_step, dip_sliding_target,
-                      fsfc, lyapunov_ref_2d, sysid_solve)
+                      fsfc, lookup_region, lyapunov_ref_2d, sysid_solve)
 from .models import (SimSpec, dip_plant, motorcycle_plant, point2d_plant,
                      simulate, sip_factored_model, sip_plant)
 from .synthesis import (CareNoSolution, RobustConfig, UncertaintyBounds,
@@ -230,7 +230,7 @@ def _build_sip_adaptive_lookup(p):
     region_gains = [sip_stabilizing_gain(theta=th) for th in (0.0, math.pi / 4, THETA_MAX)]
     K_slide = sip_full_gain((-4.0, -4.0, -4.0, -4.0))
     controller = _stabilize_then_slide(
-        lambda x: fsfc(adaptive_gain(x[0], "lookup", _POLES3), x[_PARTIAL]),
+        lambda x: fsfc(region_gains[lookup_region(x[0])], x[_PARTIAL]),
         K_slide, p["s_v"], p["dt"])
     return {"plant": sip_plant(), "x0": np.array(_SIP_X0), "controller": controller,
             "stop_success": _sip_success_full, "stop_failure": _sip_failure,

@@ -23,6 +23,9 @@ from ctrlkit import (
     pid_step,
     sysid_solve,
 )
+from ctrlkit import scenarios
+from ctrlkit.control import lookup_region
+from ctrlkit.numerics import qp_small
 from ctrlkit.synthesis import design_gain_matrix
 
 
@@ -152,6 +155,21 @@ class TestAdaptiveGain:
         with pytest.raises(ValueError):
             adaptive_gain(0.0, "interpolate", self.POLES)
 
+    def test_lookup_region_boundaries(self):
+        eps = 1e-9
+        for sign in (1.0, -1.0):
+            assert lookup_region(sign * (math.pi / 6 - eps)) == 0
+            assert lookup_region(sign * math.pi / 6) == 1
+            assert lookup_region(sign * (math.pi / 3 - eps)) == 1
+            assert lookup_region(sign * math.pi / 3) == 2
+
+    def test_lookup_scenario_indexes_the_lookup_gains(self):
+        _, rep = scenarios.run_scenario("sip_adaptive_lookup", {"t_end": 0.01})
+        for region, theta in enumerate((0.0, 0.9, 1.3)):
+            assert lookup_region(theta) == region
+            assert np.array_equal(rep.gain_matrices_used[region],
+                                  adaptive_gain(theta, "lookup", self.POLES))
+
 
 class TestSysIdWindow:
     def test_validation(self):
@@ -273,6 +291,84 @@ class TestClfCbfStep:
             BarrierSpec(h=lambda x: 1.0, grad_h=lambda x: np.zeros(2), alpha_gain=0.0)
         with pytest.raises(ValueError):
             ClfSpec(V=lambda x: 1.0, grad_V=lambda x: np.zeros(2), gamma_gain=-1.0)
+
+
+def _qp_small_answer(u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h, lam=0.25, H=1.0):
+    """The relaxed program of clf_cbf_step, solved by the general small-QP solver."""
+    H_qp = np.array([[H, 0.0], [0.0, lam]])
+    c = np.array([-H * u_ref, 0.0])
+    A = np.array([[LgV, -1.0], [-Lgh, 0.0]])
+    b = np.array([-LfV - gamma_V, Lfh + alpha_h])
+    return qp_small(H_qp, c, A, b)
+
+
+def _active_rows(u, delta, Lfh, Lgh, alpha_h):
+    """Names of the rows active at the minimizer: a positive slack means the
+    CLF row binds, a zero barrier residual means the barrier row does."""
+    rows = []
+    if delta > 0.0:
+        rows.append("clf")
+    if Lgh != 0 and abs(Lfh + Lgh * u + alpha_h) <= 1e-9 * max(1.0, abs(Lfh + alpha_h)):
+        rows.append("barrier")
+    return "+".join(rows) or "none"
+
+
+def _assert_matches_qp_small(args, kwargs=None):
+    """clf_cbf_step agrees with qp_small; returns the active rows, or "infeasible"."""
+    kwargs = kwargs or {}
+    z = _qp_small_answer(*args, **kwargs)
+    if z is None:
+        with pytest.raises(RuntimeError, match="relaxed safety program infeasible"):
+            clf_cbf_step(*args, **kwargs)
+        return "infeasible"
+    u, delta = clf_cbf_step(*args, **kwargs)
+    for got, want in zip((u, delta), z):
+        assert abs(got - want) <= 1e-12 + 1e-12 * abs(want), (args, kwargs, (u, delta), z)
+    return _active_rows(u, delta, args[4], args[5], args[6])
+
+
+class TestClfCbfClosedForm:
+    """The scalar closed form against qp_small, its reference."""
+
+    ALL_CASES = {"none", "clf", "barrier", "clf+barrier"}
+
+    def test_matches_qp_small_on_random_programs(self):
+        rng = np.random.default_rng(61)
+        seen = set()
+        for _ in range(2000):
+            u_ref, LfV, LgV, gamma_V, Lfh, alpha_h = rng.uniform(-3.0, 3.0, size=6)
+            Lgh = 0.0 if rng.random() < 0.15 else float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0))
+            lam, H = rng.uniform(0.1, 4.0, size=2)
+            case = _assert_matches_qp_small((u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h),
+                                            {"lam": lam, "H": H})
+            seen.add((Lgh == 0.0, case))
+        assert {(False, case) for case in self.ALL_CASES} <= seen
+        assert {(True, "none"), (True, "clf"), (True, "infeasible")} <= seen
+
+    def test_feasible_when_a_tiny_barrier_gain_makes_the_answer_large(self):
+        # |u| and delta reach 1e6..1e9 here; rounding on the active rows then
+        # exceeds qp_small's absolute 1e-9 and it can reject the minimizer.
+        rng = np.random.default_rng(67)
+        for _ in range(500):
+            u_ref, LfV, LgV, gamma_V, Lfh, alpha_h = rng.uniform(-3.0, 3.0, size=6)
+            Lgh = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -6.0))
+            u, delta = clf_cbf_step(u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h)
+            tol = 1e-12 * max(1.0, abs(u), abs(delta))
+            assert Lfh + Lgh * u + alpha_h >= -tol
+            assert LfV + LgV * u <= -gamma_V + delta + tol
+            assert delta >= 0.0
+
+    def test_matches_qp_small_along_the_case1_run(self, monkeypatch):
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return clf_cbf_step(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "clf_cbf_step", recorded)
+        scenarios.run_scenario("point2d_clf_cbf_case1")
+        seen = {_assert_matches_qp_small(tuple(float(a) for a in args)) for args in calls}
+        assert seen == self.ALL_CASES
 
 
 class TestLyapunovRef2d:

@@ -126,6 +126,17 @@ class TestRunScenario:
         assert report.gain_matrices_used[0] == pytest.approx(
             [-0.05859375, -0.9375, -0.77109375, -0.24375], rel=1e-9)
 
+    def test_clf_cbf_case2_inputs_are_the_barrier_filters(self):
+        # The barrier row fixes u and the slack absorbs the CLF row, so the
+        # relaxed program applies the scalar barrier filter's control and
+        # stalls where it does (the known-red convergence clause 7e).
+        relaxed, report = run_scenario("point2d_clf_cbf_case2")
+        barrier, _ = run_scenario("point2d_cbf_case2")
+        assert len(relaxed.inputs) == len(barrier.inputs) == 10001
+        du = np.abs(np.ravel(relaxed.inputs) - np.ravel(barrier.inputs))
+        assert du.max() <= 1e-12
+        assert math.hypot(*report.final_state) == pytest.approx(6.38, abs=0.01)
+
     def test_report_shape(self):
         traj, report = quick_run()
         assert isinstance(report, RunReport)
