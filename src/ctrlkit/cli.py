@@ -27,6 +27,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite(values, source):
+    """values, unchanged; ValueError naming source if an entry is nan or infinite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{source} has a non-finite entry")
+    return values
+
+
 def read_matrix_file(path):
     """Matrix from a text file: one row per line, whitespace-separated
     entries, '#' comments; a file starting with '[' is parsed as JSON."""
@@ -34,7 +41,7 @@ def read_matrix_file(path):
     if text.lstrip().startswith("["):
         import json
 
-        return np.array(json.loads(text), dtype=float)
+        return _finite(np.array(json.loads(text), dtype=float), path)
     rows = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -45,15 +52,15 @@ def read_matrix_file(path):
         raise ValueError(f"no numeric rows in {path}")
     if len({len(r) for r in rows}) != 1:
         raise ValueError(f"rows in {path} have differing lengths")
-    return np.array(rows, dtype=float)
+    return _finite(np.array(rows, dtype=float), path)
 
 
 def _parse_poles(text):
-    return [complex(tok.strip().replace(" ", "")) for tok in text.split(",")]
+    return _finite([complex(tok.strip().replace(" ", "")) for tok in text.split(",")], "--poles")
 
 
 def _parse_vector(text):
-    return np.array([float(tok) for tok in text.split(",")])
+    return _finite(np.array([float(tok) for tok in text.split(",")]), "--k")
 
 
 def _fmt_vec(v):

@@ -1,10 +1,10 @@
 """Runtime control laws.
 
-PID, full-state feedback with sliding-mode targets, motorcycle line
-guidance, adaptive gain scheduling, online least-squares identification,
-and the CBF / CLF-CBF safety filters.
+Full-state feedback with sliding-mode targets, motorcycle line guidance,
+adaptive gain scheduling, online least-squares identification, and the
+CBF / CLF-CBF safety filters.
 
-Stateful pieces (PID, the identification window, the guidance line switch)
+Stateful pieces (the identification window, the guidance line switch)
 are classes owned by one simulation loop; everything else is a pure
 function.
 """
@@ -12,51 +12,18 @@ function.
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .models import sip_factored_model
 from .numerics import least_squares
-from .synthesis import design_gain_matrix, sip_partial_design_model
+from .synthesis import design_gain_matrix
 
 logger = logging.getLogger(__name__)
 
 # |Lgh| at or below this makes the scalar barrier filter powerless; the
 # reference is passed through unchanged and the activation is logged.
 CBF_SINGULARITY_THRESHOLD = 1e-4
-
-
-class PidController:
-    """Discrete PID: P*e + I*(accumulated e*dt) + D*(e - prev_e)/dt.
-
-    The first step uses prev_error = e, so the derivative term starts at 0.
-    """
-
-    def __init__(self, p, i, d, dt):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        self.p = p
-        self.i = i
-        self.d = d
-        self.dt = dt
-        self.integral_accum = 0.0
-        self.prev_error = None
-
-    def step(self, e):
-        if self.prev_error is None:
-            self.prev_error = e
-        self.integral_accum += e * self.dt
-        out = (self.p * e
-               + self.i * self.integral_accum
-               + self.d * (e - self.prev_error) / self.dt)
-        self.prev_error = e
-        return out
-
-
-def pid_step(ctl, e):
-    """Advance a PidController one step and return its output."""
-    return ctl.step(e)
 
 
 def fsfc(K, x, x_E=0.0):
@@ -135,23 +102,15 @@ def lookup_region(theta):
     return 2
 
 
-def adaptive_gain(theta, mode, desired_eigs, L=1.0, g=10.0, theta_max=0.4 * math.pi):
+def adaptive_gain(theta, desired_eigs, L=1.0, g=10.0):
     """Angle-scheduled pole-placement gain for the 3-state pendulum model.
 
-    mode "per-period" re-runs pole placement on the factored model frozen at
-    the current angle (small-angle branch included); mode "lookup" places
-    the poles on the model frozen at the design angle of theta's
-    lookup_region: 0, pi/4 or theta_max.
+    Re-runs pole placement on the factored model frozen at the current
+    angle (small-angle branch included).
     """
-    if mode == "per-period":
-        A4, B4 = sip_factored_model(theta, L, g)
-        idx = np.array([0, 1, 3])
-        return design_gain_matrix(A4[np.ix_(idx, idx)], B4[idx], desired_eigs)
-    if mode == "lookup":
-        design_theta = (0.0, math.pi / 4, theta_max)[lookup_region(theta)]
-        A, B = sip_partial_design_model(design_theta, L, g)
-        return design_gain_matrix(A, B, desired_eigs)
-    raise ValueError(f"unknown adaptive mode {mode!r}")
+    A4, B4 = sip_factored_model(theta, L, g)
+    idx = np.array([0, 1, 3])
+    return design_gain_matrix(A4[np.ix_(idx, idx)], B4[idx], desired_eigs)
 
 
 class SysIdWindow:
@@ -194,32 +153,6 @@ def sysid_solve(window):
     if not window.warm:
         raise ValueError("identification window is not warm yet")
     return least_squares(window.X, window.y)
-
-
-@dataclass(frozen=True)
-class BarrierSpec:
-    """Barrier h with gradient and a linear extended class-K gain alpha(h)=alpha_gain*h."""
-
-    h: Callable
-    grad_h: Callable
-    alpha_gain: float
-
-    def __post_init__(self):
-        if self.alpha_gain <= 0:
-            raise ValueError("alpha_gain must be positive")
-
-
-@dataclass(frozen=True)
-class ClfSpec:
-    """Lyapunov function V with gradient and linear gamma(V)=gamma_gain*V."""
-
-    V: Callable
-    grad_V: Callable
-    gamma_gain: float
-
-    def __post_init__(self):
-        if self.gamma_gain <= 0:
-            raise ValueError("gamma_gain must be positive")
 
 
 def cbf_filter_scalar(u_ref, Lfh, Lgh, alpha_h):

@@ -1,12 +1,12 @@
 """Nonlinear plant dynamics, fixed-step integration, and linearization.
 
-Plants are plain data: a derivative function plus dimensions and named
-parameters.  Integration is explicit Euler with the control recomputed on
-every step, mirroring the simulation loops the gains were validated on.
+Plants are plain data: a derivative function plus dimensions.
+Integration is explicit Euler with the control recomputed on every step,
+mirroring the simulation loops the gains were validated on.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,30 +28,22 @@ class PlantModel:
     input_dim: int
     deriv: Callable  # (state, input) -> state derivative
     analytic_linearization: Optional[Callable] = None  # (state) -> (A, B)
-    params: dict = field(default_factory=dict)
 
 
 @dataclass
 class SimSpec:
-    """Fixed-step simulation settings.
-
-    decimation stores every k-th step in the trajectory (the initial state
-    is always stored); it never changes the integration or event checks.
-    """
+    """Fixed-step simulation settings."""
 
     dt: float
     t_end: float
     stop_success: Optional[Callable] = None
     stop_failure: Optional[Callable] = None
-    decimation: int = 1
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least dt")
-        if self.decimation < 1:
-            raise ValueError("decimation must be >= 1")
 
 
 @dataclass
@@ -97,10 +89,9 @@ def simulate(plant, controller, x0, spec):
             fired = "failure"
         if fired is None and k < n_steps:
             u = np.atleast_1d(np.asarray(controller(t, x), dtype=float))
-        if k % spec.decimation == 0:
-            times.append(t)
-            states.append(x.copy())
-            inputs.append(u.copy())
+        times.append(t)
+        states.append(x.copy())
+        inputs.append(u.copy())
         if fired is not None:
             event = fired
             break
@@ -169,7 +160,7 @@ def sip_plant(L=1.0, g=10.0):
         ydd = (g * math.sin(y) - a * math.cos(y)) / L
         return np.array([x[1], ydd, x[3], a])
 
-    return PlantModel("sip", 4, 1, deriv, params={"L": L, "g": g})
+    return PlantModel("sip", 4, 1, deriv)
 
 
 def dip_plant(m1=1.0, m2=1.0, L1=1.0, L2=1.0, g=10.0):
@@ -192,8 +183,7 @@ def dip_plant(m1=1.0, m2=1.0, L1=1.0, L2=1.0, g=10.0):
         dd = np.linalg.solve(M, r)
         return np.array([dy1, dd[0], dy2, dd[1], dpos, a])
 
-    return PlantModel("dip", 6, 1, deriv,
-                      params={"m1": m1, "m2": m2, "L1": L1, "L2": L2, "g": g})
+    return PlantModel("dip", 6, 1, deriv)
 
 
 def motorcycle_plant(L=1.5, H=1.0, tau_beta=0.02, g=10.0, v=10.0):
@@ -214,8 +204,7 @@ def motorcycle_plant(L=1.5, H=1.0, tau_beta=0.02, g=10.0, v=10.0):
             (g / H) * math.sin(roll) - (v ** 2 / (H * L)) * tb * math.cos(roll),
         ])
 
-    return PlantModel("motorcycle", 6, 1, deriv,
-                      params={"L": L, "H": H, "tau_beta": tau_beta, "g": g, "v": v})
+    return PlantModel("motorcycle", 6, 1, deriv)
 
 
 def motorcycle_lateral_plant(L=1.5, H=1.0, g=10.0, v=10.0):
@@ -235,8 +224,7 @@ def motorcycle_lateral_plant(L=1.5, H=1.0, g=10.0, v=10.0):
             (g / H) * math.sin(roll) - (v ** 2 / (H * L)) * tb * math.cos(roll),
         ])
 
-    return PlantModel("motorcycle_lateral", 4, 1, deriv,
-                      params={"L": L, "H": H, "g": g, "v": v})
+    return PlantModel("motorcycle_lateral", 4, 1, deriv)
 
 
 def point2d_plant():

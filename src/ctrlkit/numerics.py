@@ -1,8 +1,8 @@
 """Small dense linear-algebra helpers and a tiny quadratic-program solver.
 
-Everything operates on plain numpy arrays and is deterministic: eigenvalue
-output is sorted, the rank-one factorization is closed form, and the QP
-solver enumerates active sets exhaustively instead of iterating.
+Everything operates on plain numpy arrays and is deterministic: the
+rank-one factorization is closed form, and the QP solver enumerates active
+sets exhaustively instead of iterating.
 
 qp_small is the general solver for QPs of up to 3 variables and 4 rows.
 No simulation step calls it: control.clf_cbf_step solves its 2-variable
@@ -12,22 +12,6 @@ program in closed form, and qp_small is the reference it is tested against.
 from itertools import combinations
 
 import numpy as np
-
-
-def eigenvalues(m):
-    """All eigenvalues of a small square matrix, deterministically ordered.
-
-    Sorted by descending real part, ties broken by descending imaginary
-    part, so conjugate pairs appear adjacent with the +imag member first.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > 8:
-        raise ValueError("eigenvalues() is intended for small matrices (n <= 8)")
-    vals = np.linalg.eigvals(m)
-    order = np.lexsort((-vals.imag, -vals.real))
-    return [complex(v) for v in vals[order]]
 
 
 def least_squares(design, target):
@@ -46,20 +30,6 @@ def least_squares(design, target):
         raise ValueError("design matrix is rank deficient")
     z, *_ = np.linalg.lstsq(design, target, rcond=None)
     return z
-
-
-def kron_row(v, identity_dim):
-    """Block row [v1*I, v2*I, ..., vk*I] with I of size identity_dim.
-
-    This is v^T (x) I, the building block that turns the bilinear
-    identification equations into a linear least-squares design matrix.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("v must be non-empty")
-    if identity_dim < 1:
-        raise ValueError("identity_dim must be >= 1")
-    return np.kron(v, np.eye(int(identity_dim)))
 
 
 def nnmf_rank1(m):
@@ -93,17 +63,6 @@ def nnmf_rank1(m):
 def induced_norm(m):
     """Spectral norm: the matrix norm induced by the Euclidean vector norm."""
     return float(np.linalg.norm(np.atleast_2d(np.asarray(m, dtype=float)), 2))
-
-
-def cond(m):
-    """Spectral condition number ||m|| * ||m^-1|| of an invertible matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        raise np.linalg.LinAlgError("matrix is singular to working precision")
-    return float(sv[0] / sv[-1])
 
 
 def qp_small(H, c, A_ineq=None, b_ineq=None):

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from .control import (CBF_SINGULARITY_THRESHOLD, MotorcycleGuidance,
                       SlidingTargetDIP, SysIdWindow, adaptive_gain,
                       cbf_filter_scalar, clf_cbf_step, dip_sliding_target,
                       fsfc, lookup_region, lyapunov_ref_2d, sysid_solve)
-from .models import (SimSpec, dip_plant, motorcycle_plant, point2d_plant,
-                     simulate, sip_factored_model, sip_plant)
+from .models import (PlantModel, SimSpec, dip_plant, motorcycle_plant,
+                     point2d_plant, simulate, sip_factored_model, sip_plant)
 from .synthesis import (CareNoSolution, RobustConfig, UncertaintyBounds,
                         design_gain_matrix, eig_sweep,
                         robust_riccati_gain, sip_partial_design_model)
@@ -52,6 +52,27 @@ class RunReport:
     gain_matrices_used: list
     checksum: str
     guard_activations: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class BuiltScenario:
+    """One closed loop as a builder wires it, and what run_scenario reads back.
+
+    gains is called after the run, so adaptive scenarios report the gain
+    they ended on.  A fired stop_success is reported as success_event.
+    guard, when present, is the {"count": n} tally of singularity-guard
+    activations that the controller increments.
+    """
+
+    plant: PlantModel
+    x0: np.ndarray
+    controller: Callable  # (t, state) -> input
+    gains: Callable  # () -> list of gain vectors
+    stop_success: Optional[Callable] = None
+    stop_failure: Optional[Callable] = None
+    success_event: str = "success"
+    barrier_h: Optional[Callable] = None
+    guard: Optional[dict] = None
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +200,14 @@ def _sip_success_full(s):
 _SIP_X0 = (0.4 * math.pi, 0.0, 0.2, 0.0)
 
 
+def _sip_scenario(controller, gains, **stops):
+    """Pendulum run from _SIP_X0 that fails past the horizontal."""
+    return BuiltScenario(sip_plant(), np.array(_SIP_X0), controller, gains,
+                         stop_failure=_sip_failure, **stops)
+
+
 # ---------------------------------------------------------------------------
-# scenario builders; each returns the pieces run_scenario assembles
+# scenario builders; each returns the BuiltScenario run_scenario executes
 
 
 def _build_sip_nonrobust(p):
@@ -189,41 +216,26 @@ def _build_sip_nonrobust(p):
     def controller(t, x):
         return fsfc(K, x[_PARTIAL])
 
-    return {"plant": sip_plant(), "x0": np.array(_SIP_X0), "controller": controller,
-            "stop_failure": _sip_failure, "gains": lambda: [K]}
+    return _sip_scenario(controller, lambda: [K])
 
 
-def _build_sip_robust(p, parametrization):
-    K_p = sip_robust_gain(parametrization)
+def _build_sip_slide(p, K_p):
+    """Hold the partial-state gain K_p until the pendulum settles, then slide."""
     K_slide = sip_full_gain((-4.0, -4.0 + 2.0j, -4.0 - 2.0j, -4.0))
     controller = _stabilize_then_slide(lambda x: fsfc(K_p, x[_PARTIAL]),
                                        K_slide, p["s_v"], p["dt"])
-    return {"plant": sip_plant(), "x0": np.array(_SIP_X0), "controller": controller,
-            "stop_success": _sip_success_full, "stop_failure": _sip_failure,
-            "gains": lambda: [K_p, K_slide]}
-
-
-def _build_sip_interval(p):
-    K_p = sip_interval_gain()
-    K_slide = sip_full_gain((-4.0, -4.0 + 2.0j, -4.0 - 2.0j, -4.0))
-    controller = _stabilize_then_slide(lambda x: fsfc(K_p, x[_PARTIAL]),
-                                       K_slide, p["s_v"], p["dt"])
-    return {"plant": sip_plant(), "x0": np.array(_SIP_X0), "controller": controller,
-            "stop_success": _sip_success_full, "stop_failure": _sip_failure,
-            "gains": lambda: [K_p, K_slide]}
+    return _sip_scenario(controller, lambda: [K_p, K_slide], stop_success=_sip_success_full)
 
 
 def _build_sip_adaptive_online(p):
     latest = {"K": None}
 
     def controller(t, x):
-        K = adaptive_gain(x[0], "per-period", _POLES3)
+        K = adaptive_gain(x[0], _POLES3)
         latest["K"] = K
         return fsfc(K, x[_PARTIAL])
 
-    return {"plant": sip_plant(), "x0": np.array(_SIP_X0), "controller": controller,
-            "stop_failure": _sip_failure,
-            "gains": lambda: [] if latest["K"] is None else [latest["K"]]}
+    return _sip_scenario(controller, lambda: [] if latest["K"] is None else [latest["K"]])
 
 
 def _build_sip_adaptive_lookup(p):
@@ -232,9 +244,8 @@ def _build_sip_adaptive_lookup(p):
     controller = _stabilize_then_slide(
         lambda x: fsfc(region_gains[lookup_region(x[0])], x[_PARTIAL]),
         K_slide, p["s_v"], p["dt"])
-    return {"plant": sip_plant(), "x0": np.array(_SIP_X0), "controller": controller,
-            "stop_success": _sip_success_full, "stop_failure": _sip_failure,
-            "gains": lambda: region_gains + [K_slide]}
+    return _sip_scenario(controller, lambda: region_gains + [K_slide],
+                         stop_success=_sip_success_full)
 
 
 def _build_sip_adaptive_sysid(p):
@@ -263,9 +274,7 @@ def _build_sip_adaptive_sysid(p):
         mem["k"] += 1
         return acc
 
-    return {"plant": sip_plant(), "x0": np.array(_SIP_X0), "controller": controller,
-            "stop_failure": _sip_failure,
-            "gains": lambda: [] if mem["K"] is None else [mem["K"]]}
+    return _sip_scenario(controller, lambda: [] if mem["K"] is None else [mem["K"]])
 
 
 def _build_sip_cbf(p):
@@ -286,9 +295,8 @@ def _build_sip_cbf(p):
             guard["count"] += 1
         return cbf_filter_scalar(u_ref, Lfh, Lgh, h(x))
 
-    return {"plant": sip_plant(), "x0": np.array([0.2, 0.0, 20.0, 0.0]),
-            "controller": controller, "stop_failure": _sip_failure,
-            "barrier_h": h, "guard": guard, "gains": lambda: [K]}
+    return BuiltScenario(sip_plant(), np.array([0.2, 0.0, 20.0, 0.0]), controller,
+                         lambda: [K], stop_failure=_sip_failure, barrier_h=h, guard=guard)
 
 
 def _build_dip(p):
@@ -303,8 +311,8 @@ def _build_dip(p):
     def failure(s):
         return abs(s[0]) >= math.pi / 2 and abs(s[2]) >= math.pi / 2
 
-    return {"plant": dip_plant(), "x0": np.array([0.2, 0.0, 0.0, 0.0, p["x0"], 0.0]),
-            "controller": controller, "stop_failure": failure, "gains": lambda: [K]}
+    return BuiltScenario(dip_plant(), np.array([0.2, 0.0, 0.0, 0.0, p["x0"], 0.0]),
+                         controller, lambda: [K], stop_failure=failure)
 
 
 def _build_motorcycle(p):
@@ -322,9 +330,9 @@ def _build_motorcycle(p):
     def fell(s):
         return abs(s[4]) >= math.pi / 2
 
-    return {"plant": motorcycle_plant(), "x0": np.array([0.0, -0.2, -0.1, 0.0, 0.3, 0.0]),
-            "controller": controller, "stop_success": arrived, "stop_failure": fell,
-            "event_alias": {"success": "destination"}, "gains": lambda: [K]}
+    return BuiltScenario(motorcycle_plant(), np.array([0.0, -0.2, -0.1, 0.0, 0.3, 0.0]),
+                         controller, lambda: [K], stop_success=arrived, stop_failure=fell,
+                         success_event="destination")
 
 
 def _disk_barrier(disk):
@@ -350,9 +358,8 @@ def _build_point2d_cbf(p, case):
             guard["count"] += 1
         return cbf_filter_scalar(u_ref, Lfh, Lgh, 10.0 * h(s))
 
-    return {"plant": point2d_plant(), "x0": np.array([4.0, 5.0]),
-            "controller": controller, "barrier_h": h, "guard": guard,
-            "gains": lambda: []}
+    return BuiltScenario(point2d_plant(), np.array([4.0, 5.0]), controller, lambda: [],
+                         barrier_h=h, guard=guard)
 
 
 def _build_point2d_clf_cbf(p, case):
@@ -372,18 +379,17 @@ def _build_point2d_clf_cbf(p, case):
         u, _ = clf_cbf_step(u_ref, LfV, y, V, Lfh, y - cy, 10.0 * h(s))
         return u
 
-    return {"plant": point2d_plant(), "x0": np.array([4.0, 5.0]),
-            "controller": controller, "barrier_h": h, "guard": guard,
-            "gains": lambda: []}
+    return BuiltScenario(point2d_plant(), np.array([4.0, 5.0]), controller, lambda: [],
+                         barrier_h=h, guard=guard)
 
 
 _BUILDERS = {
     "dip_smc": _build_dip,
     "motorcycle_smc": _build_motorcycle,
     "sip_nonrobust_failure": _build_sip_nonrobust,
-    "sip_robust_riccati": lambda p: _build_sip_robust(p, "vertex"),
-    "sip_robust_riccati_midpoint": lambda p: _build_sip_robust(p, "midpoint"),
-    "sip_interval_polynomial": _build_sip_interval,
+    "sip_robust_riccati": lambda p: _build_sip_slide(p, sip_robust_gain("vertex")),
+    "sip_robust_riccati_midpoint": lambda p: _build_sip_slide(p, sip_robust_gain("midpoint")),
+    "sip_interval_polynomial": lambda p: _build_sip_slide(p, sip_interval_gain()),
     "sip_adaptive_online": _build_sip_adaptive_online,
     "sip_adaptive_lookup": _build_sip_adaptive_lookup,
     "sip_adaptive_sysid": _build_sip_adaptive_sysid,
@@ -430,13 +436,17 @@ SCENARIO_IDS = tuple(SCENARIO_DEFAULTS)
 # extra pass criterion the CLI asserts beyond the terminal event
 FINAL_NORM_BELOW = {"dip_smc": 0.05}
 
+# overrides that must be > 0 (dip_smc's x0 may take any finite value)
+_POSITIVE_TUNABLES = ("dt", "t_end", "s_v", "preview")
+
 
 def run_scenario(scenario_id, overrides=None):
     """Execute a registered scenario and return (Trajectory, RunReport).
 
     overrides may set dt, t_end, and the scenario's own tunables (dip_smc:
     x0 and s_v; the sliding scenarios: s_v; motorcycle_smc: preview); any
-    other key is rejected.
+    other key is rejected.  Every value must be finite; dt, t_end, s_v and
+    preview must be positive, and t_end must be at least dt.
     """
     if scenario_id not in _BUILDERS:
         raise ValueError(f"unknown scenario {scenario_id!r}; see SCENARIO_IDS")
@@ -446,28 +456,30 @@ def run_scenario(scenario_id, overrides=None):
         if key not in params:
             raise ValueError(f"{key!r} is not a tunable of {scenario_id}; "
                              f"allowed: {sorted(params)}")
-        params[key] = float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+        if key in _POSITIVE_TUNABLES and value <= 0:
+            raise ValueError(f"{key} must be positive, got {value:g}")
+        params[key] = value
 
     built = _BUILDERS[scenario_id](params)
     spec = SimSpec(dt=params["dt"], t_end=params["t_end"],
-                   stop_success=built.get("stop_success"),
-                   stop_failure=built.get("stop_failure"))
-    traj = simulate(built["plant"], built["controller"], built["x0"], spec)
-    alias = built.get("event_alias", {})
-    traj.terminal_event = alias.get(traj.terminal_event, traj.terminal_event)
+                   stop_success=built.stop_success, stop_failure=built.stop_failure)
+    traj = simulate(built.plant, built.controller, built.x0, spec)
+    if traj.terminal_event == "success":
+        traj.terminal_event = built.success_event
 
-    barrier = built.get("barrier_h")
-    min_h = min(float(barrier(s)) for s in traj.states) if barrier else None
-    guard = built.get("guard")
+    min_h = min(float(built.barrier_h(s)) for s in traj.states) if built.barrier_h else None
     report = RunReport(
         scenario=scenario_id,
         terminal_event=traj.terminal_event,
         final_state=[float(v) for v in traj.states[-1]],
         elapsed_sim_time=float(traj.times[-1]),
         min_h=min_h,
-        gain_matrices_used=[[float(g) for g in K] for K in built["gains"]()],
+        gain_matrices_used=[[float(g) for g in K] for K in built.gains()],
         checksum=trajectory_checksum(traj),
-        guard_activations=guard["count"] if guard is not None else None,
+        guard_activations=built.guard["count"] if built.guard is not None else None,
     )
     return traj, report
 

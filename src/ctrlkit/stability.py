@@ -1,8 +1,8 @@
 """Stability analysis machinery.
 
-Interval matrices and polynomials, Routh-Hurwitz first-column tests,
-Kharitonov bounding polynomials, and eigenvalue-perturbation bounds with
-the pendulum safe-angle radius they certify.
+Interval polynomials, Routh-Hurwitz first-column tests, Kharitonov
+bounding polynomials, and the eigenvalue-perturbation bound with the
+pendulum closed-loop deviation it is applied to.
 """
 
 import math
@@ -14,24 +14,6 @@ import numpy as np
 from .numerics import induced_norm
 
 _ZERO_PIVOT = 1e-12
-
-
-@dataclass(frozen=True)
-class IntervalMatrix:
-    """Element-wise box of matrices: lower <= member <= upper."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        if lo.shape != hi.shape:
-            raise ValueError("lower and upper must share a shape")
-        if (lo > hi).any():
-            raise ValueError("lower must be element-wise <= upper")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
 
 
 @dataclass(frozen=True)
@@ -59,40 +41,6 @@ class RouthResult:
     stable: bool
     first_column: list
     degenerate: bool
-
-
-def _binary_shapes(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def elementwise_min(a, b):
-    a, b = _binary_shapes(a, b)
-    return np.minimum(a, b)
-
-
-def elementwise_max(a, b):
-    a, b = _binary_shapes(a, b)
-    return np.maximum(a, b)
-
-
-def elementwise_abs(a):
-    return np.abs(np.asarray(a, dtype=float))
-
-
-def elementwise_leq(a, b):
-    """True iff a <= b in every entry (the partial order on matrices)."""
-    a, b = _binary_shapes(a, b)
-    return bool(np.all(a <= b))
-
-
-def elementwise_lt(a, b):
-    """True iff a < b strictly in every entry."""
-    a, b = _binary_shapes(a, b)
-    return bool(np.all(a < b))
 
 
 def routh_stable(p):
@@ -177,17 +125,6 @@ def bauer_fike_check(Ac0, deltaAc):
     return float(radius), bool(holds)
 
 
-def _sip_full_linear(L, g):
-    A = np.array([
-        [0.0, 1.0, 0.0, 0.0],
-        [g / L, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
-    B = np.array([0.0, -1.0 / L, 0.0, 1.0])
-    return A, B
-
-
 def sip_closed_loop_perturbation(theta, K, L=1.0, g=10.0):
     """Deviation Ac(theta) - Ac(0) of the 4-state pendulum closed loop.
 
@@ -201,26 +138,3 @@ def sip_closed_loop_perturbation(theta, K, L=1.0, g=10.0):
     dA = (g / L) * (sinc - 1.0) * np.outer(e2, e1)
     dBK = ((1.0 - math.cos(theta)) / L) * np.outer(e2, K)
     return dA - dBK
-
-
-def sip_theta_safe_radius(K, L=1.0, g=10.0):
-    """Largest angle radius certified to keep the closed loop stable.
-
-    sqrt(|Re lambda_1| / (cond(S) * ((g/6L)||e2 e1'|| + (1/2L)||e2 K'||)))
-    with lambda_1 the stable eigenvalue of Ac(0) with the largest real part.
-    All angles below this radius give Ac(theta) eigenvalues in the open
-    left half-plane.
-    """
-    K = np.asarray(K, dtype=float).ravel()
-    A, B = _sip_full_linear(L, g)
-    Ac0 = A - np.outer(B, K)
-    vals, S = np.linalg.eig(Ac0)
-    if vals.real.max() >= 0:
-        raise ValueError("closed loop at theta=0 must be stable")
-    sv = np.linalg.svd(S, compute_uv=False)
-    kappa = float(sv[0] / sv[-1])
-    e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0, 0.0])
-    denom = kappa * ((g / (6 * L)) * induced_norm(np.outer(e2, e1))
-                     + (1 / (2 * L)) * induced_norm(np.outer(e2, K)))
-    return math.sqrt(-vals.real.max() / denom)

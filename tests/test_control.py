@@ -1,5 +1,5 @@
-"""Tests for the runtime control laws: PID, sliding targets, guidance,
-adaptive gains, online identification, and the safety filters."""
+"""Tests for the runtime control laws: sliding targets, guidance, adaptive
+gains, online identification, and the safety filters."""
 
 import logging
 import math
@@ -8,10 +8,7 @@ import numpy as np
 import pytest
 
 from ctrlkit import (
-    BarrierSpec,
-    ClfSpec,
     MotorcycleGuidance,
-    PidController,
     SlidingTargetDIP,
     SysIdWindow,
     adaptive_gain,
@@ -20,33 +17,12 @@ from ctrlkit import (
     dip_sliding_target,
     fsfc,
     lyapunov_ref_2d,
-    pid_step,
     sysid_solve,
 )
 from ctrlkit import scenarios
 from ctrlkit.control import lookup_region
 from ctrlkit.numerics import qp_small
 from ctrlkit.synthesis import design_gain_matrix
-
-
-class TestPid:
-    def test_first_step_has_zero_derivative_term(self):
-        ctl = PidController(p=2.0, i=0.5, d=1.0, dt=0.1)
-        assert ctl.step(1.0) == pytest.approx(2.0 + 0.5 * 0.1)
-
-    def test_integral_accumulates_and_derivative_differences(self):
-        ctl = PidController(p=2.0, i=0.5, d=1.0, dt=0.1)
-        ctl.step(1.0)
-        out = ctl.step(2.0)
-        assert out == pytest.approx(2.0 * 2.0 + 0.5 * 0.3 + (2.0 - 1.0) / 0.1)
-
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            PidController(p=1.0, i=0.0, d=0.0, dt=0.0)
-
-    def test_pid_step_delegates(self):
-        ctl = PidController(p=3.0, i=0.0, d=0.0, dt=0.1)
-        assert pid_step(ctl, 2.0) == pytest.approx(6.0)
 
 
 class TestFsfc:
@@ -123,37 +99,46 @@ class TestMotorcycleGuidance:
 
 class TestAdaptiveGain:
     POLES = (-4.0, -4.0, -4.0)
+    # lookup region gains, placed at the design angles 0, pi/4 and 0.4*pi
+    REGION_GAINS = ([-58.0, -18.4, -6.4],
+                    [-80.61464644, -27.02365924, -7.1086127],
+                    [-179.82269033, -66.19817463, -8.45636096])
+
+    @staticmethod
+    def _lookup_input(x):
+        """Input of a fresh sip_adaptive_lookup controller in its first phase."""
+        defaults = scenarios.SCENARIO_DEFAULTS["sip_adaptive_lookup"]
+        params = {"dt": defaults["dt"], "t_end": defaults["t_end"], **defaults["params"]}
+        built = scenarios._BUILDERS["sip_adaptive_lookup"](params)
+        return built.controller(0.0, np.array(x, dtype=float))
 
     def test_per_period_upright(self):
-        K = adaptive_gain(0.0, "per-period", self.POLES)
+        K = adaptive_gain(0.0, self.POLES)
         assert K == pytest.approx([-58.0, -18.4, -6.4], rel=1e-12)
 
     def test_per_period_inside_guard_band_keeps_unit_stiffness(self):
         theta = 0.05
-        K = adaptive_gain(theta, "per-period", self.POLES)
+        K = adaptive_gain(theta, self.POLES)
         A = np.array([[0.0, 1.0, 0.0], [10.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         B = np.array([0.0, -math.cos(theta), 1.0])
         assert K == pytest.approx(design_gain_matrix(A, B, self.POLES), rel=1e-12)
 
     def test_lookup_boundaries_are_strict(self):
+        # theta_dot = 1 keeps the partial norm above 1, so the region gain acts
         eps = 1e-9
-        near = adaptive_gain(math.pi / 6 - eps, "lookup", self.POLES)
-        mid = adaptive_gain(math.pi / 6, "lookup", self.POLES)
-        far = adaptive_gain(math.pi / 3, "lookup", self.POLES)
-        assert near == pytest.approx([-58.0, -18.4, -6.4], rel=1e-6)
-        assert mid == pytest.approx([-80.61464644, -27.02365924, -7.1086127],
-                                    rel=1e-6)
-        assert far == pytest.approx([-179.82269033, -66.19817463, -8.45636096],
-                                    rel=1e-6)
+        for theta, region in ((math.pi / 6 - eps, 0), (math.pi / 6, 1),
+                              (math.pi / 3 - eps, 1), (math.pi / 3, 2)):
+            u = self._lookup_input([theta, 1.0, 0.0, 0.0])
+            assert u == pytest.approx(fsfc(self.REGION_GAINS[region], [theta, 1.0, 0.0]),
+                                      rel=1e-6)
 
     def test_lookup_is_even_in_angle(self):
-        K_pos = adaptive_gain(math.pi / 3, "lookup", self.POLES)
-        K_neg = adaptive_gain(-math.pi / 3, "lookup", self.POLES)
-        assert np.array_equal(K_pos, K_neg)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            adaptive_gain(0.0, "interpolate", self.POLES)
+        # the same gain at -theta: mirroring the state negates the input exactly
+        for theta in (0.3, math.pi / 6, 0.9, math.pi / 3, 1.3):
+            x = [theta, 1.0, 0.0, 0.5]
+            u_pos = self._lookup_input(x)
+            u_neg = self._lookup_input([-v for v in x])
+            assert u_neg == -u_pos
 
     def test_lookup_region_boundaries(self):
         eps = 1e-9
@@ -167,8 +152,8 @@ class TestAdaptiveGain:
         _, rep = scenarios.run_scenario("sip_adaptive_lookup", {"t_end": 0.01})
         for region, theta in enumerate((0.0, 0.9, 1.3)):
             assert lookup_region(theta) == region
-            assert np.array_equal(rep.gain_matrices_used[region],
-                                  adaptive_gain(theta, "lookup", self.POLES))
+            assert rep.gain_matrices_used[region] == pytest.approx(self.REGION_GAINS[region],
+                                                                   rel=1e-6)
 
 
 class TestSysIdWindow:
@@ -287,10 +272,10 @@ class TestClfCbfStep:
             clf_cbf_step(0.0, 0.0, 1.0, 0.1, 0.0, 1.0, 0.1, lam=0.0)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            BarrierSpec(h=lambda x: 1.0, grad_h=lambda x: np.zeros(2), alpha_gain=0.0)
-        with pytest.raises(ValueError):
-            ClfSpec(V=lambda x: 1.0, grad_V=lambda x: np.zeros(2), gamma_gain=-1.0)
+        # the input weight H and the relaxation weight lam must both be positive
+        for lam, H in ((0.25, 0.0), (0.25, -1.0), (-0.25, 1.0)):
+            with pytest.raises(ValueError):
+                clf_cbf_step(0.0, 0.0, 1.0, 0.1, 0.0, 1.0, 0.1, lam=lam, H=H)
 
 
 def _qp_small_answer(u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h, lam=0.25, H=1.0):

@@ -57,14 +57,6 @@ class TestSimulate:
         assert traj.terminal_event == "failure"
         assert traj.times[-1] == pytest.approx(0.3)
 
-    def test_decimation_stores_every_kth(self):
-        plant = PlantModel("int", 1, 1, lambda x, u: np.array([1.0]))
-        spec = SimSpec(dt=0.1, t_end=1.0, decimation=4)
-        traj = simulate(plant, lambda t, x: 0.0, [0.0], spec)
-        assert_allclose(traj.times, [0.0, 0.4, 0.8], atol=1e-12)
-        # decimation only thins storage, never the integration
-        assert traj.states[-1][0] == pytest.approx(0.8)
-
     def test_deterministic_repeat(self):
         plant = sip_plant()
         spec = SimSpec(dt=0.001, t_end=0.5)
@@ -78,8 +70,6 @@ class TestSimulate:
             SimSpec(dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
             SimSpec(dt=0.1, t_end=0.01)
-        with pytest.raises(ValueError):
-            SimSpec(dt=0.1, t_end=1.0, decimation=0)
 
 
 class TestSipFactoredModel:

@@ -1,43 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ctrlkit.numerics import (cond, eigenvalues, induced_norm, kron_row,
-                              least_squares, nnmf_rank1, qp_small)
-
-
-class TestEigenvalues:
-    def test_real_pair_sorted_descending(self):
-        vals = eigenvalues([[0, 1], [-2, -3]])
-        assert_allclose(vals, [-1.0, -2.0], atol=1e-12)
-
-    def test_complex_conjugates_ordered_by_imag(self):
-        # eigenvalues -1 +/- 2j: same real part, positive imaginary first
-        vals = eigenvalues([[-1, 2], [-2, -1]])
-        assert_allclose(vals[0], -1 + 2j, atol=1e-12)
-        assert_allclose(vals[1], -1 - 2j, atol=1e-12)
-
-    def test_returns_python_complex(self):
-        vals = eigenvalues(np.eye(3))
-        assert all(isinstance(v, complex) for v in vals)
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            eigenvalues(np.eye(9))
-
-    @given(st.integers(1, 6), st.random_module())
-    @settings(max_examples=50, deadline=None)
-    def test_matches_numpy_as_multiset(self, n, _):
-        m = np.random.randn(n, n)
-        ours = np.array(eigenvalues(m))
-        ref = np.linalg.eigvals(m)
-        assert_allclose(np.sort_complex(ours), np.sort_complex(ref), atol=1e-9)
-
-    def test_ordering_descending_real(self):
-        m = np.diag([3.0, -1.0, 2.0, -5.0])
-        assert_allclose(eigenvalues(m), [3.0, 2.0, -1.0, -5.0], atol=1e-12)
+from ctrlkit.numerics import induced_norm, least_squares, nnmf_rank1, qp_small
 
 
 class TestLeastSquares:
@@ -60,13 +25,6 @@ class TestLeastSquares:
     def test_more_columns_than_rows_rejected(self):
         with pytest.raises(ValueError):
             least_squares(np.ones((2, 3)), [1.0, 2.0])
-
-
-class TestKronRow:
-    def test_basic_expansion(self):
-        out = kron_row([2.0, -1.0], 2)
-        expect = np.array([[2, 0, -1, 0], [0, 2, 0, -1]], dtype=float)
-        assert_allclose(out, expect, atol=1e-15)
 
 
 class TestNnmfRank1:
@@ -108,13 +66,6 @@ class TestNorms:
 
     def test_induced_norm_vector_as_row(self):
         assert induced_norm([3.0, 4.0]) == pytest.approx(5.0)
-
-    def test_cond_identity(self):
-        assert cond(np.eye(4)) == pytest.approx(1.0)
-
-    def test_cond_singular(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            cond([[1.0, 1.0], [1.0, 1.0]])
 
 
 class TestQpSmall:

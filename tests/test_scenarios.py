@@ -19,7 +19,7 @@ from ctrlkit import (
     run_scenario,
     trajectory_checksum,
 )
-from ctrlkit.cli import main
+from ctrlkit.cli import main, read_matrix_file
 from ctrlkit.scenarios import FINAL_NORM_BELOW, emit_csv, emit_json, emit_svg
 
 EXPECTED_IDS = {
@@ -79,6 +79,22 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             run_scenario("sip_cbf", {"gain": 3.0})
 
+    @pytest.mark.parametrize("scenario, overrides, message", [
+        ("motorcycle_smc", {"preview": "nan"}, "preview must be finite"),
+        ("sip_robust_riccati", {"s_v": float("nan")}, "s_v must be finite"),
+        ("sip_robust_riccati", {"s_v": -1.0}, "s_v must be positive"),
+        ("dip_smc", {"s_v": 0.0}, "s_v must be positive"),
+        ("dip_smc", {"x0": float("inf")}, "x0 must be finite"),
+        ("point2d_cbf_case1", {"dt": float("nan")}, "dt must be finite"),
+        ("point2d_cbf_case1", {"dt": -0.001}, "dt must be positive"),
+        ("sip_nonrobust_failure", {"t_end": "inf"}, "t_end must be finite"),
+        ("sip_nonrobust_failure", {"t_end": 0.0}, "t_end must be positive"),
+        ("sip_cbf", {"dt": 0.1, "t_end": 0.05}, "t_end must be at least dt"),
+    ])
+    def test_invalid_override_fails_before_the_run(self, scenario, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            run_scenario(scenario, overrides)
+
     def test_time_overrides_are_honored(self):
         traj, report = run_scenario("sip_nonrobust_failure", {"t_end": 0.05})
         assert report.terminal_event == "timeout"  # too short to fall over
@@ -118,6 +134,12 @@ class TestRunScenario:
         assert report.terminal_event == "failure"
         assert report.elapsed_sim_time == pytest.approx(0.644, abs=1e-9)
         assert abs(traj.states[-1][0]) >= math.pi / 2
+
+    @pytest.mark.parametrize("dt, min_h", [(5e-4, -0.1913), (2e-4, 0.005575)])
+    def test_sip_cbf_violation_shrinks_with_the_step(self, dt, min_h):
+        # rows of the README's sip_cbf table; at these steps min h falls before t = 6 s
+        _, rep = run_scenario("sip_cbf", {"dt": dt, "t_end": 6.0})
+        assert rep.min_h == pytest.approx(min_h, rel=1e-3)
 
     def test_motorcycle_reaches_destination(self):
         _, report = run_scenario("motorcycle_smc")
@@ -290,6 +312,12 @@ class TestCli:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_override_returns_one(self, tmp_path, capsys):
+        rc = main(["run", "sip_nonrobust_failure", "--set", "t_end=inf", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: t_end must be finite")
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_scenario_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["run", "sip_unknown"])
@@ -338,6 +366,26 @@ class TestCli:
         assert "feasible" in capsys.readouterr().out
         assert main(common + ["--k=-58,-18.4,-6.4"]) == 2
         assert "infeasible" in capsys.readouterr().out
+
+    def test_region_check_rejects_non_finite_gain(self, capsys):
+        rc = main(["design", "region-check", "--a-lo", "5", "--a-hi", "10",
+                   "--b-lo", "0.31", "--b-hi", "1", "--k=nan,-50,-10"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error: --k has a non-finite entry" in captured.err
+        assert "feasible" not in captured.out
+
+    @pytest.mark.parametrize("text", ["0 1\nnan 0\n", "[[0, 1], [Infinity, 0]]"])
+    def test_matrix_file_rejects_non_finite_entries(self, tmp_path, capsys, text):
+        a = tmp_path / "A.txt"
+        a.write_text(text)
+        with pytest.raises(ValueError, match="A.txt has a non-finite entry"):
+            read_matrix_file(a)
+        b = tmp_path / "B.txt"
+        b.write_text("0\n1\n")
+        rc = main(["design", "pole-place", "--a", str(a), "--b", str(b), "--poles=-1,-2"])
+        assert rc == 1
+        assert "A.txt has a non-finite entry" in capsys.readouterr().err
 
     def test_missing_matrix_file_returns_one(self, capsys):
         rc = main(["design", "pole-place", "--a", "/nonexistent/A.txt",

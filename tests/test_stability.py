@@ -8,24 +8,14 @@ import numpy as np
 import pytest
 
 from ctrlkit import (
-    IntervalMatrix,
     IntervalPoly,
     bauer_fike_check,
     interval_poly_stable,
     kharitonov_polys,
     routh_stable,
     sip_closed_loop_perturbation,
-    sip_theta_safe_radius,
 )
 from ctrlkit.models import sip_factored_model
-from ctrlkit.stability import (
-    elementwise_abs,
-    elementwise_leq,
-    elementwise_lt,
-    elementwise_max,
-    elementwise_min,
-)
-from ctrlkit.synthesis import design_gain_matrix
 
 
 def roots_stable(ascending):
@@ -34,19 +24,6 @@ def roots_stable(ascending):
 
 
 class TestIntervalTypes:
-    def test_interval_matrix_holds_bounds(self):
-        m = IntervalMatrix(lower=[[0, 1]], upper=[[2, 1]])
-        assert m.lower.shape == (1, 2)
-        assert m.upper[0, 0] == 2.0
-
-    def test_interval_matrix_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            IntervalMatrix(lower=np.zeros((2, 2)), upper=np.zeros((2, 3)))
-
-    def test_interval_matrix_rejects_crossed_bounds(self):
-        with pytest.raises(ValueError):
-            IntervalMatrix(lower=np.ones((2, 2)), upper=np.zeros((2, 2)))
-
     def test_interval_poly_rejects_zero_spanning_leading_coeff(self):
         with pytest.raises(ValueError):
             IntervalPoly(lower=[1.0, 2.0, -0.5], upper=[2.0, 3.0, 0.5])
@@ -54,25 +31,6 @@ class TestIntervalTypes:
     def test_interval_poly_accepts_negative_leading_interval(self):
         ip = IntervalPoly(lower=[1.0, 1.0, -2.0], upper=[2.0, 2.0, -1.0])
         assert ip.upper[-1] == -1.0
-
-
-class TestElementwise:
-    def test_min_max_abs(self):
-        a = np.array([[1.0, -3.0], [2.0, 0.0]])
-        b = np.array([[0.0, -1.0], [5.0, 0.0]])
-        assert np.array_equal(elementwise_min(a, b), [[0, -3], [2, 0]])
-        assert np.array_equal(elementwise_max(a, b), [[1, -1], [5, 0]])
-        assert np.array_equal(elementwise_abs(a), [[1, 3], [2, 0]])
-
-    def test_orderings(self):
-        a = np.array([1.0, 2.0])
-        assert elementwise_leq(a, a)
-        assert not elementwise_lt(a, a)
-        assert elementwise_lt(a, a + 1)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            elementwise_min(np.zeros(2), np.zeros(3))
 
 
 class TestRouthStable:
@@ -224,28 +182,3 @@ class TestSipPerturbation:
             dA = sip_closed_loop_perturbation(theta, K)
             bound = theta ** 2 * (10.0 / 6.0 + 0.5 * np.linalg.norm(K))
             assert np.linalg.norm(dA, 2) <= bound + 1e-12
-
-
-class TestSafeRadius:
-    def place_full_gain(self):
-        A, B = sip_factored_model(0.0)
-        return design_gain_matrix(A, B, [-1.0, -2.0, -3.0, -4.0])
-
-    def test_radius_positive_and_below_pi(self):
-        K = self.place_full_gain()
-        radius = sip_theta_safe_radius(K)
-        assert 0.0 < radius < math.pi
-
-    def test_all_angles_below_radius_keep_closed_loop_stable(self):
-        K = self.place_full_gain()
-        radius = sip_theta_safe_radius(K)
-        A0, B0 = sip_factored_model(0.0)
-        Ac0 = A0 - np.outer(B0, K)
-        for frac in np.linspace(0.0, 0.999, 25):
-            theta = frac * radius
-            Act = Ac0 + sip_closed_loop_perturbation(theta, K)
-            assert np.linalg.eigvals(Act).real.max() < 0
-
-    def test_unstable_nominal_loop_rejected(self):
-        with pytest.raises(ValueError):
-            sip_theta_safe_radius(np.zeros(4))
