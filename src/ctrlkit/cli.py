@@ -55,6 +55,13 @@ def read_matrix_file(path):
     return _finite(np.array(rows, dtype=float), path)
 
 
+def _finite_float(text):
+    try:
+        return _finite(float(text), text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
+
+
 def _parse_poles(text):
     return _finite([complex(tok.strip().replace(" ", "")) for tok in text.split(",")], "--poles")
 
@@ -192,20 +199,20 @@ def _build_parser():
     p_rr.add_argument("--b", required=True, help="nominal input matrix file")
     p_rr.add_argument("--da", required=True, help="element-wise |dA| bound matrix file")
     p_rr.add_argument("--db", required=True, help="element-wise |dB| bound matrix file")
-    p_rr.add_argument("--a-bar", type=float, default=300.0)
-    p_rr.add_argument("--b-bar", type=float, default=300.0)
-    p_rr.add_argument("--epsilon", type=float, default=0.01)
+    p_rr.add_argument("--a-bar", type=_finite_float, default=300.0)
+    p_rr.add_argument("--b-bar", type=_finite_float, default=300.0)
+    p_rr.add_argument("--epsilon", type=_finite_float, default=0.01)
     p_rr.add_argument("--q", help="state weight matrix file (default: identity)")
-    p_rr.add_argument("--r", type=float, default=0.01, help="input weight (default: 0.01)")
+    p_rr.add_argument("--r", type=_finite_float, default=0.01, help="input weight (default: 0.01)")
     p_rr.set_defaults(func=_cmd_robust_riccati)
 
     p_rc = d_sub.add_parser("region-check",
                             help="closed-form pendulum gain region membership")
     p_rc.add_argument("--k", required=True, help="gain as 'k1,k2,k3'")
-    p_rc.add_argument("--a-lo", type=float, required=True)
-    p_rc.add_argument("--a-hi", type=float, required=True)
-    p_rc.add_argument("--b-lo", type=float, required=True)
-    p_rc.add_argument("--b-hi", type=float, required=True)
+    p_rc.add_argument("--a-lo", type=_finite_float, required=True)
+    p_rc.add_argument("--a-hi", type=_finite_float, required=True)
+    p_rc.add_argument("--b-lo", type=_finite_float, required=True)
+    p_rc.add_argument("--b-hi", type=_finite_float, required=True)
     p_rc.set_defaults(func=_cmd_region_check)
 
     return parser

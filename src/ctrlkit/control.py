@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import sip_factored_model
+from .models import G, sip_design_pair
 from .numerics import least_squares
 from .synthesis import design_gain_matrix
 
@@ -102,15 +102,14 @@ def lookup_region(theta):
     return 2
 
 
-def adaptive_gain(theta, desired_eigs, L=1.0, g=10.0):
+def adaptive_gain(theta, desired_eigs):
     """Angle-scheduled pole-placement gain for the 3-state pendulum model.
 
-    Re-runs pole placement on the factored model frozen at the current
-    angle (small-angle branch included).
+    Re-runs pole placement on the design pair frozen at the current angle:
+    b = -cos(theta), and a = G sin(theta)/theta, or G on the small-angle branch |theta| < 0.1.
     """
-    A4, B4 = sip_factored_model(theta, L, g)
-    idx = np.array([0, 1, 3])
-    return design_gain_matrix(A4[np.ix_(idx, idx)], B4[idx], desired_eigs)
+    a = G if abs(theta) < 0.1 else G * math.sin(theta) / theta
+    return design_gain_matrix(*sip_design_pair(a, -math.cos(theta)), desired_eigs)
 
 
 class SysIdWindow:
@@ -171,13 +170,13 @@ def cbf_filter_scalar(u_ref, Lfh, Lgh, alpha_h):
     return u_ref
 
 
-def clf_cbf_step(u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h, lam=0.25, H=1.0):
+def clf_cbf_step(u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h):
     """Relaxed stabilize-and-stay-safe program in the variables (u, delta).
 
-    Minimizes H/2*(u - u_ref)^2 + lam/2*delta^2 subject to the relaxed
-    Lyapunov-decrease row LfV + LgV*u <= -gamma_V + delta and the hard
-    barrier row Lfh + Lgh*u >= -alpha_h.  gamma_V and alpha_h are the
-    already-evaluated gamma(V(x)) and alpha(h(x)).
+    Minimizes (u - u_ref)^2/2 + delta^2/8 (weights H = 1, lam = 1/4) subject
+    to the relaxed Lyapunov-decrease row LfV + LgV*u <= -gamma_V + delta and
+    the hard barrier row Lfh + Lgh*u >= -alpha_h.  gamma_V and alpha_h are
+    the already-evaluated gamma(V(x)) and alpha(h(x)).
 
     Solved in closed form.  With b1 = -LfV - gamma_V and b2 = Lfh + alpha_h
     the rows read LgV*u - delta <= b1 and -Lgh*u <= b2.  The active sets are
@@ -186,11 +185,11 @@ def clf_cbf_step(u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h, lam=0.25, H=1.0):
     inactive rows pass qp_small's 1e-9 tolerance is the minimizer:
 
     - none: u = u_ref, delta = 0;
-    - CLF row: mu = (LgV*u_ref - b1) / (LgV^2/H + 1/lam),
-      u = u_ref - LgV*mu/H, delta = mu/lam;
-    - barrier row: u = -b2/Lgh, delta = 0, nu = H*(u - u_ref)/Lgh;
-    - both rows: u = -b2/Lgh, delta = LgV*u - b1, mu = lam*delta,
-      nu = (H*(u - u_ref) + LgV*mu)/Lgh.
+    - CLF row: mu = (LgV*u_ref - b1) / (LgV^2 + 4), u = u_ref - LgV*mu,
+      delta = 4*mu;
+    - barrier row: u = -b2/Lgh, delta = 0, nu = (u - u_ref)/Lgh;
+    - both rows: u = -b2/Lgh, delta = LgV*u - b1, mu = delta/4,
+      nu = (u - u_ref + LgV*mu)/Lgh.
 
     Lgh == 0 makes the last two singular and they are skipped.  qp_small,
     which solves the same program as a general QP, is the reference this
@@ -199,25 +198,23 @@ def clf_cbf_step(u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h, lam=0.25, H=1.0):
     about 1e6 (a tiny Lgh), rounding on them exceeds 1e-9 and qp_small can
     call a feasible program infeasible.
     """
-    if lam <= 0 or H <= 0:
-        raise ValueError("lam and H must be positive")
     tol = 1e-9
     b1 = -LfV - gamma_V
     b2 = Lfh + alpha_h
     if LgV * u_ref - b1 <= tol and -Lgh * u_ref - b2 <= tol:
         return float(u_ref), 0.0
-    mu = (LgV * u_ref - b1) / (LgV * LgV / H + 1.0 / lam)
-    u = u_ref - LgV * mu / H
+    mu = (LgV * u_ref - b1) / (LgV * LgV + 4.0)
+    u = u_ref - LgV * mu
     if mu >= -tol and -Lgh * u - b2 <= tol:
-        return float(u), float(mu / lam)
+        return float(u), float(4.0 * mu)
     if Lgh != 0:
         u = -b2 / Lgh
-        nu = H * (u - u_ref) / Lgh
+        nu = (u - u_ref) / Lgh
         if nu >= -tol and LgV * u - b1 <= tol:
             return float(u), 0.0
         delta = LgV * u - b1
-        mu = lam * delta
-        nu = (H * (u - u_ref) + LgV * mu) / Lgh
+        mu = 0.25 * delta
+        nu = (u - u_ref + LgV * mu) / Lgh
         if mu >= -tol and nu >= -tol:
             return float(u), float(delta)
     raise RuntimeError(

@@ -11,6 +11,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
+# the plants' physics, read by every design model built on them
+G = 10.0  # gravity
+MOTO_V = 10.0  # motorcycle speed
+MOTO_L = 1.5  # wheelbase
+MOTO_H = 1.0  # center-of-mass height
+MOTO_TAU_BETA = 0.02  # steering lag
+
 
 class BlowupError(RuntimeError):
     """Dynamics produced a non-finite derivative; carries time and state."""
@@ -121,21 +128,25 @@ def linearize(plant, x0, u0):
     return A, B
 
 
-def sip_factored_model(theta, L=1.0, g=10.0):
-    """State-dependent (A, B) that factor the pendulum-on-cart dynamics.
+def sip_frozen_coefficients(theta):
+    """Exact (a, b) of the pendulum frozen at theta: G sin(theta)/theta and -cos(theta)."""
+    sinc = 1.0 if theta == 0 else math.sin(theta) / theta
+    return G * sinc, -math.cos(theta)
 
-    State order (theta, theta_dot, x, x_dot), input cart acceleration.
-    A21 = (g/L) sin(theta)/theta with the small-angle branch A21 = g/L for
-    |theta| < 0.1; B2 = -cos(theta)/L in every branch.  Wherever the
-    trigonometric branch applies (theta = 0 or |theta| >= 0.1) the
-    factorization deriv == A(x) x + B(x) u is exact; the small-angle branch
-    replaces sin(theta) by theta, as the adaptive controller does.
+
+def sip_design_pair(a, b):
+    """3-state (theta, theta_dot, x_dot) design pair A = [[0,1,0],[a,0,0],[0,0,0]], B = [0,b,1]."""
+    A = np.array([[0.0, 1.0, 0.0], [a, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    return A, np.array([0.0, b, 1.0])
+
+
+def sip_factored_model(theta):
+    """State-dependent (A, B) that factor the pendulum-on-cart dynamics exactly.
+
+    State order (theta, theta_dot, x, x_dot), input cart acceleration;
+    A21, B2 = sip_frozen_coefficients(theta), so deriv == A(x) x + B(x) u.
     """
-    if abs(theta) < 0.1:
-        a21 = g / L
-    else:
-        a21 = (g / L) * math.sin(theta) / theta
-    b2 = -math.cos(theta) / L
+    a21, b2 = sip_frozen_coefficients(theta)
     A = np.array([
         [0.0, 1.0, 0.0, 0.0],
         [a21, 0.0, 0.0, 0.0],
@@ -146,27 +157,26 @@ def sip_factored_model(theta, L=1.0, g=10.0):
     return A, B
 
 
-def sip_plant(L=1.0, g=10.0):
+def sip_plant():
     """Single inverted pendulum on a cart, state (theta, theta_dot, x, x_dot).
 
-    theta_dd = (g sin(theta) - a cos(theta)) / L and x_dd = a for cart
-    acceleration input a.  This is the true nonlinear plant; the guarded
-    small-angle branch lives only in sip_factored_model, which controllers
-    use as their design model.
+    theta_dd = G sin(theta) - a cos(theta) (unit length) and x_dd = a for
+    cart acceleration input a.  This is the true nonlinear plant; the guarded
+    small-angle branch lives only in control.adaptive_gain, its one user.
     """
     def deriv(x, u):
         y = x[0]
         a = u[0]
-        ydd = (g * math.sin(y) - a * math.cos(y)) / L
+        ydd = G * math.sin(y) - a * math.cos(y)
         return np.array([x[1], ydd, x[3], a])
 
     return PlantModel("sip", 4, 1, deriv)
 
 
-def dip_plant(m1=1.0, m2=1.0, L1=1.0, L2=1.0, g=10.0):
+def dip_plant():
     """Serial double inverted pendulum on an acceleration-driven cart.
 
-    Point masses at the tips of massless links; state
+    Unit point masses at the tips of massless unit links; state
     (theta1, theta1_dot, theta2, theta2_dot, x, x_dot), input cart
     acceleration.  Angular accelerations come from the 2x2 Lagrangian
     mass-matrix solve.
@@ -176,38 +186,37 @@ def dip_plant(m1=1.0, m2=1.0, L1=1.0, L2=1.0, g=10.0):
         a = u[0]
         c12 = math.cos(y1 - y2)
         s12 = math.sin(y1 - y2)
-        M = np.array([[(m1 + m2) * L1, m2 * L2 * c12],
-                      [L1 * c12, L2]])
-        r = np.array([(m1 + m2) * (g * math.sin(y1) - a * math.cos(y1)) - m2 * L2 * dy2 ** 2 * s12,
-                      g * math.sin(y2) - a * math.cos(y2) + L1 * dy1 ** 2 * s12])
+        M = np.array([[2.0, c12], [c12, 1.0]])
+        r = np.array([2.0 * (G * math.sin(y1) - a * math.cos(y1)) - dy2 ** 2 * s12,
+                      G * math.sin(y2) - a * math.cos(y2) + dy1 ** 2 * s12])
         dd = np.linalg.solve(M, r)
         return np.array([dy1, dd[0], dy2, dd[1], dpos, a])
 
     return PlantModel("dip", 6, 1, deriv)
 
 
-def motorcycle_plant(L=1.5, H=1.0, tau_beta=0.02, g=10.0, v=10.0):
+def motorcycle_plant():
     """Planar motorcycle: kinematic bicycle, steering lag, inverted-pendulum roll.
 
     State (x, y, phi, beta, roll, roll_rate); input is the commanded
-    steering angle. Speed v is a fixed parameter.
+    steering angle. Speed MOTO_V is fixed.
     """
     def deriv(s, u):
         _, _, phi, beta, roll, droll = s
         tb = math.tan(beta)
         return np.array([
-            v * math.cos(phi),
-            v * math.sin(phi),
-            (v / L) * tb,
-            (u[0] - beta) / tau_beta,
+            MOTO_V * math.cos(phi),
+            MOTO_V * math.sin(phi),
+            (MOTO_V / MOTO_L) * tb,
+            (u[0] - beta) / MOTO_TAU_BETA,
             droll,
-            (g / H) * math.sin(roll) - (v ** 2 / (H * L)) * tb * math.cos(roll),
+            (G / MOTO_H) * math.sin(roll) - (MOTO_V ** 2 / (MOTO_H * MOTO_L)) * tb * math.cos(roll),
         ])
 
     return PlantModel("motorcycle", 6, 1, deriv)
 
 
-def motorcycle_lateral_plant(L=1.5, H=1.0, g=10.0, v=10.0):
+def motorcycle_lateral_plant():
     """Simplified lateral motorcycle model used for gain design.
 
     State (y, phi, roll, roll_rate) in line-aligned coordinates; input is
@@ -218,10 +227,10 @@ def motorcycle_lateral_plant(L=1.5, H=1.0, g=10.0, v=10.0):
         _, phi, roll, droll = s
         tb = math.tan(u[0])
         return np.array([
-            v * math.sin(phi),
-            (v / L) * tb,
+            MOTO_V * math.sin(phi),
+            (MOTO_V / MOTO_L) * tb,
             droll,
-            (g / H) * math.sin(roll) - (v ** 2 / (H * L)) * tb * math.cos(roll),
+            (G / MOTO_H) * math.sin(roll) - (MOTO_V ** 2 / (MOTO_H * MOTO_L)) * tb * math.cos(roll),
         ])
 
     return PlantModel("motorcycle_lateral", 4, 1, deriv)

@@ -25,10 +25,9 @@ def least_squares(design, target):
         raise ValueError(f"design must have at least as many rows as columns, got {design.shape}")
     if target.size != rows:
         raise ValueError("target length must match design row count")
-    sv = np.linalg.svd(design, compute_uv=False)
+    z, _, _, sv = np.linalg.lstsq(design, target, rcond=None)
     if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
         raise ValueError("design matrix is rank deficient")
-    z, *_ = np.linalg.lstsq(design, target, rcond=None)
     return z
 
 

@@ -18,8 +18,9 @@ from .control import (CBF_SINGULARITY_THRESHOLD, MotorcycleGuidance,
                       SlidingTargetDIP, SysIdWindow, adaptive_gain,
                       cbf_filter_scalar, clf_cbf_step, dip_sliding_target,
                       fsfc, lookup_region, lyapunov_ref_2d, sysid_solve)
-from .models import (PlantModel, SimSpec, dip_plant, motorcycle_plant,
-                     point2d_plant, simulate, sip_factored_model, sip_plant)
+from .models import (MOTO_H, MOTO_L, MOTO_V, G, PlantModel, SimSpec,
+                     dip_plant, motorcycle_plant, point2d_plant, simulate,
+                     sip_design_pair, sip_factored_model, sip_plant)
 from .synthesis import (CareNoSolution, RobustConfig, UncertaintyBounds,
                         design_gain_matrix, eig_sweep,
                         robust_riccati_gain, sip_partial_design_model)
@@ -98,18 +99,17 @@ def sip_robust_gain(parametrization="vertex"):
     the deviation to the extreme angle with a_bar = b_bar = 300; "midpoint"
     centers the nominal between the two extremes with a_bar = b_bar = 50.
     """
-    a_true = 10.0 * math.sin(THETA_MAX) / THETA_MAX
+    a_true = G * math.sin(THETA_MAX) / THETA_MAX
     b_true = -math.cos(THETA_MAX)
     if parametrization == "vertex":
-        a0, b0 = 10.0, -1.0
+        a0, b0 = G, -1.0
         a_bar = b_bar = 300.0
     elif parametrization == "midpoint":
-        a0, b0 = (10.0 + a_true) / 2.0, (-1.0 + b_true) / 2.0
+        a0, b0 = (G + a_true) / 2.0, (-1.0 + b_true) / 2.0
         a_bar = b_bar = 50.0
     else:
         raise ValueError(f"unknown parametrization {parametrization!r}")
-    A = np.array([[0.0, 1.0, 0.0], [a0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    B = np.array([0.0, b0, 1.0])
+    A, B = sip_design_pair(a0, b0)
     dA = np.zeros((3, 3))
     dA[1, 0] = abs(a_true - a0)
     dB = np.zeros((3, 1))
@@ -125,38 +125,38 @@ def sip_robust_gain(parametrization="vertex"):
 def sip_interval_gain():
     """Decade-floor gain built inside the closed-form stability region.
 
-    With a <= 10 and b >= cos(0.4*pi): k3 = -10, then k2 and k1 are each the
+    With a <= G and b >= cos(0.4*pi): k3 = -10, then k2 and k1 are each the
     next multiple of 10 strictly below their cascaded region threshold.
     """
     b_lo = math.cos(THETA_MAX)
-    a_hi = 10.0
+    a_hi = G
     k3 = -10.0
     k2 = math.floor((k3 / b_lo) / 10.0) * 10.0 - 10.0
     k1 = math.floor((a_hi * k2 / (-b_lo * k2 + k3)) / 10.0) * 10.0 - 10.0
     return np.array([k1, k2, k3])
 
 
-def _dip_design_matrices(m1=1.0, m2=1.0, L1=1.0, L2=1.0, g=10.0):
+def _dip_design_matrices():
     A = np.array([
         [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-        [(m1 + m2) * g / (m1 * L1), 0.0, -m2 * g / (m1 * L1), 0.0, 0.0, 0.0],
+        [2.0 * G, 0.0, -G, 0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-        [-(m1 + m2) * g / (m1 * L2), 0.0, (m1 + m2) * g / (m1 * L2), 0.0, 0.0, 0.0],
+        [-2.0 * G, 0.0, 2.0 * G, 0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     ])
-    B = np.array([0.0, -1.0 / L1, 0.0, 0.0, 0.0, 1.0])
+    B = np.array([0.0, -1.0, 0.0, 0.0, 0.0, 1.0])
     return A, B
 
 
-def _motorcycle_design_matrices(v=10.0, L=1.5, H=1.0, g=10.0):
+def _motorcycle_design_matrices():
     A = np.array([
-        [0.0, v, 0.0, 0.0],
+        [0.0, MOTO_V, 0.0, 0.0],
         [0.0, 0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, g / H, 0.0],
+        [0.0, 0.0, G / MOTO_H, 0.0],
     ])
-    B = np.array([0.0, v / L, 0.0, -v ** 2 / (H * L)])
+    B = np.array([0.0, MOTO_V / MOTO_L, 0.0, -MOTO_V ** 2 / (MOTO_H * MOTO_L)])
     return A, B
 
 
@@ -263,9 +263,7 @@ def _build_sip_adaptive_sysid(p):
             window.push([x[0], mem["acc"]], (x[1] - old[1]) / dt)
             try:
                 theta = sysid_solve(window)
-                A = np.array([[0.0, 1.0, 0.0], [theta[0], 0.0, 0.0], [0.0, 0.0, 0.0]])
-                B = np.array([0.0, theta[1], 1.0])
-                mem["K"] = design_gain_matrix(A, B, _POLES3)
+                mem["K"] = design_gain_matrix(*sip_design_pair(theta[0], theta[1]), _POLES3)
             except ValueError:
                 pass  # unidentifiable this step; keep the previous gain
             acc = mem["acc"] if mem["K"] is None else fsfc(mem["K"], x[_PARTIAL])
@@ -289,7 +287,7 @@ def _build_sip_cbf(p):
     def controller(t, x):
         y, dy = x[0], x[1]
         u_ref = fsfc(K, x)
-        Lfh = -25.0 * y * dy - 10.0 * dy * math.sin(y)
+        Lfh = -25.0 * y * dy - G * dy * math.sin(y)
         Lgh = dy * math.cos(y)
         if abs(Lgh) <= CBF_SINGULARITY_THRESHOLD:
             guard["count"] += 1

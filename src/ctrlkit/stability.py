@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import G
 from .numerics import induced_norm
 
 _ZERO_PIVOT = 1e-12
@@ -125,7 +126,7 @@ def bauer_fike_check(Ac0, deltaAc):
     return float(radius), bool(holds)
 
 
-def sip_closed_loop_perturbation(theta, K, L=1.0, g=10.0):
+def sip_closed_loop_perturbation(theta, K):
     """Deviation Ac(theta) - Ac(0) of the 4-state pendulum closed loop.
 
     Exact trigonometric form (no small-angle guard): the sin(theta)/theta
@@ -135,6 +136,6 @@ def sip_closed_loop_perturbation(theta, K, L=1.0, g=10.0):
     sinc = 1.0 if theta == 0 else math.sin(theta) / theta
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0, 0.0])
-    dA = (g / L) * (sinc - 1.0) * np.outer(e2, e1)
-    dBK = ((1.0 - math.cos(theta)) / L) * np.outer(e2, K)
+    dA = G * (sinc - 1.0) * np.outer(e2, e1)
+    dBK = (1.0 - math.cos(theta)) * np.outer(e2, K)
     return dA - dBK

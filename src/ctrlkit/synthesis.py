@@ -9,13 +9,13 @@ Gains are plain 1-D arrays k with the single-input convention u = -k' x,
 so the closed loop is A - B k'.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from .models import sip_design_pair, sip_frozen_coefficients
 from .numerics import nnmf_rank1
 from .stability import IntervalPoly
 
@@ -260,23 +260,16 @@ def sip_region_feasible(K, a_lo, a_hi, b_lo, b_hi):
     return bool(k2 < k2_bound and k1 < k1_bound)
 
 
-def sip_partial_design_model(theta=0.0, L=1.0, g=10.0):
+def sip_partial_design_model(theta=0.0):
     """3-state (theta, theta_dot, x_dot) design matrices at a frozen angle.
 
     Exact trigonometric coefficients, no small-angle branch: A21 is
-    (g/L) sin(theta)/theta and B2 is -cos(theta)/L.
+    G sin(theta)/theta and B2 is -cos(theta).
     """
-    sinc = 1.0 if theta == 0 else math.sin(theta) / theta
-    A = np.array([
-        [0.0, 1.0, 0.0],
-        [(g / L) * sinc, 0.0, 0.0],
-        [0.0, 0.0, 0.0],
-    ])
-    B = np.array([0.0, -math.cos(theta) / L, 1.0])
-    return A, B
+    return sip_design_pair(*sip_frozen_coefficients(theta))
 
 
-def eig_sweep(K, theta_grid, L=1.0, g=10.0):
+def eig_sweep(K, theta_grid):
     """Closed-loop eigenvalue real parts across an angle grid.
 
     Each row is (theta, real parts of eig(A_P(theta) - B_P(theta) k'))
@@ -286,7 +279,7 @@ def eig_sweep(K, theta_grid, L=1.0, g=10.0):
     K = np.asarray(K, dtype=float).ravel()
     rows = []
     for theta in theta_grid:
-        A, B = sip_partial_design_model(theta, L, g)
+        A, B = sip_partial_design_model(theta)
         vals = np.linalg.eigvals(A - np.outer(B, K))
         re = vals.real
         order = np.argsort(-np.abs(re), kind="stable")

@@ -249,8 +249,7 @@ class TestClfCbfStep:
     def test_beats_grid_search(self):
         u_ref, LfV, LgV, gamma_V = 1.0, 0.8, 1.5, 0.4
         Lfh, Lgh, alpha_h = -0.5, 1.0, 0.2
-        u, delta = clf_cbf_step(u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h,
-                                lam=0.25, H=1.0)
+        u, delta = clf_cbf_step(u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h)
         best = np.inf
         for ug in np.linspace(-4.0, 4.0, 401):
             for dg in np.linspace(0.0, 8.0, 401):
@@ -267,21 +266,11 @@ class TestClfCbfStep:
             clf_cbf_step(u_ref=0.0, LfV=0.0, LgV=1.0, gamma_V=0.1,
                          Lfh=-1.0, Lgh=0.0, alpha_h=0.5)
 
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            clf_cbf_step(0.0, 0.0, 1.0, 0.1, 0.0, 1.0, 0.1, lam=0.0)
 
-    def test_spec_validation(self):
-        # the input weight H and the relaxation weight lam must both be positive
-        for lam, H in ((0.25, 0.0), (0.25, -1.0), (-0.25, 1.0)):
-            with pytest.raises(ValueError):
-                clf_cbf_step(0.0, 0.0, 1.0, 0.1, 0.0, 1.0, 0.1, lam=lam, H=H)
-
-
-def _qp_small_answer(u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h, lam=0.25, H=1.0):
-    """The relaxed program of clf_cbf_step, solved by the general small-QP solver."""
-    H_qp = np.array([[H, 0.0], [0.0, lam]])
-    c = np.array([-H * u_ref, 0.0])
+def _qp_small_answer(u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h):
+    """The relaxed program of clf_cbf_step (H = 1, lam = 1/4), solved by qp_small."""
+    H_qp = np.array([[1.0, 0.0], [0.0, 0.25]])
+    c = np.array([-u_ref, 0.0])
     A = np.array([[LgV, -1.0], [-Lgh, 0.0]])
     b = np.array([-LfV - gamma_V, Lfh + alpha_h])
     return qp_small(H_qp, c, A, b)
@@ -298,17 +287,16 @@ def _active_rows(u, delta, Lfh, Lgh, alpha_h):
     return "+".join(rows) or "none"
 
 
-def _assert_matches_qp_small(args, kwargs=None):
+def _assert_matches_qp_small(args):
     """clf_cbf_step agrees with qp_small; returns the active rows, or "infeasible"."""
-    kwargs = kwargs or {}
-    z = _qp_small_answer(*args, **kwargs)
+    z = _qp_small_answer(*args)
     if z is None:
         with pytest.raises(RuntimeError, match="relaxed safety program infeasible"):
-            clf_cbf_step(*args, **kwargs)
+            clf_cbf_step(*args)
         return "infeasible"
-    u, delta = clf_cbf_step(*args, **kwargs)
+    u, delta = clf_cbf_step(*args)
     for got, want in zip((u, delta), z):
-        assert abs(got - want) <= 1e-12 + 1e-12 * abs(want), (args, kwargs, (u, delta), z)
+        assert abs(got - want) <= 1e-12 + 1e-12 * abs(want), (args, (u, delta), z)
     return _active_rows(u, delta, args[4], args[5], args[6])
 
 
@@ -323,9 +311,7 @@ class TestClfCbfClosedForm:
         for _ in range(2000):
             u_ref, LfV, LgV, gamma_V, Lfh, alpha_h = rng.uniform(-3.0, 3.0, size=6)
             Lgh = 0.0 if rng.random() < 0.15 else float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0))
-            lam, H = rng.uniform(0.1, 4.0, size=2)
-            case = _assert_matches_qp_small((u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h),
-                                            {"lam": lam, "H": H})
+            case = _assert_matches_qp_small((u_ref, LfV, LgV, gamma_V, Lfh, Lgh, alpha_h))
             seen.add((Lgh == 0.0, case))
         assert {(False, case) for case in self.ALL_CASES} <= seen
         assert {(True, "none"), (True, "clf"), (True, "infeasible")} <= seen

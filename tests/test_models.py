@@ -73,22 +73,17 @@ class TestSimulate:
 
 
 class TestSipFactoredModel:
-    def test_guard_branch_value(self):
-        A, B = sip_factored_model(0.05)
-        assert A[1, 0] == pytest.approx(10.0)
-        assert B[1] == pytest.approx(-math.cos(0.05))
-
     def test_upright_matrices(self):
         A, B = sip_factored_model(0.0)
         assert_allclose(A, [[0, 1, 0, 0], [10, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
                         atol=1e-15)
         assert_allclose(B, [0, -1, 0, 1], atol=1e-15)
 
-    @given(st.floats(0.1, 1.5), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0),
+    @given(st.floats(-1.5, 1.5), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0),
            st.floats(-5.0, 5.0))
     @settings(max_examples=100, deadline=None)
     def test_factorization_exact_on_trig_branch(self, theta, dtheta, dx, u):
-        """deriv == A(x) x + B(x) u wherever the trig formula is used."""
+        """deriv == A(x) x + B(x) u at every angle, near upright included."""
         plant = sip_plant()
         x = np.array([theta, dtheta, 0.7, dx])
         A, B = sip_factored_model(theta)
@@ -159,7 +154,7 @@ class TestMotorcyclePlants:
         assert_allclose(d, [10.0, 0, 0, 0, 0, 0], atol=1e-15)
 
     def test_steering_lag(self):
-        plant = motorcycle_plant(tau_beta=0.02)
+        plant = motorcycle_plant()
         d = plant.deriv(np.zeros(6), [0.1])
         assert d[3] == pytest.approx(0.1 / 0.02)
 

@@ -375,6 +375,27 @@ class TestCli:
         assert "error: --k has a non-finite entry" in captured.err
         assert "feasible" not in captured.out
 
+    @pytest.mark.parametrize("option, value", [
+        ("--a-bar", "inf"), ("--b-bar", "nan"), ("--epsilon", "nan"), ("--r", "-inf"),
+        ("--a-lo", "nan"), ("--a-hi", "inf"), ("--b-lo", "-inf"), ("--b-hi", "nan")])
+    def test_float_option_rejects_non_finite_value(self, tmp_path, capsys, option, value):
+        if option in ("--a-lo", "--a-hi", "--b-lo", "--b-hi"):
+            args = {"--a-lo": "5", "--a-hi": "10", "--b-lo": "0.31", "--b-hi": "1", option: value}
+            argv = ["design", "region-check", "--k=-110,-50,-10"]
+        else:
+            args = {}
+            for name, text in (("--a", "0 1 0\n10 0 0\n0 0 0\n"), ("--b", "0\n-1\n1\n"),
+                               ("--da", "0 0 0\n2.4 0 0\n0 0 0\n"), ("--db", "0\n0.7\n0\n")):
+                path = tmp_path / f"{name[2:]}.txt"
+                path.write_text(text)
+                args[name] = str(path)
+            args[option] = value
+            argv = ["design", "robust-riccati"]
+        with pytest.raises(SystemExit) as ei:
+            main(argv + [f"{k}={v}" for k, v in args.items()])
+        assert ei.value.code == 1
+        assert f"argument {option}: expected a finite number, got '{value}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["0 1\nnan 0\n", "[[0, 1], [Infinity, 0]]"])
     def test_matrix_file_rejects_non_finite_entries(self, tmp_path, capsys, text):
         a = tmp_path / "A.txt"
