@@ -28,9 +28,7 @@ CBF_SINGULARITY_THRESHOLD = 1e-4
 
 def fsfc(K, x, x_E=0.0):
     """Full-state feedback toward a (possibly moving) target: -k'(x - x_E)."""
-    K = np.asarray(K, dtype=float).ravel()
-    x = np.asarray(x, dtype=float).ravel()
-    return float(-(K @ (x - np.asarray(x_E, dtype=float))))
+    return -float(np.dot(K, np.subtract(x, x_E)))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ class PlantModel:
     name: str
     state_dim: int
     input_dim: int
-    deriv: Callable  # (state, input) -> state derivative
+    deriv: Callable  # (state, input) -> state derivative as a float array
     analytic_linearization: Optional[Callable] = None  # (state) -> (A, B)
 
 
@@ -62,11 +62,16 @@ class Trajectory:
 
 
 def step_euler(plant, x, u, dt):
-    """One explicit Euler step: x + dt * deriv(x, u)."""
-    x = np.asarray(x, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    dx = np.asarray(plant.deriv(x, u), dtype=float)
-    if not np.all(np.isfinite(dx)):
+    """One explicit Euler step: x + dt * deriv(x, u).
+
+    plant.deriv must return a float array. Its finiteness is checked through
+    the plain-float sum of its entries first, which is quicker than a numpy
+    reduction on a handful of entries and raises no numpy warning; only when
+    that sum is not finite are the entries checked, so finite entries whose
+    sum overflows do not raise.
+    """
+    dx = plant.deriv(x, u)
+    if not math.isfinite(sum(dx.tolist())) and not np.isfinite(dx).all():
         raise BlowupError(f"non-finite derivative for plant '{plant.name}' at state {x}", state=x)
     return x + dt * dx
 
@@ -76,29 +81,38 @@ def simulate(plant, controller, x0, spec):
 
     controller is called as controller(t, state) once per step (control
     period equals dt).  Success is checked before failure after each step,
-    matching the reference simulation loops.
+    matching the reference simulation loops.  states holds the arrays
+    step_euler returns, so neither the controller nor the stop predicates
+    may change a state in place; each input is a standalone float array of
+    plant.input_dim entries, and the last sample repeats the input array of
+    the one before it.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    u = np.atleast_1d(np.asarray(controller(0.0, x), dtype=float))
-    times, states, inputs = [0.0], [x.copy()], [u.copy()]
+    dt, stop_success, stop_failure = spec.dt, spec.stop_success, spec.stop_failure
+    step = step_euler  # looked up once per run, so perfbench/spans.py can still replace it
+    m = plant.input_dim
+    x = np.array(x0, dtype=float)
+    u = np.empty(m)
+    u[:] = controller(0.0, x)
+    times, states, inputs = [0.0], [x], [u]
     event = "timeout"
-    n_steps = round(spec.t_end / spec.dt)
+    n_steps = round(spec.t_end / dt)
     for k in range(1, n_steps + 1):
-        t = k * spec.dt
+        t = k * dt
         try:
-            x = step_euler(plant, x, u, spec.dt)
+            x = step(plant, x, u, dt)
         except BlowupError as exc:
             raise BlowupError(f"{exc} (t={t:.6g})", t=t, state=exc.state) from None
         fired = None
-        if spec.stop_success is not None and spec.stop_success(x):
+        if stop_success is not None and stop_success(x):
             fired = "success"
-        elif spec.stop_failure is not None and spec.stop_failure(x):
+        elif stop_failure is not None and stop_failure(x):
             fired = "failure"
         if fired is None and k < n_steps:
-            u = np.atleast_1d(np.asarray(controller(t, x), dtype=float))
+            u = np.empty(m)
+            u[:] = controller(t, x)
         times.append(t)
-        states.append(x.copy())
-        inputs.append(u.copy())
+        states.append(x)
+        inputs.append(u)
         if fired is not None:
             event = fired
             break

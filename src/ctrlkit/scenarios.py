@@ -515,9 +515,10 @@ def emit_csv(traj, path):
         n = m = 0
     header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)]
                       + [f"u{j + 1}" for j in range(m)])
+    row = ",".join(["%.12g"] * (1 + n + m))
     lines = [header]
     for t, x, u in zip(traj.times, traj.states, traj.inputs):
-        lines.append(",".join(f"{v:.12g}" for v in (t, *x, *u)))
+        lines.append(row % (t, *x.tolist(), *u.tolist()))
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 

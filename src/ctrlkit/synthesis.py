@@ -37,6 +37,8 @@ class RobustConfig:
             raise ValueError("epsilon must be positive")
         object.__setattr__(self, "Q", np.atleast_2d(np.asarray(self.Q, dtype=float)))
         object.__setattr__(self, "R", np.atleast_2d(np.asarray(self.R, dtype=float)))
+        if not np.linalg.eigvalsh(self.R).min() > 0:
+            raise ValueError("R must be positive definite")
 
 
 @dataclass(frozen=True)
@@ -181,6 +183,8 @@ def robust_riccati_gain(A, B, bounds, cfg):
     eps = cfg.epsilon
 
     if bounds.dA_max.any():
+        if cfg.a_bar == 0:
+            raise ValueError("a_bar must be positive when dA_max is non-zero")
         w, h = nnmf_rank1(bounds.dA_max)
         a1 = w / cfg.a_bar
         sigma_a = cfg.a_bar * np.outer(a1, a1)
@@ -189,6 +193,8 @@ def robust_riccati_gain(A, B, bounds, cfg):
         sigma_a = np.zeros((n, n))
         sigma_x = np.zeros((n, n))
     if bounds.dB_max.any():
+        if cfg.b_bar == 0:
+            raise ValueError("b_bar must be positive when dB_max is non-zero")
         wb, hb = nnmf_rank1(bounds.dB_max)
         b1 = wb / cfg.b_bar
         sigma_b = cfg.b_bar * np.outer(b1, b1)

@@ -25,6 +25,19 @@ class TestStepEuler:
         with pytest.raises(BlowupError):
             step_euler(bad, [0.0], [0.0], 0.01)
 
+    @pytest.mark.filterwarnings("error")  # a blow-up raises BlowupError and nothing else
+    @pytest.mark.parametrize("dx", [[np.inf], [-np.inf, 0.0], [np.inf, -np.inf], [1.0, np.nan]])
+    def test_any_non_finite_entry_raises(self, dx):
+        bad = PlantModel("bad", len(dx), 1, lambda x, u: np.array(dx))
+        with pytest.raises(BlowupError):
+            step_euler(bad, np.zeros(len(dx)), [0.0], 0.01)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_entries_whose_sum_overflows_do_not_raise(self):
+        big = PlantModel("big", 2, 1, lambda x, u: np.array([1e308, 1e308]))
+        out = step_euler(big, np.zeros(2), [0.0], 0.5)
+        assert out.tolist() == [5e307, 5e307]
+
 
 class TestSimulate:
     def test_controller_called_once_per_step(self):
@@ -64,6 +77,34 @@ class TestSimulate:
         a = simulate(plant, ctl, [0.4 * math.pi, 0, 0.2, 0], spec)
         b = simulate(plant, ctl, [0.4 * math.pi, 0, 0.2, 0], spec)
         assert np.array_equal(np.array(a.states), np.array(b.states))
+
+    def test_inputs_are_standalone_float_arrays(self):
+        spec = SimSpec(dt=0.001, t_end=0.05)
+        traj = simulate(sip_plant(), lambda t, x: np.float64(-x[0]), [0.3, 0.0, 0.0, 0.0], spec)
+        assert len(traj.inputs) == 51
+        for u in traj.inputs:
+            assert isinstance(u, np.ndarray) and u.shape == (1,) and u.dtype == float
+            assert u.base is None
+
+    def test_controller_output_kinds_give_identical_trajectories(self):
+        spec = SimSpec(dt=0.001, t_end=0.2)
+        law = lambda x: -(np.array([-58.0, -18.4, -6.4]) @ x[[0, 1, 3]])
+        kinds = [lambda t, x: float(law(x)), lambda t, x: law(x),
+                 lambda t, x: np.array(law(x)), lambda t, x: np.array([law(x)])]
+        runs = [simulate(sip_plant(), ctl, [0.3, 0.0, 0.1, 0.0], spec) for ctl in kinds]
+        for traj in runs[1:]:
+            assert traj.times == runs[0].times
+            assert np.array_equal(np.array(traj.states), np.array(runs[0].states))
+            assert np.array_equal(np.array(traj.inputs), np.array(runs[0].inputs))
+
+    def test_blowup_reports_time(self):
+        plant = PlantModel("int", 1, 1,
+                           lambda x, u: np.array([1.0 if x[0] < 0.25 else np.nan]))
+        with pytest.raises(BlowupError) as ei:
+            simulate(plant, lambda t, x: 0.0, [0.0], SimSpec(dt=0.1, t_end=1.0))
+        assert ei.value.t == pytest.approx(0.4)
+        assert "(t=0.4)" in str(ei.value)
+        assert ei.value.state.tolist() == pytest.approx([0.3])
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

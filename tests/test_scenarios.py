@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -29,6 +30,17 @@ EXPECTED_IDS = {
     "sip_cbf", "point2d_cbf_case1", "point2d_cbf_case2",
     "point2d_clf_cbf_case1", "point2d_clf_cbf_case2",
 }
+
+
+def write_robust_riccati_files(tmp_path):
+    """Matrix files of the nominal pendulum and its bounds, as robust-riccati options."""
+    args = {}
+    for name, text in (("--a", "0 1 0\n10 0 0\n0 0 0\n"), ("--b", "0\n-1\n1\n"),
+                       ("--da", "0 0 0\n2.4 0 0\n0 0 0\n"), ("--db", "0\n0.7\n0\n")):
+        path = tmp_path / f"{name[2:]}.txt"
+        path.write_text(text)
+        args[name] = str(path)
+    return args
 
 
 def quick_run(scenario="point2d_cbf_case1", **overrides):
@@ -183,6 +195,18 @@ class TestCsv:
         assert first[0] == 0.0
         assert first[1] == pytest.approx(traj.states[0][0], rel=1e-11)
         assert first[3] == pytest.approx(traj.inputs[0][0], rel=1e-11)
+
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        traj, _ = run_scenario("dip_smc", {"t_end": 0.2})
+        traj.states.append(np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.5e300]))
+        traj.inputs.append(np.array([1.0 / 3.0]))
+        traj.times.append(0.201)
+        path = tmp_path / "dip.csv"
+        emit_csv(traj, path)
+        lines = ["t,x1,x2,x3,x4,x5,x6,u1"]
+        for t, x, u in zip(traj.times, traj.states, traj.inputs):
+            lines.append(",".join(f"{v:.12g}" for v in (t, *x, *u)))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_empty_trajectory_writes_bare_header(self, tmp_path):
         traj = Trajectory(times=[], states=[], inputs=[], terminal_event="timeout")
@@ -383,18 +407,27 @@ class TestCli:
             args = {"--a-lo": "5", "--a-hi": "10", "--b-lo": "0.31", "--b-hi": "1", option: value}
             argv = ["design", "region-check", "--k=-110,-50,-10"]
         else:
-            args = {}
-            for name, text in (("--a", "0 1 0\n10 0 0\n0 0 0\n"), ("--b", "0\n-1\n1\n"),
-                               ("--da", "0 0 0\n2.4 0 0\n0 0 0\n"), ("--db", "0\n0.7\n0\n")):
-                path = tmp_path / f"{name[2:]}.txt"
-                path.write_text(text)
-                args[name] = str(path)
+            args = write_robust_riccati_files(tmp_path)
             args[option] = value
             argv = ["design", "robust-riccati"]
         with pytest.raises(SystemExit) as ei:
             main(argv + [f"{k}={v}" for k, v in args.items()])
         assert ei.value.code == 1
         assert f"argument {option}: expected a finite number, got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, message", [
+        ("--a-bar=0", "a_bar must be positive when dA_max is non-zero"),
+        ("--b-bar=0", "b_bar must be positive when dB_max is non-zero"),
+        ("--r=-1", "R must be positive definite"),
+        ("--r=0", "R must be positive definite")], ids=["a_bar=0", "b_bar=0", "r=-1", "r=0"])
+    def test_robust_riccati_rejects_invalid_config(self, tmp_path, capsys, option, message):
+        args = write_robust_riccati_files(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the error line
+            rc = main(["design", "robust-riccati", *[f"{k}={v}" for k, v in args.items()], option])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("text", ["0 1\nnan 0\n", "[[0, 1], [Infinity, 0]]"])
     def test_matrix_file_rejects_non_finite_entries(self, tmp_path, capsys, text):

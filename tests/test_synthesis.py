@@ -2,6 +2,7 @@
 gain-region checks, and the eigenvalue sweep."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,32 @@ class TestRobustRiccatiGain:
         assert isinstance(out, CareNoSolution)
         assert out.p_eigenvalues.min() <= 0
         assert out.M.shape == (3, 3)
+
+    @pytest.mark.parametrize("bar", ["a_bar", "b_bar"])
+    def test_zero_bar_with_non_zero_bound_rejected(self, bar):
+        A, B = sip_partial_design_model(0.0)
+        cfg = RobustConfig(**{"a_bar": 300.0, "b_bar": 300.0, bar: 0.0}, epsilon=0.01,
+                           Q=np.eye(3), R=[[0.01]])
+        bound = "dA_max" if bar == "a_bar" else "dB_max"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any division by the bar
+            with pytest.raises(ValueError, match=f"^{bar} must be positive when {bound} is non-zero$"):
+                robust_riccati_gain(A, B, pendulum_bounds(), cfg)
+
+    def test_zero_bar_with_zero_bound_is_valid(self):
+        A, B = sip_partial_design_model(0.0)
+        bounds = UncertaintyBounds(dA_max=np.zeros((3, 3)), dB_max=[0.0, DB2, 0.0])
+        K = robust_riccati_gain(A, B, bounds, RobustConfig(a_bar=0.0, b_bar=300.0, epsilon=0.01,
+                                                           Q=np.eye(3), R=[[0.01]]))
+        K_ref = robust_riccati_gain(A, B, bounds, RobustConfig(a_bar=300.0, b_bar=300.0, epsilon=0.01,
+                                                               Q=np.eye(3), R=[[0.01]]))
+        assert np.array_equal(K, K_ref)
+
+    @pytest.mark.parametrize("R", [[[0.0]], [[-1.0]], [[np.nan]], [[1.0, 0.0], [0.0, -1.0]]],
+                             ids=["zero", "negative", "nan", "indefinite"])
+    def test_config_rejects_r_not_positive_definite(self, R):
+        with pytest.raises(ValueError, match="^R must be positive definite$"):
+            RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01, Q=np.eye(3), R=R)
 
     def test_config_and_bounds_validation(self):
         with pytest.raises(ValueError):
