@@ -36,7 +36,7 @@ class SlidingTargetDIP:
     """Cart-position sliding target that walks toward 0 at rate s_v."""
 
     x0: float
-    s_v: float = 8.0
+    s_v: float
 
     def __post_init__(self):
         if self.s_v <= 0:

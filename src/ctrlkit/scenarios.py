@@ -59,10 +59,10 @@ class RunReport:
 class BuiltScenario:
     """One closed loop as a builder wires it, and what run_scenario reads back.
 
-    gains is called after the run, so adaptive scenarios report the gain
-    they ended on.  A fired stop_success is reported as success_event.
-    guard, when present, is the {"count": n} tally of singularity-guard
-    activations that the controller increments.
+    gains and guard are called after the run: gains returns the gain
+    vectors (adaptive scenarios report the gain they ended on), and guard,
+    when present, the number of singularity-guard activations.  A fired
+    stop_success is reported as success_event.
     """
 
     plant: PlantModel
@@ -73,17 +73,17 @@ class BuiltScenario:
     stop_failure: Optional[Callable] = None
     success_event: str = "success"
     barrier_h: Optional[Callable] = None
-    guard: Optional[dict] = None
+    guard: Optional[Callable] = None  # () -> activation count
 
 
 # ---------------------------------------------------------------------------
 # gain constructions
 
 
-def sip_stabilizing_gain(poles=_POLES3, theta=0.0):
-    """Pole-placement gain on the 3-state pendulum design model."""
+def sip_stabilizing_gain(theta=0.0):
+    """Gain placing the poles at (-4, -4, -4) on the 3-state pendulum design model."""
     A, B = sip_partial_design_model(theta)
-    return design_gain_matrix(A, B, poles)
+    return design_gain_matrix(A, B, _POLES3)
 
 
 def sip_full_gain(poles):
@@ -92,7 +92,7 @@ def sip_full_gain(poles):
     return design_gain_matrix(A, B, poles)
 
 
-def sip_robust_gain(parametrization="vertex"):
+def sip_robust_gain(parametrization):
     """Riccati-based robust gain covering |theta| <= 0.4*pi.
 
     "vertex" freezes the nominal model at the upright coefficients and bounds
@@ -171,15 +171,14 @@ def _stabilize_then_slide(first_phase_acc, K_slide, s_v, dt):
     the cart position is frozen as the target and walked to 0 at rate s_v,
     with the slide gain tracking the moving target.
     """
-    phase = {"first": True, "xE": None}
+    xE = None  # the sliding target, set when the first phase ends
 
     def controller(t, x):
-        if phase["first"] and x[0] ** 2 + x[1] ** 2 + x[3] ** 2 > 1.0:
-            return first_phase_acc(x)
-        if phase["first"]:
-            phase["first"] = False
-            phase["xE"] = np.array([0.0, 0.0, x[2], 0.0])
-        xE = phase["xE"]
+        nonlocal xE
+        if xE is None:
+            if x[0] ** 2 + x[1] ** 2 + x[3] ** 2 > 1.0:
+                return first_phase_acc(x)
+            xE = np.array([0.0, 0.0, x[2], 0.0])
         if xE[2] > 0:
             xE[2] = max(xE[2] - s_v * dt, 0.0)
         else:
@@ -228,14 +227,14 @@ def _build_sip_slide(p, K_p):
 
 
 def _build_sip_adaptive_online(p):
-    latest = {"K": None}
+    K = None
 
     def controller(t, x):
+        nonlocal K
         K = adaptive_gain(x[0], _POLES3)
-        latest["K"] = K
         return fsfc(K, x[_PARTIAL])
 
-    return _sip_scenario(controller, lambda: [] if latest["K"] is None else [latest["K"]])
+    return _sip_scenario(controller, lambda: [] if K is None else [K])
 
 
 def _build_sip_adaptive_lookup(p):
@@ -249,30 +248,26 @@ def _build_sip_adaptive_lookup(p):
 
 
 def _build_sip_adaptive_sysid(p):
-    warmup = 5
-    window = SysIdWindow(warmup + 1, 2)
-    mem = {"k": 0, "old": None, "acc": 0.0, "K": None}
+    window = SysIdWindow(6, 2)
     dt = p["dt"]
+    prev, acc, K = _SIP_X0, 1.0, None  # first difference 0; warm-up input until an estimate
 
     def controller(t, x):
-        old = mem["old"] if mem["old"] is not None else x
-        if mem["k"] <= warmup:
-            acc = 1.0
-            window.push([x[0], acc], (x[1] - old[1]) / dt)
-        else:
-            window.push([x[0], mem["acc"]], (x[1] - old[1]) / dt)
+        nonlocal prev, acc, K
+        warm = window.warm  # read before this push: 6 warm-up rows, then an estimate per step
+        window.push([x[0], acc], (x[1] - prev[1]) / dt)
+        if warm:
             try:
                 theta = sysid_solve(window)
-                mem["K"] = design_gain_matrix(*sip_design_pair(theta[0], theta[1]), _POLES3)
+                K = design_gain_matrix(*sip_design_pair(theta[0], theta[1]), _POLES3)
             except ValueError:
                 pass  # unidentifiable this step; keep the previous gain
-            acc = mem["acc"] if mem["K"] is None else fsfc(mem["K"], x[_PARTIAL])
-        mem["old"] = x.copy()
-        mem["acc"] = acc
-        mem["k"] += 1
+            if K is not None:
+                acc = fsfc(K, x[_PARTIAL])
+        prev = x
         return acc
 
-    return _sip_scenario(controller, lambda: [] if mem["K"] is None else [mem["K"]])
+    return _sip_scenario(controller, lambda: [] if K is None else [K])
 
 
 def _build_sip_cbf(p):
@@ -282,19 +277,21 @@ def _build_sip_cbf(p):
     def h(s):
         return (25.0 * (yB ** 2 - s[0] ** 2) + (dyB ** 2 - s[1] ** 2)) / 2.0
 
-    guard = {"count": 0}
+    guards = 0
 
     def controller(t, x):
+        nonlocal guards
         y, dy = x[0], x[1]
         u_ref = fsfc(K, x)
         Lfh = -25.0 * y * dy - G * dy * math.sin(y)
         Lgh = dy * math.cos(y)
         if abs(Lgh) <= CBF_SINGULARITY_THRESHOLD:
-            guard["count"] += 1
+            guards += 1
         return cbf_filter_scalar(u_ref, Lfh, Lgh, h(x))
 
     return BuiltScenario(sip_plant(), np.array([0.2, 0.0, 20.0, 0.0]), controller,
-                         lambda: [K], stop_failure=_sip_failure, barrier_h=h, guard=guard)
+                         lambda: [K], stop_failure=_sip_failure, barrier_h=h,
+                         guard=lambda: guards)
 
 
 def _build_dip(p):
@@ -345,31 +342,33 @@ def _disk_barrier(disk):
 def _build_point2d_cbf(p, case):
     cx, cy, _ = _DISKS[case]
     h = _disk_barrier(_DISKS[case])
-    guard = {"count": 0}
+    guards = 0
 
     def controller(t, s):
+        nonlocal guards
         x, y = s[0], s[1]
         u_ref = lyapunov_ref_2d(x, y)
         Lfh = (x - cx) * x * math.sin(y) + (y - cy) * y
         Lgh = y - cy
         if abs(Lgh) <= CBF_SINGULARITY_THRESHOLD:
-            guard["count"] += 1
+            guards += 1
         return cbf_filter_scalar(u_ref, Lfh, Lgh, 10.0 * h(s))
 
     return BuiltScenario(point2d_plant(), np.array([4.0, 5.0]), controller, lambda: [],
-                         barrier_h=h, guard=guard)
+                         barrier_h=h, guard=lambda: guards)
 
 
 def _build_point2d_clf_cbf(p, case):
     cx, cy, _ = _DISKS[case]
     h = _disk_barrier(_DISKS[case])
-    guard = {"count": 0}
+    guards = 0
 
     def controller(t, s):
+        nonlocal guards
         x, y = s[0], s[1]
         u_ref = lyapunov_ref_2d(x, y)
         if abs(y) <= CBF_SINGULARITY_THRESHOLD:
-            guard["count"] += 1
+            guards += 1
             return u_ref
         V = (x * x + y * y) / 2.0
         LfV = x * x * math.sin(y) + y * y
@@ -378,7 +377,7 @@ def _build_point2d_clf_cbf(p, case):
         return u
 
     return BuiltScenario(point2d_plant(), np.array([4.0, 5.0]), controller, lambda: [],
-                         barrier_h=h, guard=guard)
+                         barrier_h=h, guard=lambda: guards)
 
 
 _BUILDERS = {
@@ -477,7 +476,7 @@ def run_scenario(scenario_id, overrides=None):
         min_h=min_h,
         gain_matrices_used=[[float(g) for g in K] for K in built.gains()],
         checksum=trajectory_checksum(traj),
-        guard_activations=built.guard["count"] if built.guard is not None else None,
+        guard_activations=built.guard() if built.guard is not None else None,
     )
     return traj, report
 

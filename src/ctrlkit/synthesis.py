@@ -266,7 +266,7 @@ def sip_region_feasible(K, a_lo, a_hi, b_lo, b_hi):
     return bool(k2 < k2_bound and k1 < k1_bound)
 
 
-def sip_partial_design_model(theta=0.0):
+def sip_partial_design_model(theta):
     """3-state (theta, theta_dot, x_dot) design matrices at a frozen angle.
 
     Exact trigonometric coefficients, no small-angle branch: A21 is

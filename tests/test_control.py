@@ -49,7 +49,7 @@ class TestSlidingTarget:
         assert dip_sliding_target(tgt, 1.0)[4] == pytest.approx(-12.0)
 
     def test_only_cart_position_entry_is_set(self):
-        out = dip_sliding_target(SlidingTargetDIP(x0=20.0), 0.5)
+        out = dip_sliding_target(SlidingTargetDIP(x0=20.0, s_v=8.0), 0.5)
         assert out.shape == (6,)
         assert np.array_equal(np.delete(out, 4), np.zeros(5))
 
@@ -57,7 +57,7 @@ class TestSlidingTarget:
         with pytest.raises(ValueError):
             SlidingTargetDIP(x0=20.0, s_v=0.0)
         with pytest.raises(ValueError):
-            dip_sliding_target(SlidingTargetDIP(x0=20.0), -0.1)
+            dip_sliding_target(SlidingTargetDIP(x0=20.0, s_v=8.0), -0.1)
 
 
 class TestMotorcycleGuidance:

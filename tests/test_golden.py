@@ -4,8 +4,8 @@
 A change that moves a trajectory fails here, in the regular suite, and not
 only in the benchmark. The rules are the benchmark's own check_run: the
 documented outcome, then the terminal event and step count exactly, the
-final state and the gains to rel 1e-9, and min h. Checksums are compared
-only for the default runs that golden.json holds, at the last ulp.
+final state and the gains to rel 1e-9, and min h. The checksums of the 14
+default runs are compared too, at the last ulp.
 """
 
 import pathlib
@@ -27,10 +27,14 @@ PREFIX_RUNS = [(sid, {"t_end": t}) for sid in workloads.QP_SCENARIOS for t in wo
 FULL_LENGTH_CLF_CBF = {
     "point2d_clf_cbf_case1": {"event": "timeout", "steps": 10000,
                               "final_state": [0.159703550351225, -0.02992460990511347],
-                              "gains": [], "min_h": 0.0003301757577982567},
+                              "gains": [], "min_h": 0.0003301757577982567,
+                              "checksum": "adab5a1e4910debea1b5893bb5918b98"
+                                          "f28c0aa079cfa16752822ab0a7482d05"},
     "point2d_clf_cbf_case2": {"event": "timeout", "steps": 10000,
                               "final_state": [1.1256832041754836, 6.280797965470106],
-                              "gains": [], "min_h": 4.6273296305798794e-10},
+                              "gains": [], "min_h": 4.6273296305798794e-10,
+                              "checksum": "dd227e82986c60ed4b64cb8aca35b37f"
+                                          "cba0e69cb6c7b581f84a2a87cf688d3f"},
 }
 
 
@@ -53,14 +57,19 @@ def test_run_matches_golden_fingerprint(golden, sid, overrides):
     assert workloads.check_run(sid, got, golden.get(key) or FULL_LENGTH_CLF_CBF[key]) == []
 
 
-@pytest.mark.parametrize("sid", [sid for sid in SCENARIO_DEFAULTS if sid not in FULL_LENGTH_CLF_CBF])
+@pytest.mark.parametrize("sid", list(SCENARIO_DEFAULTS))
 def test_default_run_matches_golden_checksum(golden, sid):
-    """Every sample of the 12 default runs in golden.json, to the last bit.
+    """Every sample of the 14 default runs, to the last bit.
 
-    The ten point2d_clf_cbf_* prefix entries are left out: the closed-form
-    CLF-CBF step moved their inputs by last-ulp drift (listed in
-    CHANGES.md), so their golden checksums are stale while their
-    fingerprints still hold.
+    The reference is the golden.json entry, or for the two full-length
+    CLF-CBF runs the one in this file. Their final states alone miss
+    changes: point2d_clf_cbf_case2 stalls at the barrier, so a 1e-7
+    relative change of the barrier gain leaves its fingerprint inside
+    tolerance, but not its checksum. The ten point2d_clf_cbf_* prefix
+    entries are left out: the closed-form CLF-CBF step moved their inputs
+    by last-ulp drift (listed in CHANGES.md), so their golden checksums are
+    stale while their fingerprints still hold.
     """
     traj, _ = run_cached(sid)
-    assert trajectory_checksum(traj) == golden[_key(sid, {})]["checksum"]
+    key = _key(sid, {})
+    assert trajectory_checksum(traj) == (golden.get(key) or FULL_LENGTH_CLF_CBF[key])["checksum"]

@@ -21,7 +21,8 @@ from ctrlkit import (
     trajectory_checksum,
 )
 from ctrlkit.cli import main, read_matrix_file
-from ctrlkit.scenarios import FINAL_NORM_BELOW, emit_csv, emit_json, emit_svg
+from ctrlkit.scenarios import _BUILDERS, FINAL_NORM_BELOW, emit_csv, emit_json, emit_svg
+from test_acceptance import run_cached
 
 EXPECTED_IDS = {
     "dip_smc", "motorcycle_smc", "sip_nonrobust_failure", "sip_robust_riccati",
@@ -147,11 +148,31 @@ class TestRunScenario:
         assert report.elapsed_sim_time == pytest.approx(0.644, abs=1e-9)
         assert abs(traj.states[-1][0]) >= math.pi / 2
 
-    @pytest.mark.parametrize("dt, min_h", [(5e-4, -0.1913), (2e-4, 0.005575)])
-    def test_sip_cbf_violation_shrinks_with_the_step(self, dt, min_h):
-        # rows of the README's sip_cbf table; at these steps min h falls before t = 6 s
+    @pytest.mark.parametrize("dt, min_h, guards", [
+        pytest.param(5e-4, -0.1913, 12, id="0.0005--0.1913"),
+        pytest.param(2e-4, 0.005575, 130, id="0.0002-0.005575")])
+    def test_sip_cbf_violation_shrinks_with_the_step(self, dt, min_h, guards):
+        # rows of the README's sip_cbf table; at these steps min h falls before
+        # t = 6 s (5e-4 has one more guard activation between 6 s and 10 s)
         _, rep = run_scenario("sip_cbf", {"dt": dt, "t_end": 6.0})
         assert rep.min_h == pytest.approx(min_h, rel=1e-3)
+        assert rep.guard_activations == guards
+
+    @pytest.mark.parametrize("scenario, guards", [
+        ("sip_cbf", 5), ("point2d_cbf_case1", 0), ("point2d_cbf_case2", 0),
+        ("point2d_clf_cbf_case1", 0), ("point2d_clf_cbf_case2", 0)])
+    def test_default_guard_activations(self, scenario, guards):
+        assert run_cached(scenario)[1].guard_activations == guards
+
+    @pytest.mark.parametrize("scenario, state", [
+        ("point2d_cbf_case1", [4.0, 2.0]), ("point2d_cbf_case2", [4.0, 3.5]),
+        ("point2d_clf_cbf_case1", [4.0, 0.0]), ("point2d_clf_cbf_case2", [4.0, 0.0])])
+    def test_point2d_guard_counts_a_singular_step(self, scenario, state):
+        # Lgh = y - c_y vanishes for the filter, LgV = y for the relaxed program
+        built = _BUILDERS[scenario](SCENARIO_DEFAULTS[scenario]["params"])
+        assert built.guard() == 0
+        built.controller(0.0, np.array(state))
+        assert built.guard() == 1
 
     def test_motorcycle_reaches_destination(self):
         _, report = run_scenario("motorcycle_smc")
@@ -164,12 +185,10 @@ class TestRunScenario:
         # The barrier row fixes u and the slack absorbs the CLF row, so the
         # relaxed program applies the scalar barrier filter's control and
         # stalls where it does (the known-red convergence clause 7e).
-        relaxed, report = run_scenario("point2d_clf_cbf_case2")
-        barrier, _ = run_scenario("point2d_cbf_case2")
-        assert len(relaxed.inputs) == len(barrier.inputs) == 10001
-        du = np.abs(np.ravel(relaxed.inputs) - np.ravel(barrier.inputs))
-        assert du.max() <= 1e-12
-        assert math.hypot(*report.final_state) == pytest.approx(6.38, abs=0.01)
+        _, relaxed = run_cached("point2d_clf_cbf_case2")
+        _, barrier = run_cached("point2d_cbf_case2")
+        assert relaxed.checksum == barrier.checksum
+        assert math.hypot(*relaxed.final_state) == pytest.approx(6.38, abs=0.01)
 
     def test_report_shape(self):
         traj, report = quick_run()
