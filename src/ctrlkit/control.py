@@ -26,9 +26,9 @@ logger = logging.getLogger(__name__)
 CBF_SINGULARITY_THRESHOLD = 1e-4
 
 
-def fsfc(K, x, x_E=0.0):
-    """Full-state feedback toward a (possibly moving) target: -k'(x - x_E)."""
-    return -float(np.dot(K, np.subtract(x, x_E)))
+def fsfc(K, x, x_E=None):
+    """Full-state feedback -k'x, or -k'(x - x_E) toward a (possibly moving) target x_E."""
+    return -float(np.dot(K, x if x_E is None else np.subtract(x, x_E)))
 
 
 @dataclass(frozen=True)

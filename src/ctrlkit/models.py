@@ -33,7 +33,7 @@ class PlantModel:
     name: str
     state_dim: int
     input_dim: int
-    deriv: Callable  # (state, input) -> state derivative as a float array
+    deriv: Callable  # (state, input) -> state derivative as a tuple of floats
     analytic_linearization: Optional[Callable] = None  # (state) -> (A, B)
 
 
@@ -47,6 +47,9 @@ class SimSpec:
     stop_failure: Optional[Callable] = None
 
     def __post_init__(self):
+        for name, value in (("dt", self.dt), ("t_end", self.t_end)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
@@ -56,24 +59,29 @@ class SimSpec:
 @dataclass
 class Trajectory:
     times: list
-    states: list
-    inputs: list
+    states: list  # one tuple of floats per sample
+    inputs: list  # one 1-tuple of float per sample
     terminal_event: str  # success | failure | destination | timeout
 
 
 def step_euler(plant, x, u, dt):
-    """One explicit Euler step: x + dt * deriv(x, u).
+    """One explicit Euler step: the tuple of x + dt * deriv(x, u), entry by entry.
 
-    plant.deriv must return a float array. Its finiteness is checked through
-    the plain-float sum of its entries first, which is quicker than a numpy
-    reduction on a handful of entries and raises no numpy warning; only when
-    that sum is not finite are the entries checked, so finite entries whose
-    sum overflows do not raise.
+    plant.deriv must return a tuple of floats. Its finiteness is checked
+    through the sum of its entries first, and only when that sum is not
+    finite entry by entry, so finite entries whose sum overflows do not raise.
     """
     dx = plant.deriv(x, u)
-    if not math.isfinite(sum(dx.tolist())) and not np.isfinite(dx).all():
-        raise BlowupError(f"non-finite derivative for plant '{plant.name}' at state {x}", state=x)
-    return x + dt * dx
+    if not math.isfinite(sum(dx)) and not all(map(math.isfinite, dx)):
+        state = np.array(x, dtype=float)
+        raise BlowupError(f"non-finite derivative for plant '{plant.name}' at state {state}",
+                          state=state)
+    return tuple([xi + dt * di for xi, di in zip(x, dx)])
+
+
+def _input(v):
+    """A controller output (float, numpy scalar, 0-d or 1-element array) as a 1-tuple of float."""
+    return (v if v.__class__ is float else float(np.reshape(v, ())),)
 
 
 def simulate(plant, controller, x0, spec):
@@ -81,18 +89,14 @@ def simulate(plant, controller, x0, spec):
 
     controller is called as controller(t, state) once per step (control
     period equals dt).  Success is checked before failure after each step,
-    matching the reference simulation loops.  states holds the arrays
-    step_euler returns, so neither the controller nor the stop predicates
-    may change a state in place; each input is a standalone float array of
-    plant.input_dim entries, and the last sample repeats the input array of
-    the one before it.
+    matching the reference simulation loops.  Each state is the tuple of
+    floats step_euler returns, and each input the 1-tuple of the float the
+    controller returned; the last sample repeats the input before it.
     """
     dt, stop_success, stop_failure = spec.dt, spec.stop_success, spec.stop_failure
     step = step_euler  # looked up once per run, so perfbench/spans.py can still replace it
-    m = plant.input_dim
-    x = np.array(x0, dtype=float)
-    u = np.empty(m)
-    u[:] = controller(0.0, x)
+    x = tuple(np.array(x0, dtype=float).tolist())
+    u = _input(controller(0.0, x))
     times, states, inputs = [0.0], [x], [u]
     event = "timeout"
     n_steps = round(spec.t_end / dt)
@@ -108,8 +112,7 @@ def simulate(plant, controller, x0, spec):
         elif stop_failure is not None and stop_failure(x):
             fired = "failure"
         if fired is None and k < n_steps:
-            u = np.empty(m)
-            u[:] = controller(t, x)
+            u = _input(controller(t, x))
         times.append(t)
         states.append(x)
         inputs.append(u)
@@ -132,13 +135,11 @@ def linearize(plant, x0, u0):
     for j in range(n):
         e = np.zeros(n)
         e[j] = h
-        A[:, j] = (np.asarray(plant.deriv(x0 + e, u0), dtype=float)
-                   - np.asarray(plant.deriv(x0 - e, u0), dtype=float)) / (2 * h)
+        A[:, j] = np.subtract(plant.deriv(x0 + e, u0), plant.deriv(x0 - e, u0)) / (2 * h)
     for j in range(m):
         e = np.zeros(m)
         e[j] = h
-        B[:, j] = (np.asarray(plant.deriv(x0, u0 + e), dtype=float)
-                   - np.asarray(plant.deriv(x0, u0 - e), dtype=float)) / (2 * h)
+        B[:, j] = np.subtract(plant.deriv(x0, u0 + e), plant.deriv(x0, u0 - e)) / (2 * h)
     return A, B
 
 
@@ -181,8 +182,7 @@ def sip_plant():
     def deriv(x, u):
         y = x[0]
         a = u[0]
-        ydd = G * math.sin(y) - a * math.cos(y)
-        return np.array([x[1], ydd, x[3], a])
+        return (x[1], G * math.sin(y) - a * math.cos(y), x[3], a)
 
     return PlantModel("sip", 4, 1, deriv)
 
@@ -203,8 +203,8 @@ def dip_plant():
         M = np.array([[2.0, c12], [c12, 1.0]])
         r = np.array([2.0 * (G * math.sin(y1) - a * math.cos(y1)) - dy2 ** 2 * s12,
                       G * math.sin(y2) - a * math.cos(y2) + dy1 ** 2 * s12])
-        dd = np.linalg.solve(M, r)
-        return np.array([dy1, dd[0], dy2, dd[1], dpos, a])
+        dd1, dd2 = np.linalg.solve(M, r).tolist()
+        return (dy1, dd1, dy2, dd2, dpos, a)
 
     return PlantModel("dip", 6, 1, deriv)
 
@@ -218,14 +218,14 @@ def motorcycle_plant():
     def deriv(s, u):
         _, _, phi, beta, roll, droll = s
         tb = math.tan(beta)
-        return np.array([
+        return (
             MOTO_V * math.cos(phi),
             MOTO_V * math.sin(phi),
             (MOTO_V / MOTO_L) * tb,
             (u[0] - beta) / MOTO_TAU_BETA,
             droll,
             (G / MOTO_H) * math.sin(roll) - (MOTO_V ** 2 / (MOTO_H * MOTO_L)) * tb * math.cos(roll),
-        ])
+        )
 
     return PlantModel("motorcycle", 6, 1, deriv)
 
@@ -240,12 +240,12 @@ def motorcycle_lateral_plant():
     def deriv(s, u):
         _, phi, roll, droll = s
         tb = math.tan(u[0])
-        return np.array([
+        return (
             MOTO_V * math.sin(phi),
             (MOTO_V / MOTO_L) * tb,
             droll,
             (G / MOTO_H) * math.sin(roll) - (MOTO_V ** 2 / (MOTO_H * MOTO_L)) * tb * math.cos(roll),
-        ])
+        )
 
     return PlantModel("motorcycle_lateral", 4, 1, deriv)
 
@@ -254,7 +254,7 @@ def point2d_plant():
     """2-D nonlinear point: dx = x sin(y), dy = y + u."""
     def deriv(s, u):
         x, y = s
-        return np.array([x * math.sin(y), y + u[0]])
+        return (x * math.sin(y), y + u[0])
 
     def lin(s):
         x, y = s

@@ -7,6 +7,7 @@ RunReport; emit/emit_table write CSV, JSON, or SVG artifacts.
 """
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -27,7 +28,6 @@ from .synthesis import (CareNoSolution, RobustConfig, UncertaintyBounds,
 
 THETA_MAX = 0.4 * math.pi
 
-_PARTIAL = np.array([0, 1, 3])  # (theta, theta_dot, x_dot) out of the 4-state pendulum
 _POLES3 = (-4.0, -4.0, -4.0)
 
 # two-line motorcycle course: initial pose, destination pose (20 m per leg)
@@ -66,7 +66,7 @@ class BuiltScenario:
     """
 
     plant: PlantModel
-    x0: np.ndarray
+    x0: tuple
     controller: Callable  # (t, state) -> input
     gains: Callable  # () -> list of gain vectors
     stop_success: Optional[Callable] = None
@@ -171,19 +171,19 @@ def _stabilize_then_slide(first_phase_acc, K_slide, s_v, dt):
     the cart position is frozen as the target and walked to 0 at rate s_v,
     with the slide gain tracking the moving target.
     """
-    xE = None  # the sliding target, set when the first phase ends
+    cx = None  # the sliding target's cart position, set when the first phase ends
 
     def controller(t, x):
-        nonlocal xE
-        if xE is None:
+        nonlocal cx
+        if cx is None:
             if x[0] ** 2 + x[1] ** 2 + x[3] ** 2 > 1.0:
                 return first_phase_acc(x)
-            xE = np.array([0.0, 0.0, x[2], 0.0])
-        if xE[2] > 0:
-            xE[2] = max(xE[2] - s_v * dt, 0.0)
+            cx = x[2]
+        if cx > 0:
+            cx = max(cx - s_v * dt, 0.0)
         else:
-            xE[2] = min(xE[2] + s_v * dt, 0.0)
-        return fsfc(K_slide, x, xE)
+            cx = min(cx + s_v * dt, 0.0)
+        return fsfc(K_slide, (x[0], x[1], x[2] - cx, x[3]))
 
     return controller
 
@@ -201,7 +201,7 @@ _SIP_X0 = (0.4 * math.pi, 0.0, 0.2, 0.0)
 
 def _sip_scenario(controller, gains, **stops):
     """Pendulum run from _SIP_X0 that fails past the horizontal."""
-    return BuiltScenario(sip_plant(), np.array(_SIP_X0), controller, gains,
+    return BuiltScenario(sip_plant(), _SIP_X0, controller, gains,
                          stop_failure=_sip_failure, **stops)
 
 
@@ -213,7 +213,7 @@ def _build_sip_nonrobust(p):
     K = sip_stabilizing_gain()
 
     def controller(t, x):
-        return fsfc(K, x[_PARTIAL])
+        return fsfc(K, (x[0], x[1], x[3]))
 
     return _sip_scenario(controller, lambda: [K])
 
@@ -221,7 +221,7 @@ def _build_sip_nonrobust(p):
 def _build_sip_slide(p, K_p):
     """Hold the partial-state gain K_p until the pendulum settles, then slide."""
     K_slide = sip_full_gain((-4.0, -4.0 + 2.0j, -4.0 - 2.0j, -4.0))
-    controller = _stabilize_then_slide(lambda x: fsfc(K_p, x[_PARTIAL]),
+    controller = _stabilize_then_slide(lambda x: fsfc(K_p, (x[0], x[1], x[3])),
                                        K_slide, p["s_v"], p["dt"])
     return _sip_scenario(controller, lambda: [K_p, K_slide], stop_success=_sip_success_full)
 
@@ -232,7 +232,7 @@ def _build_sip_adaptive_online(p):
     def controller(t, x):
         nonlocal K
         K = adaptive_gain(x[0], _POLES3)
-        return fsfc(K, x[_PARTIAL])
+        return fsfc(K, (x[0], x[1], x[3]))
 
     return _sip_scenario(controller, lambda: [] if K is None else [K])
 
@@ -241,7 +241,7 @@ def _build_sip_adaptive_lookup(p):
     region_gains = [sip_stabilizing_gain(theta=th) for th in (0.0, math.pi / 4, THETA_MAX)]
     K_slide = sip_full_gain((-4.0, -4.0, -4.0, -4.0))
     controller = _stabilize_then_slide(
-        lambda x: fsfc(region_gains[lookup_region(x[0])], x[_PARTIAL]),
+        lambda x: fsfc(region_gains[lookup_region(x[0])], (x[0], x[1], x[3])),
         K_slide, p["s_v"], p["dt"])
     return _sip_scenario(controller, lambda: region_gains + [K_slide],
                          stop_success=_sip_success_full)
@@ -263,7 +263,7 @@ def _build_sip_adaptive_sysid(p):
             except ValueError:
                 pass  # unidentifiable this step; keep the previous gain
             if K is not None:
-                acc = fsfc(K, x[_PARTIAL])
+                acc = fsfc(K, (x[0], x[1], x[3]))
         prev = x
         return acc
 
@@ -289,7 +289,7 @@ def _build_sip_cbf(p):
             guards += 1
         return cbf_filter_scalar(u_ref, Lfh, Lgh, h(x))
 
-    return BuiltScenario(sip_plant(), np.array([0.2, 0.0, 20.0, 0.0]), controller,
+    return BuiltScenario(sip_plant(), (0.2, 0.0, 20.0, 0.0), controller,
                          lambda: [K], stop_failure=_sip_failure, barrier_h=h,
                          guard=lambda: guards)
 
@@ -306,7 +306,7 @@ def _build_dip(p):
     def failure(s):
         return abs(s[0]) >= math.pi / 2 and abs(s[2]) >= math.pi / 2
 
-    return BuiltScenario(dip_plant(), np.array([0.2, 0.0, 0.0, 0.0, p["x0"], 0.0]),
+    return BuiltScenario(dip_plant(), (0.2, 0.0, 0.0, 0.0, p["x0"], 0.0),
                          controller, lambda: [K], stop_failure=failure)
 
 
@@ -325,7 +325,7 @@ def _build_motorcycle(p):
     def fell(s):
         return abs(s[4]) >= math.pi / 2
 
-    return BuiltScenario(motorcycle_plant(), np.array([0.0, -0.2, -0.1, 0.0, 0.3, 0.0]),
+    return BuiltScenario(motorcycle_plant(), (0.0, -0.2, -0.1, 0.0, 0.3, 0.0),
                          controller, lambda: [K], stop_success=arrived, stop_failure=fell,
                          success_event="destination")
 
@@ -354,7 +354,7 @@ def _build_point2d_cbf(p, case):
             guards += 1
         return cbf_filter_scalar(u_ref, Lfh, Lgh, 10.0 * h(s))
 
-    return BuiltScenario(point2d_plant(), np.array([4.0, 5.0]), controller, lambda: [],
+    return BuiltScenario(point2d_plant(), (4.0, 5.0), controller, lambda: [],
                          barrier_h=h, guard=lambda: guards)
 
 
@@ -376,7 +376,7 @@ def _build_point2d_clf_cbf(p, case):
         u, _ = clf_cbf_step(u_ref, LfV, y, V, Lfh, y - cy, 10.0 * h(s))
         return u
 
-    return BuiltScenario(point2d_plant(), np.array([4.0, 5.0]), controller, lambda: [],
+    return BuiltScenario(point2d_plant(), (4.0, 5.0), controller, lambda: [],
                          barrier_h=h, guard=lambda: guards)
 
 
@@ -442,8 +442,8 @@ def run_scenario(scenario_id, overrides=None):
 
     overrides may set dt, t_end, and the scenario's own tunables (dip_smc:
     x0 and s_v; the sliding scenarios: s_v; motorcycle_smc: preview); any
-    other key is rejected.  Every value must be finite; dt, t_end, s_v and
-    preview must be positive, and t_end must be at least dt.
+    other key is rejected.  Every value must be a finite number; dt, t_end,
+    s_v and preview must be positive, and t_end must be at least dt.
     """
     if scenario_id not in _BUILDERS:
         raise ValueError(f"unknown scenario {scenario_id!r}; see SCENARIO_IDS")
@@ -453,7 +453,10 @@ def run_scenario(scenario_id, overrides=None):
         if key not in params:
             raise ValueError(f"{key!r} is not a tunable of {scenario_id}; "
                              f"allowed: {sorted(params)}")
-        value = float(value)
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{key} must be a number, got {value!r}") from None
         if not math.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value}")
         if key in _POSITIVE_TUNABLES and value <= 0:
@@ -482,12 +485,9 @@ def run_scenario(scenario_id, overrides=None):
 
 
 def trajectory_checksum(traj):
-    """SHA-256 over the raw trajectory samples and the terminal event."""
-    digest = hashlib.sha256()
-    for arr in (traj.times, traj.states, traj.inputs):
-        digest.update(np.ascontiguousarray(np.asarray(arr, dtype=float)).tobytes())
-    digest.update(traj.terminal_event.encode())
-    return digest.hexdigest()
+    """SHA-256 over the float64 bytes of the times, states and inputs, then the terminal event."""
+    samples = np.fromiter(itertools.chain(traj.times, *traj.states, *traj.inputs), float)
+    return hashlib.sha256(samples.tobytes() + traj.terminal_event.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +517,7 @@ def emit_csv(traj, path):
     row = ",".join(["%.12g"] * (1 + n + m))
     lines = [header]
     for t, x, u in zip(traj.times, traj.states, traj.inputs):
-        lines.append(row % (t, *x.tolist(), *u.tolist()))
+        lines.append(row % (t, *x, *u))
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -567,7 +567,7 @@ def _svg_document(curves, circles):
     for pts, color in curves:
         step = max(1, len(pts) // 2000)
         coords = " ".join("{:.2f},{:.2f}".format(*to_px(px, py))
-                          for px, py in pts[::step])
+                          for px, py in pts[::step].tolist())
         parts.append(f'<polyline points="{coords}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
     for cx, cy, r, color in circles:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ctrlkit import scenarios
 from ctrlkit.models import (BlowupError, PlantModel, SimSpec, dip_plant,
                             linearize, motorcycle_lateral_plant,
                             motorcycle_plant, point2d_plant, simulate,
@@ -28,18 +29,50 @@ class TestStepEuler:
     @pytest.mark.filterwarnings("error")  # a blow-up raises BlowupError and nothing else
     @pytest.mark.parametrize("dx", [[np.inf], [-np.inf, 0.0], [np.inf, -np.inf], [1.0, np.nan]])
     def test_any_non_finite_entry_raises(self, dx):
-        bad = PlantModel("bad", len(dx), 1, lambda x, u: np.array(dx))
+        bad = PlantModel("bad", len(dx), 1, lambda x, u: tuple(dx))
         with pytest.raises(BlowupError):
             step_euler(bad, np.zeros(len(dx)), [0.0], 0.01)
 
     @pytest.mark.filterwarnings("error")
     def test_finite_entries_whose_sum_overflows_do_not_raise(self):
-        big = PlantModel("big", 2, 1, lambda x, u: np.array([1e308, 1e308]))
-        out = step_euler(big, np.zeros(2), [0.0], 0.5)
-        assert out.tolist() == [5e307, 5e307]
+        big = PlantModel("big", 2, 1, lambda x, u: (1e308, 1e308))
+        out = step_euler(big, (0.0, 0.0), [0.0], 0.5)
+        assert out == (5e307, 5e307)
+
+    def test_returns_a_tuple_of_floats(self):
+        x, u = (0.2, 0.1, 0.0, 0.3), (1.5,)
+        out = step_euler(sip_plant(), x, u, 0.001)
+        assert type(out) is tuple and [type(v) for v in out] == [float] * 4
+        assert out == tuple(np.array(x) + 0.001 * np.array(sip_plant().deriv(x, u)))
+
+
+@pytest.mark.parametrize("make", [sip_plant, dip_plant, motorcycle_plant, motorcycle_lateral_plant,
+                                  point2d_plant])
+def test_every_plant_derivative_is_a_float_tuple(make):
+    plant = make()
+    n = plant.state_dim
+    dx = plant.deriv(tuple(0.1 * (k + 1) for k in range(n)), (0.5,))
+    assert type(dx) is tuple and [type(v) for v in dx] == [float] * n
 
 
 class TestSimulate:
+    def test_controller_and_stop_predicates_receive_float_tuples(self):
+        seen = []
+
+        def record(s):
+            seen.append(s)
+            return False
+
+        def controller(t, x):
+            record(x)
+            return np.array([-x[0]])
+
+        spec = SimSpec(dt=0.01, t_end=0.05, stop_success=record, stop_failure=record)
+        traj = simulate(sip_plant(), controller, np.array([0.3, 0.0, 0.0, 0.0]), spec)
+        assert len(seen) == 1 + 2 * 5 + 4  # x0, both predicates per step, no control at the end
+        for s in seen + traj.states:
+            assert type(s) is tuple and [type(v) for v in s] == [float] * 4
+
     def test_controller_called_once_per_step(self):
         calls = []
         plant = PlantModel("int", 1, 1, lambda x, u: np.array([u[0]]))
@@ -73,7 +106,7 @@ class TestSimulate:
     def test_deterministic_repeat(self):
         plant = sip_plant()
         spec = SimSpec(dt=0.001, t_end=0.5)
-        ctl = lambda t, x: -(np.array([-58.0, -18.4, -6.4]) @ x[[0, 1, 3]])
+        ctl = lambda t, x: -(np.array([-58.0, -18.4, -6.4]) @ (x[0], x[1], x[3]))
         a = simulate(plant, ctl, [0.4 * math.pi, 0, 0.2, 0], spec)
         b = simulate(plant, ctl, [0.4 * math.pi, 0, 0.2, 0], spec)
         assert np.array_equal(np.array(a.states), np.array(b.states))
@@ -83,12 +116,11 @@ class TestSimulate:
         traj = simulate(sip_plant(), lambda t, x: np.float64(-x[0]), [0.3, 0.0, 0.0, 0.0], spec)
         assert len(traj.inputs) == 51
         for u in traj.inputs:
-            assert isinstance(u, np.ndarray) and u.shape == (1,) and u.dtype == float
-            assert u.base is None
+            assert isinstance(u, tuple) and len(u) == 1 and type(u[0]) is float
 
     def test_controller_output_kinds_give_identical_trajectories(self):
         spec = SimSpec(dt=0.001, t_end=0.2)
-        law = lambda x: -(np.array([-58.0, -18.4, -6.4]) @ x[[0, 1, 3]])
+        law = lambda x: -(np.array([-58.0, -18.4, -6.4]) @ (x[0], x[1], x[3]))
         kinds = [lambda t, x: float(law(x)), lambda t, x: law(x),
                  lambda t, x: np.array(law(x)), lambda t, x: np.array([law(x)])]
         runs = [simulate(sip_plant(), ctl, [0.3, 0.0, 0.1, 0.0], spec) for ctl in kinds]
@@ -111,6 +143,13 @@ class TestSimulate:
             SimSpec(dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
             SimSpec(dt=0.1, t_end=0.01)
+
+    @pytest.mark.parametrize("field, value", [("dt", math.nan), ("dt", math.inf),
+                                              ("t_end", math.nan), ("t_end", math.inf)])
+    def test_spec_rejects_non_finite_values(self, field, value):
+        settings = {"dt": 0.01, "t_end": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SimSpec(**settings)
 
 
 class TestSipFactoredModel:
@@ -149,6 +188,20 @@ class TestLinearize:
             A_fd, B_fd = linearize(fd, x0, [0.0])
             assert np.abs(A_an - A_fd).max() < 1e-9
             assert np.abs(B_an - B_fd).max() < 1e-9
+
+    @pytest.mark.parametrize("make, design", [
+        (dip_plant, "_dip_design_matrices"),
+        (motorcycle_lateral_plant, "_motorcycle_design_matrices"),
+    ])
+    def test_finite_differences_of_tuple_derivatives_match_the_design_model(self, make, design):
+        """The numeric path on the tuple-returning plants gives their analytic design matrices."""
+        plant = make()
+        n = plant.state_dim
+        assert type(plant.deriv((0.0,) * n, (0.0,))) is tuple
+        A, B = linearize(plant, np.zeros(n), [0.0])
+        A_ref, B_ref = getattr(scenarios, design)()
+        assert np.abs(A - A_ref).max() < 1e-8
+        assert np.abs(B.ravel() - B_ref).max() < 1e-8
 
     def test_sip_upright_linearization(self):
         A, B = linearize(sip_plant(), np.zeros(4), [0.0])

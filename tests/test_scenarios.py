@@ -108,6 +108,11 @@ class TestRunScenario:
         with pytest.raises(ValueError, match=message):
             run_scenario(scenario, overrides)
 
+    @pytest.mark.parametrize("value", ["abc", None])
+    def test_non_number_override_names_the_key(self, value):
+        with pytest.raises(ValueError, match="^x0 must be a number, got "):
+            run_scenario("dip_smc", {"x0": value})
+
     def test_time_overrides_are_honored(self):
         traj, report = run_scenario("sip_nonrobust_failure", {"t_end": 0.05})
         assert report.terminal_event == "timeout"  # too short to fall over
@@ -354,6 +359,12 @@ class TestCli:
         rc = main(["run", "sip_cbf", "--set", "nope=1", "--out", str(tmp_path)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_non_number_override_returns_one(self, tmp_path, capsys):
+        rc = main(["run", "dip_smc", "--set", "x0=abc", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: x0 must be a number, got 'abc'\n"
+        assert not list(tmp_path.iterdir())
 
     def test_non_finite_override_returns_one(self, tmp_path, capsys):
         rc = main(["run", "sip_nonrobust_failure", "--set", "t_end=inf", "--out", str(tmp_path)])
