@@ -155,8 +155,9 @@ def _cmd_region_check(args):
     K = _parse_vector(args.k)
     if K.size != 3:
         raise ValueError("the gain region test needs exactly k1,k2,k3")
-    k2_bound, k1_bound = sip_region_bounds(K, args.a_hi, args.b_lo)
+    # first: sip_region_feasible rejects the bounds that sip_region_bounds would divide by
     feasible = sip_region_feasible(K, args.a_lo, args.a_hi, args.b_lo, args.b_hi)
+    k2_bound, k1_bound = sip_region_bounds(K, args.a_hi, args.b_lo)
     k1, k2, k3 = K
     print(f"k3 = {k3:.10g} < 0: {k3 < 0}")
     print(f"k2 = {k2:.10g} < k3/b_lo = {k2_bound:.10g}: {k2 < k2_bound}")

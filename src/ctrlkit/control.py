@@ -11,7 +11,6 @@ function.
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,30 +25,16 @@ logger = logging.getLogger(__name__)
 CBF_SINGULARITY_THRESHOLD = 1e-4
 
 
-def fsfc(K, x, x_E=None):
-    """Full-state feedback -k'x, or -k'(x - x_E) toward a (possibly moving) target x_E."""
-    return -float(np.dot(K, x if x_E is None else np.subtract(x, x_E)))
+def fsfc(K, x):
+    """Full-state feedback -k'x; a controller tracking a target passes x minus the target."""
+    return -float(np.dot(K, x))
 
 
-@dataclass(frozen=True)
-class SlidingTargetDIP:
-    """Cart-position sliding target that walks toward 0 at rate s_v."""
-
-    x0: float
-    s_v: float
-
-    def __post_init__(self):
-        if self.s_v <= 0:
-            raise ValueError("slide rate must be positive")
-
-
-def dip_sliding_target(tgt, t):
-    """Sliding-mode target state (0,0,0,0, sign(x0)*max(|x0|-s_v*t, 0), 0)."""
+def dip_sliding_target(x0, s_v, t):
+    """Cart-position target walking from x0 toward 0 at rate s_v: sign(x0)*max(|x0|-s_v*t, 0)."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    out = np.zeros(6)
-    out[4] = math.copysign(max(abs(tgt.x0) - tgt.s_v * t, 0.0), tgt.x0)
-    return out
+    return math.copysign(max(abs(x0) - s_v * t, 0.0), x0)
 
 
 class MotorcycleGuidance:
@@ -77,9 +62,10 @@ class MotorcycleGuidance:
         self.preview = preview
         self.active_line = 1
 
-    def step(self, pose, roll, roll_rate, K):
-        """Steering command -k'[y_bar, phi_bar, roll, roll_rate] on the active line."""
-        x, y, phi = pose[0], pose[1], pose[2]
+    def step(self, s, K):
+        """Steering command -k'[y_bar, phi_bar, roll, roll_rate] on the active line
+        for the motorcycle state s = (x, y, phi, beta, roll, roll_rate)."""
+        x, y, phi = s[0], s[1], s[2]
         if self.active_line == 1:
             xM, yM = self.turning_point
             if math.hypot(x - xM, y - yM) < self.preview:
@@ -87,8 +73,7 @@ class MotorcycleGuidance:
         xS, yS, phiS = self.pose_I if self.active_line == 1 else self.pose_D
         y_bar = -math.sin(phiS) * (x - xS) + math.cos(phiS) * (y - yS)
         phi_bar = phi - phiS
-        K = np.asarray(K, dtype=float).ravel()
-        return float(-(K @ np.array([y_bar, phi_bar, roll, roll_rate])))
+        return float(-(K @ np.array([y_bar, phi_bar, s[4], s[5]])))
 
 
 def lookup_region(theta):

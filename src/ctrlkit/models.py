@@ -1,6 +1,6 @@
 """Nonlinear plant dynamics, fixed-step integration, and linearization.
 
-Plants are plain data: a derivative function plus dimensions.
+Plants are plain data: a name and a derivative function.
 Integration is explicit Euler with the control recomputed on every step,
 mirroring the simulation loops the gains were validated on.
 """
@@ -30,9 +30,9 @@ class BlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class PlantModel:
+    """A named plant; its state and input sizes are those of the tuples deriv is given."""
+
     name: str
-    state_dim: int
-    input_dim: int
     deriv: Callable  # (state, input) -> state derivative as a tuple of floats
     analytic_linearization: Optional[Callable] = None  # (state) -> (A, B)
 
@@ -52,6 +52,8 @@ class SimSpec:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"dt must be large enough that t_end/dt is finite, got {self.dt}")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least dt")
 
@@ -123,13 +125,13 @@ def simulate(plant, controller, x0, spec):
 
 
 def linearize(plant, x0, u0):
-    """(A, B) at (x0, u0): analytic when declared, else central differences."""
+    """(A, B) at (x0, u0): analytic when declared, else central differences sized by x0 and u0."""
     x0 = np.asarray(x0, dtype=float)
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     if plant.analytic_linearization is not None:
         return plant.analytic_linearization(x0)
     h = 1e-6
-    n, m = plant.state_dim, plant.input_dim
+    n, m = x0.size, u0.size
     A = np.zeros((n, n))
     B = np.zeros((n, m))
     for j in range(n):
@@ -184,7 +186,7 @@ def sip_plant():
         a = u[0]
         return (x[1], G * math.sin(y) - a * math.cos(y), x[3], a)
 
-    return PlantModel("sip", 4, 1, deriv)
+    return PlantModel("sip", deriv)
 
 
 def dip_plant():
@@ -206,7 +208,7 @@ def dip_plant():
         dd1, dd2 = np.linalg.solve(M, r).tolist()
         return (dy1, dd1, dy2, dd2, dpos, a)
 
-    return PlantModel("dip", 6, 1, deriv)
+    return PlantModel("dip", deriv)
 
 
 def motorcycle_plant():
@@ -227,7 +229,7 @@ def motorcycle_plant():
             (G / MOTO_H) * math.sin(roll) - (MOTO_V ** 2 / (MOTO_H * MOTO_L)) * tb * math.cos(roll),
         )
 
-    return PlantModel("motorcycle", 6, 1, deriv)
+    return PlantModel("motorcycle", deriv)
 
 
 def motorcycle_lateral_plant():
@@ -247,7 +249,7 @@ def motorcycle_lateral_plant():
             (G / MOTO_H) * math.sin(roll) - (MOTO_V ** 2 / (MOTO_H * MOTO_L)) * tb * math.cos(roll),
         )
 
-    return PlantModel("motorcycle_lateral", 4, 1, deriv)
+    return PlantModel("motorcycle_lateral", deriv)
 
 
 def point2d_plant():
@@ -263,4 +265,4 @@ def point2d_plant():
         B = np.array([[0.0], [1.0]])
         return A, B
 
-    return PlantModel("point2d", 2, 1, deriv, analytic_linearization=lin)
+    return PlantModel("point2d", deriv, analytic_linearization=lin)

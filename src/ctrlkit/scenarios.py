@@ -16,9 +16,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .control import (CBF_SINGULARITY_THRESHOLD, MotorcycleGuidance,
-                      SlidingTargetDIP, SysIdWindow, adaptive_gain,
-                      cbf_filter_scalar, clf_cbf_step, dip_sliding_target,
-                      fsfc, lookup_region, lyapunov_ref_2d, sysid_solve)
+                      SysIdWindow, adaptive_gain, cbf_filter_scalar,
+                      clf_cbf_step, dip_sliding_target, fsfc, lookup_region,
+                      lyapunov_ref_2d, sysid_solve)
 from .models import (MOTO_H, MOTO_L, MOTO_V, G, PlantModel, SimSpec,
                      dip_plant, motorcycle_plant, point2d_plant, simulate,
                      sip_design_pair, sip_factored_model, sip_plant)
@@ -297,11 +297,11 @@ def _build_sip_cbf(p):
 def _build_dip(p):
     A, B = _dip_design_matrices()
     K = design_gain_matrix(A, B, [-4.0] * 6)
-    tgt = SlidingTargetDIP(p["x0"], p["s_v"])
-    dt = p["dt"]
+    x0, s_v, dt = p["x0"], p["s_v"], p["dt"]
 
     def controller(t, s):
-        return fsfc(K, s, dip_sliding_target(tgt, t + dt))
+        c = dip_sliding_target(x0, s_v, t + dt)
+        return fsfc(K, (s[0], s[1], s[2], s[3], s[4] - c, s[5]))
 
     def failure(s):
         return abs(s[0]) >= math.pi / 2 and abs(s[2]) >= math.pi / 2
@@ -317,7 +317,7 @@ def _build_motorcycle(p):
     xD, yD = _MOTO_POSE_D[0], _MOTO_POSE_D[1]
 
     def controller(t, s):
-        return guidance.step(s[:3], s[4], s[5], K)
+        return guidance.step(s, K)
 
     def arrived(s):
         return math.hypot(s[0] - xD, s[1] - yD) < _MOTO_ARRIVE_DIST

@@ -9,7 +9,6 @@ import pytest
 
 from ctrlkit import (
     MotorcycleGuidance,
-    SlidingTargetDIP,
     SysIdWindow,
     adaptive_gain,
     cbf_filter_scalar,
@@ -29,35 +28,26 @@ class TestFsfc:
     def test_negative_inner_product(self):
         assert fsfc([1.0, 2.0], [3.0, 4.0]) == pytest.approx(-11.0)
 
-    def test_moving_target(self):
-        assert fsfc([1.0, 2.0], [3.0, 4.0], x_E=[1.0, 1.0]) == pytest.approx(-8.0)
-
     def test_returns_python_float(self):
         assert isinstance(fsfc([1.0], [1.0]), float)
 
 
 class TestSlidingTarget:
     def test_walks_toward_origin_and_clamps(self):
-        tgt = SlidingTargetDIP(x0=20.0, s_v=8.0)
-        assert dip_sliding_target(tgt, 0.0)[4] == pytest.approx(20.0)
-        assert dip_sliding_target(tgt, 1.0)[4] == pytest.approx(12.0)
-        assert dip_sliding_target(tgt, 2.5)[4] == pytest.approx(0.0)
-        assert dip_sliding_target(tgt, 10.0)[4] == 0.0
+        assert dip_sliding_target(20.0, 8.0, 0.0) == pytest.approx(20.0)
+        assert dip_sliding_target(20.0, 8.0, 1.0) == pytest.approx(12.0)
+        assert dip_sliding_target(20.0, 8.0, 2.5) == pytest.approx(0.0)
+        assert dip_sliding_target(20.0, 8.0, 10.0) == 0.0
 
     def test_negative_start_keeps_sign(self):
-        tgt = SlidingTargetDIP(x0=-20.0, s_v=8.0)
-        assert dip_sliding_target(tgt, 1.0)[4] == pytest.approx(-12.0)
+        assert dip_sliding_target(-20.0, 8.0, 1.0) == pytest.approx(-12.0)
 
-    def test_only_cart_position_entry_is_set(self):
-        out = dip_sliding_target(SlidingTargetDIP(x0=20.0, s_v=8.0), 0.5)
-        assert out.shape == (6,)
-        assert np.array_equal(np.delete(out, 4), np.zeros(5))
+    def test_returns_python_float(self):
+        assert type(dip_sliding_target(20.0, 8.0, 0.5)) is float
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SlidingTargetDIP(x0=20.0, s_v=0.0)
-        with pytest.raises(ValueError):
-            dip_sliding_target(SlidingTargetDIP(x0=20.0, s_v=8.0), -0.1)
+            dip_sliding_target(20.0, 8.0, -0.1)
 
 
 class TestMotorcycleGuidance:
@@ -81,19 +71,19 @@ class TestMotorcycleGuidance:
     def test_switches_inside_preview_distance_and_stays(self):
         g = self.make(preview=2.0)
         K = [1.0, 1.0, 1.0, 1.0]
-        u_far = g.step((5.0, 0.0, 0.0), 0.0, 0.0, K)
+        u_far = g.step((5.0, 0.0, 0.0, 0.0, 0.0, 0.0), K)
         assert g.active_line == 1
         assert u_far == pytest.approx(0.0)
-        u_near = g.step((9.0, 0.0, 0.0), 0.0, 0.0, K)
+        u_near = g.step((9.0, 0.0, 0.0, 0.0, 0.0, 0.0), K)
         assert g.active_line == 2
         # on line 2: offset 1 across the line, heading error -pi/2
         assert u_near == pytest.approx(math.pi / 2 - 1.0)
-        g.step((0.0, 0.0, 0.0), 0.0, 0.0, K)  # far away again
+        g.step((0.0, 0.0, 0.0, 0.0, 0.0, 0.0), K)  # far away again
         assert g.active_line == 2
 
     def test_roll_terms_enter_command(self):
         g = self.make()
-        u = g.step((5.0, 2.0, 0.0), 0.1, -0.2, [0.0, 0.0, 3.0, 5.0])
+        u = g.step((5.0, 2.0, 0.0, 0.0, 0.1, -0.2), [0.0, 0.0, 3.0, 5.0])
         assert u == pytest.approx(-(3.0 * 0.1 + 5.0 * -0.2))
 
 

@@ -5,7 +5,8 @@ A change that moves a trajectory fails here, in the regular suite, and not
 only in the benchmark. The rules are the benchmark's own check_run: the
 documented outcome, then the terminal event and step count exactly, the
 final state and the gains to rel 1e-9, and min h. The checksums of the 14
-default runs are compared too, at the last ulp.
+default runs are compared too, at the last ulp, and so are those of four
+dip_smc and motorcycle_smc runs away from their defaults.
 """
 
 import pathlib
@@ -21,6 +22,9 @@ from test_acceptance import run_cached  # noqa: E402
 
 DEFAULT_RUNS = [(sid, {}) for sid in SCENARIO_DEFAULTS]
 PREFIX_RUNS = [(sid, {"t_end": t}) for sid in workloads.QP_SCENARIOS for t in workloads.QP_PREFIX]
+# the guided and sliding-target controllers at the corners of their tunable grids
+TUNED_RUNS = [("dip_smc", {"s_v": 6.0, "x0": 15.0}), ("dip_smc", {"s_v": 9.5, "x0": 25.0}),
+              ("motorcycle_smc", {"preview": 5.0}), ("motorcycle_smc", {"preview": 7.0})]
 
 # golden.json holds the two CLF-CBF scenarios only as prefixes of their run;
 # these are their fingerprints at the defaults, 10,000 steps each
@@ -73,3 +77,10 @@ def test_default_run_matches_golden_checksum(golden, sid):
     traj, _ = run_cached(sid)
     key = _key(sid, {})
     assert trajectory_checksum(traj) == (golden.get(key) or FULL_LENGTH_CLF_CBF[key])["checksum"]
+
+
+@pytest.mark.parametrize("sid, overrides", TUNED_RUNS, ids=[_key(sid, o) for sid, o in TUNED_RUNS])
+def test_tuned_run_matches_golden_checksum(golden, sid, overrides):
+    """Every sample of dip_smc and motorcycle_smc at non-default tunables, to the last bit."""
+    traj, _ = run_cached(sid, **overrides)
+    assert trajectory_checksum(traj) == golden[_key(sid, overrides)]["checksum"]

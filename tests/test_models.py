@@ -22,20 +22,20 @@ class TestStepEuler:
         assert out[0] == pytest.approx(0.2)
 
     def test_non_finite_derivative_raises(self):
-        bad = PlantModel("bad", 1, 1, lambda x, u: np.array([np.nan]))
+        bad = PlantModel("bad", lambda x, u: np.array([np.nan]))
         with pytest.raises(BlowupError):
             step_euler(bad, [0.0], [0.0], 0.01)
 
     @pytest.mark.filterwarnings("error")  # a blow-up raises BlowupError and nothing else
     @pytest.mark.parametrize("dx", [[np.inf], [-np.inf, 0.0], [np.inf, -np.inf], [1.0, np.nan]])
     def test_any_non_finite_entry_raises(self, dx):
-        bad = PlantModel("bad", len(dx), 1, lambda x, u: tuple(dx))
+        bad = PlantModel("bad", lambda x, u: tuple(dx))
         with pytest.raises(BlowupError):
             step_euler(bad, np.zeros(len(dx)), [0.0], 0.01)
 
     @pytest.mark.filterwarnings("error")
     def test_finite_entries_whose_sum_overflows_do_not_raise(self):
-        big = PlantModel("big", 2, 1, lambda x, u: (1e308, 1e308))
+        big = PlantModel("big", lambda x, u: (1e308, 1e308))
         out = step_euler(big, (0.0, 0.0), [0.0], 0.5)
         assert out == (5e307, 5e307)
 
@@ -50,7 +50,7 @@ class TestStepEuler:
                                   point2d_plant])
 def test_every_plant_derivative_is_a_float_tuple(make):
     plant = make()
-    n = plant.state_dim
+    n = {"sip": 4, "dip": 6, "motorcycle": 6, "motorcycle_lateral": 4, "point2d": 2}[plant.name]
     dx = plant.deriv(tuple(0.1 * (k + 1) for k in range(n)), (0.5,))
     assert type(dx) is tuple and [type(v) for v in dx] == [float] * n
 
@@ -75,7 +75,7 @@ class TestSimulate:
 
     def test_controller_called_once_per_step(self):
         calls = []
-        plant = PlantModel("int", 1, 1, lambda x, u: np.array([u[0]]))
+        plant = PlantModel("int", lambda x, u: np.array([u[0]]))
 
         def controller(t, x):
             calls.append(t)
@@ -88,7 +88,7 @@ class TestSimulate:
         assert traj.states[-1][0] == pytest.approx(1.0)
 
     def test_success_checked_before_failure(self):
-        plant = PlantModel("int", 1, 1, lambda x, u: np.array([1.0]))
+        plant = PlantModel("int", lambda x, u: np.array([1.0]))
         spec = SimSpec(dt=0.1, t_end=1.0,
                        stop_success=lambda s: s[0] > 0.05,
                        stop_failure=lambda s: s[0] > 0.05)
@@ -97,7 +97,7 @@ class TestSimulate:
         assert len(traj.times) == 2  # initial sample plus the event step
 
     def test_failure_event_recorded(self):
-        plant = PlantModel("int", 1, 1, lambda x, u: np.array([1.0]))
+        plant = PlantModel("int", lambda x, u: np.array([1.0]))
         spec = SimSpec(dt=0.1, t_end=1.0, stop_failure=lambda s: s[0] > 0.25)
         traj = simulate(plant, lambda t, x: 0.0, [0.0], spec)
         assert traj.terminal_event == "failure"
@@ -130,8 +130,7 @@ class TestSimulate:
             assert np.array_equal(np.array(traj.inputs), np.array(runs[0].inputs))
 
     def test_blowup_reports_time(self):
-        plant = PlantModel("int", 1, 1,
-                           lambda x, u: np.array([1.0 if x[0] < 0.25 else np.nan]))
+        plant = PlantModel("int", lambda x, u: np.array([1.0 if x[0] < 0.25 else np.nan]))
         with pytest.raises(BlowupError) as ei:
             simulate(plant, lambda t, x: 0.0, [0.0], SimSpec(dt=0.1, t_end=1.0))
         assert ei.value.t == pytest.approx(0.4)
@@ -143,6 +142,10 @@ class TestSimulate:
             SimSpec(dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
             SimSpec(dt=0.1, t_end=0.01)
+
+    def test_spec_rejects_a_dt_whose_step_count_overflows(self):
+        with pytest.raises(ValueError, match="^dt must be large enough that t_end/dt is finite"):
+            SimSpec(dt=1e-320, t_end=10.0)
 
     @pytest.mark.parametrize("field, value", [("dt", math.nan), ("dt", math.inf),
                                               ("t_end", math.nan), ("t_end", math.inf)])
@@ -181,7 +184,7 @@ class TestLinearize:
     def test_point2d_analytic_matches_finite_differences(self):
         plant = point2d_plant()
         rng = np.random.default_rng(5)
-        fd = PlantModel("fd", 2, 1, plant.deriv)  # same dynamics, no analytic form
+        fd = PlantModel("fd", plant.deriv)  # same dynamics, no analytic form
         for _ in range(20):
             x0 = rng.uniform(-2, 2, size=2)
             A_an, B_an = linearize(plant, x0, [0.0])
@@ -196,10 +199,10 @@ class TestLinearize:
     def test_finite_differences_of_tuple_derivatives_match_the_design_model(self, make, design):
         """The numeric path on the tuple-returning plants gives their analytic design matrices."""
         plant = make()
-        n = plant.state_dim
+        A_ref, B_ref = getattr(scenarios, design)()
+        n = len(A_ref)
         assert type(plant.deriv((0.0,) * n, (0.0,))) is tuple
         A, B = linearize(plant, np.zeros(n), [0.0])
-        A_ref, B_ref = getattr(scenarios, design)()
         assert np.abs(A - A_ref).max() < 1e-8
         assert np.abs(B.ravel() - B_ref).max() < 1e-8
 

@@ -372,6 +372,13 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: t_end must be finite")
         assert not list(tmp_path.iterdir())
 
+    def test_dt_too_small_for_t_end_returns_one(self, tmp_path, capsys):
+        rc = main(["run", "sip_cbf", "--set", "dt=1e-320", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: dt must be large enough that t_end/dt is finite, got 1e-320\n")
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_scenario_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["run", "sip_unknown"])
@@ -428,6 +435,16 @@ class TestCli:
         assert rc == 1
         assert "error: --k has a non-finite entry" in captured.err
         assert "feasible" not in captured.out
+
+    def test_region_check_validates_bounds_before_dividing_by_them(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the error line
+            rc = main(["design", "region-check", "--k=-110,-50,-10", "--a-lo", "7",
+                       "--a-hi", "10", "--b-lo", "0", "--b-hi", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: parameter bounds must be positive and ordered\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("option, value", [
         ("--a-bar", "inf"), ("--b-bar", "nan"), ("--epsilon", "nan"), ("--r", "-inf"),
