@@ -160,8 +160,10 @@ def _cmd_region_check(args):
     k2_bound, k1_bound = sip_region_bounds(K, args.a_hi, args.b_lo)
     k1, k2, k3 = K
     print(f"k3 = {k3:.10g} < 0: {k3 < 0}")
-    print(f"k2 = {k2:.10g} < k3/b_lo = {k2_bound:.10g}: {k2 < k2_bound}")
-    print(f"k1 = {k1:.10g} < a_hi*k2/(-b_lo*k2 + k3) = {k1_bound:.10g}: {k1 < k1_bound}")
+    if k2_bound is not None:
+        print(f"k2 = {k2:.10g} < k3/b_lo = {k2_bound:.10g}: {k2 < k2_bound}")
+    if k1_bound is not None:
+        print(f"k1 = {k1:.10g} < a_hi*k2/(-b_lo*k2 + k3) = {k1_bound:.10g}: {k1 < k1_bound}")
     print("feasible" if feasible else "infeasible")
     return 0 if feasible else 2
 

@@ -4,12 +4,10 @@ Full-state feedback with sliding-mode targets, motorcycle line guidance,
 adaptive gain scheduling, online least-squares identification, and the
 CBF / CLF-CBF safety filters.
 
-Stateful pieces (the identification window, the guidance line switch)
-are classes owned by one simulation loop; everything else is a pure
-function.
+The one stateful piece, the guidance line switch, is a class owned by one
+simulation loop; everything else is a pure function.
 """
 
-import logging
 import math
 
 import numpy as np
@@ -18,10 +16,8 @@ from .models import G, sip_design_pair
 from .numerics import least_squares
 from .synthesis import design_gain_matrix
 
-logger = logging.getLogger(__name__)
-
 # |Lgh| at or below this makes the scalar barrier filter powerless; the
-# reference is passed through unchanged and the activation is logged.
+# reference is passed through unchanged and the scenario's guard counts the step.
 CBF_SINGULARITY_THRESHOLD = 1e-4
 
 
@@ -95,46 +91,13 @@ def adaptive_gain(theta, desired_eigs):
     return design_gain_matrix(*sip_design_pair(a, -math.cos(theta)), desired_eigs)
 
 
-class SysIdWindow:
-    """Fixed-capacity window of (regressor, response) rows, newest on top.
+def sysid_solve(regressors, responses):
+    """Least-squares parameter estimate from stacked regressor rows and responses.
 
-    push() shifts every stored row down one slot and writes the new row at
-    the top.  The window is warm once capacity rows have been pushed;
-    solving is only permitted when warm.
+    Raises ValueError if the rows are rank deficient (unidentifiable);
+    callers keep their previous estimate then.
     """
-
-    def __init__(self, capacity, regressor_dim):
-        if capacity < 1 or regressor_dim < 1:
-            raise ValueError("capacity and regressor_dim must be positive")
-        self.X = np.zeros((capacity, regressor_dim))
-        self.y = np.zeros(capacity)
-        self._pushed = 0
-
-    @property
-    def capacity(self):
-        return self.X.shape[0]
-
-    @property
-    def warm(self):
-        return self._pushed >= self.capacity
-
-    def push(self, regressor, response):
-        self.X[1:] = self.X[:-1]
-        self.y[1:] = self.y[:-1]
-        self.X[0] = np.asarray(regressor, dtype=float)
-        self.y[0] = float(response)
-        self._pushed += 1
-
-
-def sysid_solve(window):
-    """Least-squares parameter estimate from a warm identification window.
-
-    Raises if the window is cold or the stacked regressors are rank
-    deficient (unidentifiable); callers keep their previous estimate then.
-    """
-    if not window.warm:
-        raise ValueError("identification window is not warm yet")
-    return least_squares(window.X, window.y)
+    return least_squares(np.array(regressors), np.array(responses))
 
 
 def cbf_filter_scalar(u_ref, Lfh, Lgh, alpha_h):
@@ -142,14 +105,13 @@ def cbf_filter_scalar(u_ref, Lfh, Lgh, alpha_h):
 
     Clips the reference to the safe side when the barrier constraint has
     authority; when |Lgh| <= 1e-4 the constraint row is singular and the
-    reference passes through unchanged (the activation is logged, because
-    safety is not enforced on that step).
+    reference passes through unchanged (the scenario's guard counts the
+    step, because safety is not enforced on it).
     """
     if Lgh > CBF_SINGULARITY_THRESHOLD:
         return max(u_ref, -(Lfh + alpha_h) / Lgh)
     if Lgh < -CBF_SINGULARITY_THRESHOLD:
         return min(u_ref, -(Lfh + alpha_h) / Lgh)
-    logger.info("barrier filter singularity guard active (Lgh=%.3e); reference passed through", Lgh)
     return u_ref
 
 

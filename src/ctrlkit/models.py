@@ -81,24 +81,19 @@ def step_euler(plant, x, u, dt):
     return tuple([xi + dt * di for xi, di in zip(x, dx)])
 
 
-def _input(v):
-    """A controller output (float, numpy scalar, 0-d or 1-element array) as a 1-tuple of float."""
-    return (v if v.__class__ is float else float(np.reshape(v, ())),)
-
-
 def simulate(plant, controller, x0, spec):
     """Run Euler steps from x0 until stop_success, stop_failure, or t_end.
 
-    controller is called as controller(t, state) once per step (control
-    period equals dt).  Success is checked before failure after each step,
-    matching the reference simulation loops.  Each state is the tuple of
-    floats step_euler returns, and each input the 1-tuple of the float the
-    controller returned; the last sample repeats the input before it.
+    controller(t, state) is called once per step (control period equals
+    dt) and returns a float.  Success is checked before failure after each
+    step, matching the reference simulation loops.  Each state is the tuple
+    of floats step_euler returns, and each input the 1-tuple of the float
+    the controller returned; the last sample repeats the input before it.
     """
     dt, stop_success, stop_failure = spec.dt, spec.stop_success, spec.stop_failure
     step = step_euler  # looked up once per run, so perfbench/spans.py can still replace it
     x = tuple(np.array(x0, dtype=float).tolist())
-    u = _input(controller(0.0, x))
+    u = (float(controller(0.0, x)),)
     times, states, inputs = [0.0], [x], [u]
     event = "timeout"
     n_steps = round(spec.t_end / dt)
@@ -114,7 +109,7 @@ def simulate(plant, controller, x0, spec):
         elif stop_failure is not None and stop_failure(x):
             fired = "failure"
         if fired is None and k < n_steps:
-            u = _input(controller(t, x))
+            u = (float(controller(t, x)),)
         times.append(t)
         states.append(x)
         inputs.append(u)

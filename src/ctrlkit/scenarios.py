@@ -16,8 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .control import (CBF_SINGULARITY_THRESHOLD, MotorcycleGuidance,
-                      SysIdWindow, adaptive_gain, cbf_filter_scalar,
-                      clf_cbf_step, dip_sliding_target, fsfc, lookup_region,
+                      adaptive_gain, cbf_filter_scalar, clf_cbf_step,
+                      dip_sliding_target, fsfc, lookup_region,
                       lyapunov_ref_2d, sysid_solve)
 from .models import (MOTO_H, MOTO_L, MOTO_V, G, PlantModel, SimSpec,
                      dip_plant, motorcycle_plant, point2d_plant, simulate,
@@ -248,17 +248,19 @@ def _build_sip_adaptive_lookup(p):
 
 
 def _build_sip_adaptive_sysid(p):
-    window = SysIdWindow(6, 2)
+    rows, rates = [], []  # identification rows (theta, input) and theta_dot rates, newest first
     dt = p["dt"]
     prev, acc, K = _SIP_X0, 1.0, None  # first difference 0; warm-up input until an estimate
 
     def controller(t, x):
         nonlocal prev, acc, K
-        warm = window.warm  # read before this push: 6 warm-up rows, then an estimate per step
-        window.push([x[0], acc], (x[1] - prev[1]) / dt)
+        warm = len(rows) == 6  # read before this insert: 6 warm-up rows, then an estimate per step
+        rows.insert(0, [x[0], acc])
+        rates.insert(0, (x[1] - prev[1]) / dt)
+        del rows[6:], rates[6:]
         if warm:
             try:
-                theta = sysid_solve(window)
+                theta = sysid_solve(rows, rates)
                 K = design_gain_matrix(*sip_design_pair(theta[0], theta[1]), _POLES3)
             except ValueError:
                 pass  # unidentifiable this step; keep the previous gain
@@ -470,12 +472,12 @@ def run_scenario(scenario_id, overrides=None):
     if traj.terminal_event == "success":
         traj.terminal_event = built.success_event
 
-    min_h = min(float(built.barrier_h(s)) for s in traj.states) if built.barrier_h else None
+    min_h = min(map(built.barrier_h, traj.states)) if built.barrier_h else None
     report = RunReport(
         scenario=scenario_id,
         terminal_event=traj.terminal_event,
-        final_state=[float(v) for v in traj.states[-1]],
-        elapsed_sim_time=float(traj.times[-1]),
+        final_state=list(traj.states[-1]),
+        elapsed_sim_time=traj.times[-1],
         min_h=min_h,
         gain_matrices_used=[[float(g) for g in K] for K in built.gains()],
         checksum=trajectory_checksum(traj),
@@ -528,8 +530,8 @@ def emit_json(traj, report, path):
         "report": asdict(report),
         "trajectory": {
             "samples": len(traj.times),
-            "t_start": float(traj.times[0]) if traj.times else None,
-            "t_end": float(traj.times[-1]) if traj.times else None,
+            "t_start": traj.times[0] if traj.times else None,
+            "t_end": traj.times[-1] if traj.times else None,
             "state_dim": len(traj.states[0]) if traj.states else 0,
             "input_dim": len(traj.inputs[0]) if traj.inputs else 0,
         },
@@ -547,14 +549,14 @@ def parse_report(path):
 
 
 def _svg_document(curves, circles):
-    """Fixed-size SVG from data-space polylines and circles (uniform scale)."""
+    """Fixed-size SVG from data-space polylines of (x, y) points and circles (uniform scale)."""
     W, H, pad = 480.0, 360.0, 20.0
-    xs = np.concatenate([c[0][:, 0] for c in curves]
-                        + [np.array([cx - r, cx + r]) for cx, cy, r, _ in circles])
-    ys = np.concatenate([c[0][:, 1] for c in curves]
-                        + [np.array([cy - r, cy + r]) for cx, cy, r, _ in circles])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
+    xs = ([p[0] for pts, _ in curves for p in pts]
+          + [v for cx, _, r, _ in circles for v in (cx - r, cx + r)])
+    ys = ([p[1] for pts, _ in curves for p in pts]
+          + [v for _, cy, r, _ in circles for v in (cy - r, cy + r)])
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
     span_x = max(x_hi - x_lo, 1e-12)
     span_y = max(y_hi - y_lo, 1e-12)
     scale = min((W - 2 * pad) / span_x, (H - 2 * pad) / span_y)
@@ -567,7 +569,7 @@ def _svg_document(curves, circles):
     for pts, color in curves:
         step = max(1, len(pts) // 2000)
         coords = " ".join("{:.2f},{:.2f}".format(*to_px(px, py))
-                          for px, py in pts[::step].tolist())
+                          for px, py in pts[::step])
         parts.append(f'<polyline points="{coords}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
     for cx, cy, r, color in circles:
@@ -585,13 +587,12 @@ def emit_svg(traj, report, path):
     course or unsafe-disk geometry as circles; cart scenarios plot the lead
     angle and the cart position against time.
     """
-    states = np.asarray(traj.states, dtype=float)
     sid = report.scenario
     curves, circles = [], []
     if sid.startswith("point2d"):
         case = "case1" if sid.endswith("case1") else "case2"
         cx, cy, cr = _DISKS[case]
-        curves.append((states[:, :2], "black"))
+        curves.append((traj.states, "black"))  # the states are the (x, y) points
         circles.append((cx, cy, cr, "red"))
         circles.append((0.0, 0.0, 0.05, "green"))
     elif sid == "motorcycle_smc":
@@ -599,14 +600,13 @@ def emit_svg(traj, report, path):
         xD, yD, _ = _MOTO_POSE_D
         guide = MotorcycleGuidance(_MOTO_POSE_I, _MOTO_POSE_D)
         xM, yM = guide.turning_point
-        curves.append((np.array([[xI, yI], [xM, yM], [xD, yD]]), "gray"))
-        curves.append((states[:, :2], "black"))
+        curves.append(([(xI, yI), (xM, yM), (xD, yD)], "gray"))
+        curves.append(([s[:2] for s in traj.states], "black"))
         circles.append((xD, yD, _MOTO_ARRIVE_DIST, "green"))
     else:
-        t = np.asarray(traj.times, dtype=float)
         cart = 4 if sid == "dip_smc" else 2
-        curves.append((np.column_stack([t, states[:, 0]]), "blue"))
-        curves.append((np.column_stack([t, states[:, cart]]), "gray"))
+        curves.append(([(t, s[0]) for t, s in zip(traj.times, traj.states)], "blue"))
+        curves.append(([(t, s[cart]) for t, s in zip(traj.times, traj.states)], "gray"))
     with open(path, "w", newline="\n") as f:
         f.write(_svg_document(curves, circles))
 

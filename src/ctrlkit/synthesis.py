@@ -240,30 +240,35 @@ def vertex_interval_char_poly(A_family, B_family, K):
 
 
 def sip_region_bounds(K, a_hi, b_lo):
-    """The two cascaded thresholds of the closed-form gain-region test.
+    """The two cascaded thresholds of the closed-form gain-region test, for b_lo > 0.
 
-    Returns (k2_bound, k1_bound) = (k3/b_lo, a_hi*k2 / (-b_lo*k2 + k3)).
+    (k2_bound, k1_bound) = (k3/b_lo, a_hi*k2 / (-b_lo*k2 + k3)) along the chain
+    k3 < 0, k2 < k2_bound; None past its first failing inequality.  k1_bound is
+    -inf, its limit, where rounding leaves its denominator at or below 0.
     """
     k1, k2, k3 = np.asarray(K, dtype=float).ravel()
-    k2_bound = k3 / b_lo
-    k1_bound = a_hi * k2 / (-b_lo * k2 + k3)
-    return float(k2_bound), float(k1_bound)
+    if not k3 < 0:
+        return None, None
+    k2_bound = float(k3 / b_lo)
+    if not k2 < k2_bound:
+        return k2_bound, None
+    denominator = -b_lo * k2 + k3
+    return k2_bound, float(a_hi * k2 / denominator) if denominator > 0 else -np.inf
 
 
 def sip_region_feasible(K, a_lo, a_hi, b_lo, b_hi):
     """Closed-form robust-gain region check for the 3-state pendulum model.
 
     Evaluates the inequality chain k3 < 0, k2 < k3/b_lo,
-    k1 < a_hi*k2/(-b_lo*k2 + k3) — the reduction of the eight vertex
-    Routh inequalities over a in [a_lo, a_hi], b in [b_lo, b_hi].
+    k1 < a_hi*k2/(-b_lo*k2 + k3) in order, stopping at the first that
+    fails — the reduction of the eight vertex Routh inequalities over a in
+    [a_lo, a_hi], b in [b_lo, b_hi].
     """
     if not (0 < b_lo <= b_hi and 0 < a_lo <= a_hi):
         raise ValueError("parameter bounds must be positive and ordered")
-    k1, k2, k3 = np.asarray(K, dtype=float).ravel()
-    if not k3 < 0:
-        return False
-    k2_bound, k1_bound = sip_region_bounds(K, a_hi, b_lo)
-    return bool(k2 < k2_bound and k1 < k1_bound)
+    k1 = np.asarray(K, dtype=float).ravel()[0]
+    k1_bound = sip_region_bounds(K, a_hi, b_lo)[1]
+    return k1_bound is not None and bool(k1 < k1_bound)
 
 
 def sip_partial_design_model(theta):

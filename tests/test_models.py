@@ -65,7 +65,7 @@ class TestSimulate:
 
         def controller(t, x):
             record(x)
-            return np.array([-x[0]])
+            return -x[0]
 
         spec = SimSpec(dt=0.01, t_end=0.05, stop_success=record, stop_failure=record)
         traj = simulate(sip_plant(), controller, np.array([0.3, 0.0, 0.0, 0.0]), spec)
@@ -121,8 +121,7 @@ class TestSimulate:
     def test_controller_output_kinds_give_identical_trajectories(self):
         spec = SimSpec(dt=0.001, t_end=0.2)
         law = lambda x: -(np.array([-58.0, -18.4, -6.4]) @ (x[0], x[1], x[3]))
-        kinds = [lambda t, x: float(law(x)), lambda t, x: law(x),
-                 lambda t, x: np.array(law(x)), lambda t, x: np.array([law(x)])]
+        kinds = [lambda t, x: float(law(x)), lambda t, x: law(x), lambda t, x: np.array(law(x))]
         runs = [simulate(sip_plant(), ctl, [0.3, 0.0, 0.1, 0.0], spec) for ctl in kinds]
         for traj in runs[1:]:
             assert traj.times == runs[0].times

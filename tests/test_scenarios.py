@@ -1,5 +1,6 @@
 """Tests for the scenario registry, the runner, the emitters, and the CLI."""
 
+import hashlib
 import json
 import math
 import pathlib
@@ -305,6 +306,21 @@ class TestSvg:
         with pytest.raises(ValueError):
             emit(traj, report, "png", tmp_path / "run.png")
 
+    # sha256 of emit_svg's output, so that every byte of each projection is
+    # checked; the point2d and motorcycle paths exceed 2000 samples, so their
+    # polylines are thinned
+    @pytest.mark.parametrize("scenario, digest", [
+        ("point2d_cbf_case1", "60526d0b81fd863ccb2099f3133f82e8724f85a49d28812d11f8407875aad3b0"),
+        ("motorcycle_smc", "433ab8eecac70c64b10845e8823e32260c2f6b13c496cb125ae43bc29e4f680c"),
+        ("sip_nonrobust_failure",
+         "5cfbf7c7ff3920c51245a20cdb17f311dfe387b3cd2537c4184e62d96b66e567"),
+    ])
+    def test_bytes_of_each_projection_are_pinned(self, tmp_path, scenario, digest):
+        traj, report = run_scenario(scenario, {"t_end": 4.5})
+        path = tmp_path / "run.svg"
+        emit_svg(traj, report, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
 
 class TestEigTable:
     def test_decade_gain_sweep(self, tmp_path):
@@ -445,6 +461,23 @@ class TestCli:
         assert rc == 1
         assert captured.err == "error: parameter bounds must be positive and ordered\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("k, b_lo, lines", [
+        ("-1,0,0", "0.3", ["k3 = 0 < 0: False"]),
+        ("-1,-20,-10", "0.5", ["k3 = -10 < 0: True", "k2 = -20 < k3/b_lo = -20: False"]),
+        ("-1,-30.000000000000004,-9", "0.3",  # k2 < k3/b_lo, yet the k1 denominator rounds to 0
+         ["k3 = -9 < 0: True", "k2 = -30 < k3/b_lo = -30: True",
+          "k1 = -1 < a_hi*k2/(-b_lo*k2 + k3) = -inf: False"]),
+    ], ids=["k3=0", "k2=k3/b_lo", "zero-k1-denominator"])
+    def test_region_check_stops_at_the_first_failing_inequality(self, capsys, k, b_lo, lines):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning from a zero denominator
+            rc = main(["design", "region-check", f"--k={k}", "--a-lo", "7", "--a-hi", "10",
+                       "--b-lo", b_lo, "--b-hi", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out.splitlines() == lines + ["infeasible"]
+        assert captured.err == ""
 
     @pytest.mark.parametrize("option, value", [
         ("--a-bar", "inf"), ("--b-bar", "nan"), ("--epsilon", "nan"), ("--r", "-inf"),

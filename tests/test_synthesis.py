@@ -218,6 +218,18 @@ class TestGainRegion:
     def test_nonnegative_k3_is_infeasible(self):
         assert not sip_region_feasible([-110.0, -50.0, 0.0], 5.0, 10.0, 0.31, 1.0)
 
+    def test_chain_stops_before_a_zero_denominator(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sip_region_bounds([-1.0, 0.0, 0.0], 10.0, 0.3) == (None, None)
+            assert sip_region_bounds([-1.0, -20.0, -10.0], 10.0, 0.5) == (-20.0, None)
+            # k2 < k3/b_lo holds, but -b_lo*k2 + k3 rounds to exactly 0
+            assert sip_region_bounds([-1.0, -30.000000000000004, -9.0], 10.0, 0.3) == (
+                -30.0, -math.inf)
+            assert not sip_region_feasible([-1.0, 0.0, 0.0], 7.0, 10.0, 0.3, 1.0)
+            assert not sip_region_feasible([-1.0, -20.0, -10.0], 7.0, 10.0, 0.5, 1.0)
+            assert not sip_region_feasible([-1.0, -30.000000000000004, -9.0], 7.0, 10.0, 0.3, 1.0)
+
     def test_matches_corner_routh_on_random_gains(self):
         rng = np.random.default_rng(5)
         a_lo, a_hi, b_lo, b_hi = 5.0, 10.0, 0.31, 1.0
