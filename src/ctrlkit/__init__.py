@@ -18,7 +18,7 @@ from .stability import (IntervalPoly, RouthResult, bauer_fike_check,
                         sip_closed_loop_perturbation)
 from .synthesis import (CareNoSolution, RobustConfig, UncertaintyBounds,
                         char_poly_ascending, design_gain_matrix, eig_sweep,
-                        robust_riccati_gain, sip_partial_design_model,
+                        robust_riccati_gain, sip_coefficients, sip_pole_gain,
                         sip_region_bounds, sip_region_feasible, solve_care,
                         vertex_interval_char_poly)
 

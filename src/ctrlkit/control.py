@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from .models import G, sip_design_pair
+from .models import G
 from .numerics import least_squares
-from .synthesis import design_gain_matrix
+from .synthesis import sip_coefficients, sip_pole_gain
 
 # |Lgh| at or below this makes the scalar barrier filter powerless; the
 # reference is passed through unchanged and the scenario's guard counts the step.
@@ -84,11 +84,11 @@ def lookup_region(theta):
 def adaptive_gain(theta, desired_eigs):
     """Angle-scheduled pole-placement gain for the 3-state pendulum model.
 
-    Re-runs pole placement on the design pair frozen at the current angle:
+    Places the poles on the design pair frozen at the current angle (sip_pole_gain):
     b = -cos(theta), and a = G sin(theta)/theta, or G on the small-angle branch |theta| < 0.1.
     """
     a = G if abs(theta) < 0.1 else G * math.sin(theta) / theta
-    return design_gain_matrix(*sip_design_pair(a, -math.cos(theta)), desired_eigs)
+    return sip_pole_gain(a, -math.cos(theta), sip_coefficients(tuple(desired_eigs)))
 
 
 def sysid_solve(regressors, responses):

@@ -21,10 +21,11 @@ from .control import (CBF_SINGULARITY_THRESHOLD, MotorcycleGuidance,
                       lyapunov_ref_2d, sysid_solve)
 from .models import (MOTO_H, MOTO_L, MOTO_V, G, PlantModel, SimSpec,
                      dip_plant, motorcycle_plant, point2d_plant, simulate,
-                     sip_design_pair, sip_factored_model, sip_plant)
+                     sip_design_pair, sip_factored_model,
+                     sip_frozen_coefficients, sip_plant)
 from .synthesis import (CareNoSolution, RobustConfig, UncertaintyBounds,
-                        design_gain_matrix, eig_sweep,
-                        robust_riccati_gain, sip_partial_design_model)
+                        design_gain_matrix, eig_sweep, robust_riccati_gain,
+                        sip_coefficients, sip_pole_gain)
 
 THETA_MAX = 0.4 * math.pi
 
@@ -82,8 +83,7 @@ class BuiltScenario:
 
 def sip_stabilizing_gain(theta=0.0):
     """Gain placing the poles at (-4, -4, -4) on the 3-state pendulum design model."""
-    A, B = sip_partial_design_model(theta)
-    return design_gain_matrix(A, B, _POLES3)
+    return sip_pole_gain(*sip_frozen_coefficients(theta), sip_coefficients(_POLES3))
 
 
 def sip_full_gain(poles):
@@ -260,8 +260,7 @@ def _build_sip_adaptive_sysid(p):
         del rows[6:], rates[6:]
         if warm:
             try:
-                theta = sysid_solve(rows, rates)
-                K = design_gain_matrix(*sip_design_pair(theta[0], theta[1]), _POLES3)
+                K = sip_pole_gain(*sysid_solve(rows, rates).tolist(), sip_coefficients(_POLES3))
             except ValueError:
                 pass  # unidentifiable this step; keep the previous gain
             if K is not None:

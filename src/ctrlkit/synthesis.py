@@ -9,6 +9,8 @@ Gains are plain 1-D arrays k with the single-input convention u = -k' x,
 so the closed loop is A - B k'.
 """
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -72,6 +74,25 @@ class CareNoSolution:
     p_eigenvalues: np.ndarray
 
 
+def _monic_coefficients(desired_eigs, n):
+    """Descending real coefficients of the monic polynomial with the n roots desired_eigs."""
+    desired = np.asarray(desired_eigs, dtype=complex).ravel()
+    if desired.size != n:
+        raise ValueError("need exactly n desired eigenvalues")
+    coeffs = np.poly(desired)
+    if np.max(np.abs(coeffs.imag)) > 1e-9:
+        raise ValueError("desired eigenvalues must be closed under conjugation")
+    return coeffs.real
+
+
+def _check_controllability(s_max, s_min):
+    if s_max == 0.0 or not s_min >= 1e-12 * s_max:
+        raise ValueError("(A, B) is not controllable")
+    if s_max / s_min > 1e10:
+        warnings.warn(f"controllability matrix condition {s_max / s_min:.3g} is poor; "
+                      "the placed poles may be inaccurate", stacklevel=3)
+
+
 def design_gain_matrix(A, B, desired_eigs):
     """Single-input pole placement (Ackermann), u = -k' x convention.
 
@@ -83,31 +104,45 @@ def design_gain_matrix(A, B, desired_eigs):
     n = A.shape[0]
     if A.shape != (n, n) or B.size != n:
         raise ValueError("A must be n x n and B length n")
-    desired = np.asarray(desired_eigs, dtype=complex).ravel()
-    if desired.size != n:
-        raise ValueError("need exactly n desired eigenvalues")
-    coeffs = np.poly(desired)  # descending, monic
-    if np.max(np.abs(coeffs.imag)) > 1e-9:
-        raise ValueError("desired eigenvalues must be closed under conjugation")
-    coeffs = coeffs.real
+    coeffs = _monic_coefficients(desired_eigs, n)
 
     cols = [B]
     for _ in range(n - 1):
         cols.append(A @ cols[-1])
     C = np.column_stack(cols)
     sv = np.linalg.svd(C, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
-        raise ValueError("(A, B) is not controllable")
-    if sv[0] / sv[-1] > 1e10:
-        warnings.warn(f"controllability matrix condition {sv[0] / sv[-1]:.3g} is poor; "
-                      "the placed poles may be inaccurate", stacklevel=2)
+    _check_controllability(sv[0], sv[-1])
 
     phi = np.zeros((n, n))
     for c in coeffs:
         phi = phi @ A + c * np.eye(n)
-    e_n = np.zeros(n)
-    e_n[-1] = 1.0
-    return np.linalg.solve(C.T, e_n) @ phi
+    return np.linalg.solve(C.T, np.eye(n)[-1]) @ phi
+
+
+@functools.lru_cache(maxsize=None)
+def sip_coefficients(poles):
+    """(c2, c1, c0) of s^3 + c2 s^2 + c1 s + c0 with the hashable pole triple as roots; memoized."""
+    return tuple(_monic_coefficients(poles, 3)[1:].tolist())
+
+
+def sip_pole_gain(a, b, coeffs):
+    """design_gain_matrix(*sip_design_pair(a, b), poles) bit for bit; coeffs = sip_coefficients(poles).
+
+    On this sparse pair each sum in Ackermann's products has one nonzero term at
+    most, and w = C'^-1 e3 repeats the pivoting and float operations of LAPACK's LU
+    solve.  C's singular values are |b| and s_hi, s_lo with s_hi +- s_lo = hypot(b, 1 +- |ab|).
+    """
+    c2, c1, c0 = coeffs
+    ab = a * b
+    s_hi = (math.hypot(b, 1.0 + abs(ab)) + math.hypot(b, 1.0 - abs(ab))) / 2.0
+    _check_controllability(s_hi, min(abs(ab) / s_hi, abs(b)))  # min keeps a nan ratio first
+    if abs(ab) > abs(b):
+        w1 = 1.0 / ab
+        w2 = -(b * w1)
+    else:
+        w2 = 1.0 / -(ab * (1.0 / b))
+        w1 = -w2 / b
+    return np.array([w1 * ((a + c1) * a), w1 * (c2 * a + c0), w2 * c0])
 
 
 def _care_residual(P, A, M, Q):
@@ -271,26 +306,17 @@ def sip_region_feasible(K, a_lo, a_hi, b_lo, b_hi):
     return k1_bound is not None and bool(k1 < k1_bound)
 
 
-def sip_partial_design_model(theta):
-    """3-state (theta, theta_dot, x_dot) design matrices at a frozen angle.
-
-    Exact trigonometric coefficients, no small-angle branch: A21 is
-    G sin(theta)/theta and B2 is -cos(theta).
-    """
-    return sip_design_pair(*sip_frozen_coefficients(theta))
-
-
 def eig_sweep(K, theta_grid):
     """Closed-loop eigenvalue real parts across an angle grid.
 
-    Each row is (theta, real parts of eig(A_P(theta) - B_P(theta) k'))
-    sorted by descending magnitude of the real part, the order the printed
-    tables use.
+    Each row is (theta, real parts of eig(A - B k')) for the 3-state design
+    pair frozen at theta (exact coefficients, no small-angle branch), sorted
+    by descending magnitude of the real part, the order the printed tables use.
     """
     K = np.asarray(K, dtype=float).ravel()
     rows = []
     for theta in theta_grid:
-        A, B = sip_partial_design_model(theta)
+        A, B = sip_design_pair(*sip_frozen_coefficients(theta))
         vals = np.linalg.eigvals(A - np.outer(B, K))
         re = vals.real
         order = np.argsort(-np.abs(re), kind="stable")

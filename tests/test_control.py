@@ -18,7 +18,7 @@ from ctrlkit import (
 )
 from ctrlkit import scenarios
 from ctrlkit.control import lookup_region
-from ctrlkit.models import sip_design_pair
+from ctrlkit.models import G, sip_design_pair
 from ctrlkit.numerics import qp_small
 from ctrlkit.synthesis import design_gain_matrix
 
@@ -103,6 +103,7 @@ class TestAdaptiveGain:
 
     def test_per_period_upright(self):
         K = adaptive_gain(0.0, self.POLES)
+        assert K.tolist() == design_gain_matrix(*sip_design_pair(G, -1.0), self.POLES).tolist()
         assert K == pytest.approx([-58.0, -18.4, -6.4], rel=1e-12)
 
     def test_per_period_inside_guard_band_keeps_unit_stiffness(self):
@@ -110,7 +111,21 @@ class TestAdaptiveGain:
         K = adaptive_gain(theta, self.POLES)
         A = np.array([[0.0, 1.0, 0.0], [10.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         B = np.array([0.0, -math.cos(theta), 1.0])
-        assert K == pytest.approx(design_gain_matrix(A, B, self.POLES), rel=1e-12)
+        assert K.tolist() == design_gain_matrix(A, B, self.POLES).tolist()
+
+    def test_accepts_any_sequence_of_poles_and_computes_coefficients_once(self, monkeypatch):
+        K = adaptive_gain(0.3, self.POLES)
+        monkeypatch.setattr(np, "poly", None)  # a per-step np.poly call would fail now
+        assert adaptive_gain(0.3, list(self.POLES)).tolist() == K.tolist()
+        assert adaptive_gain(0.3, np.array(self.POLES)).tolist() == K.tolist()
+
+    @pytest.mark.parametrize("poles, message", [
+        ((-1 + 2j, -1 + 2j, -3.0), "closed under conjugation"),
+        ((-1.0, -2.0), "exactly n"), ((-1.0, -2.0, -3.0, -4.0), "exactly n"),
+    ])
+    def test_rejects_what_pole_placement_rejects(self, poles, message):
+        with pytest.raises(ValueError, match=message):
+            adaptive_gain(0.3, poles)
 
     def test_lookup_boundaries_are_strict(self):
         # theta_dot = 1 keeps the partial norm above 1, so the region gain acts
@@ -171,10 +186,15 @@ class TestSysIdWindow:
 
     def test_newest_row_on_top(self):
         built, states, outputs, _ = self._run_builder(7)
-        K = design_gain_matrix(*sip_design_pair(self.A, self.B), (-4.0, -4.0, -4.0))
+        # the six newest identification rows and rates, newest first, under the warm-up input 1.0
+        rows = [[states[k][0], 1.0] for k in range(6, 0, -1)]
+        rates = [(states[k][1] - states[k - 1][1]) / self.DT for k in range(6, 0, -1)]
+        estimate = sysid_solve(rows, rates)
+        assert estimate == pytest.approx([self.A, self.B], rel=1e-6)
+        K = design_gain_matrix(*sip_design_pair(*estimate), (-4.0, -4.0, -4.0))
         theta, dtheta, _, dx = states[6]
-        assert outputs[6] == pytest.approx(fsfc(K, (theta, dtheta, dx)), rel=1e-6)
-        assert built.gains()[0] == pytest.approx(K, rel=1e-6)
+        assert outputs[6] == fsfc(K, (theta, dtheta, dx))
+        assert built.gains()[0].tolist() == K.tolist()
 
     def test_recovers_synthetic_parameters(self):
         rng = np.random.default_rng(21)

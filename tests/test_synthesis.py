@@ -1,6 +1,7 @@
 """Tests for pole placement, the Riccati solver, robust gain synthesis,
 gain-region checks, and the eigenvalue sweep."""
 
+import collections
 import math
 import warnings
 
@@ -16,12 +17,15 @@ from ctrlkit import (
     design_gain_matrix,
     eig_sweep,
     robust_riccati_gain,
-    sip_partial_design_model,
+    sip_coefficients,
+    sip_pole_gain,
     sip_region_bounds,
     sip_region_feasible,
     solve_care,
     vertex_interval_char_poly,
 )
+from ctrlkit import control, scenarios, synthesis
+from ctrlkit.models import G, sip_design_pair, sip_frozen_coefficients
 from ctrlkit.stability import routh_stable
 
 THETA_MAX = 0.4 * math.pi
@@ -39,7 +43,7 @@ def pendulum_bounds():
 
 class TestDesignGainMatrix:
     def test_pendulum_partial_model_triple_pole(self):
-        A, B = sip_partial_design_model(0.0)
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
         K = design_gain_matrix(A, B, [-4.0, -4.0, -4.0])
         assert K == pytest.approx([-58.0, -18.4, -6.4], rel=1e-12)
 
@@ -56,18 +60,18 @@ class TestDesignGainMatrix:
             assert got == pytest.approx(np.sort(poles), rel=1e-6, abs=1e-6)
 
     def test_accepts_conjugate_pair(self):
-        A, B = sip_partial_design_model(0.0)
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
         K = design_gain_matrix(A, B, [-1 + 2j, -1 - 2j, -3.0])
         got = np.linalg.eigvals(A - np.outer(B, K))
         assert sorted(got.imag) == pytest.approx([-2.0, 0.0, 2.0], abs=1e-9)
 
     def test_rejects_unpaired_complex_pole(self):
-        A, B = sip_partial_design_model(0.0)
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
         with pytest.raises(ValueError):
             design_gain_matrix(A, B, [-1 + 2j, -1 + 2j, -3.0])
 
     def test_rejects_wrong_pole_count(self):
-        A, B = sip_partial_design_model(0.0)
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
         with pytest.raises(ValueError):
             design_gain_matrix(A, B, [-1.0, -2.0])
 
@@ -76,6 +80,99 @@ class TestDesignGainMatrix:
         B = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
             design_gain_matrix(A, B, [-3.0, -4.0])
+
+
+POLES3 = (-4.0, -4.0, -4.0)
+POLE_SETS = {"triple": POLES3, "conjugate": (-1 + 2j, -1 - 2j, -3.0)}
+
+
+def _ackermann(a, b, poles):
+    return design_gain_matrix(*sip_design_pair(a, b), poles).tolist()
+
+
+def _draw_pairs(kind, n):
+    """n seeded (a, b) pairs of one kind, every one well conditioned (no warning)."""
+    rng = np.random.default_rng({"wide": 1401, "tie": 1402, "pendulum": 1403, "sysid": 1404}[kind])
+    signs = [rng.choice([-1.0, 1.0], size=n) for _ in range(2)]
+    b = signs[1] * 10.0 ** rng.uniform(-3, 2, n)
+    if kind == "wide":  # both pivots and every sign
+        a = signs[0] * 10.0 ** rng.uniform(-3, 3, n)
+    elif kind == "tie":  # |a| = 1, where |ab| = |b| pivots on b, and its neighbours
+        a = signs[0] * (1.0 + rng.integers(-4, 5, n) * 2.0 ** -52)
+    elif kind == "pendulum":  # the frozen pendulum up to the horizontal, and past it
+        theta = rng.uniform(-1.5, 1.5, n)
+        a, b = G * np.sinc(theta / np.pi), -np.cos(theta)
+    else:  # the spread of the default sip_adaptive_sysid estimates
+        a, b = rng.uniform(-30.0, 130.0, n), rng.uniform(-3.0, 6.0, n)
+    return list(zip(a.tolist(), b.tolist()))
+
+
+def _outcome(design):
+    """("raise", message) or (gain, warning messages) of one design call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            gain = design().tolist()
+        except ValueError as exc:
+            return "raise", str(exc)
+    return gain, [str(w.message) for w in caught]
+
+
+class TestSipPoleGain:
+    """The closed form against its oracle, Ackermann on sip_design_pair, compared with ==."""
+
+    @pytest.mark.parametrize("poles", POLE_SETS.values(), ids=POLE_SETS.keys())
+    @pytest.mark.parametrize("kind", ["wide", "tie", "pendulum", "sysid"])
+    def test_bit_identical_to_ackermann(self, kind, poles):
+        coeffs = sip_coefficients(poles)
+        pivots = collections.Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in _draw_pairs(kind, 12_500):  # 100,000 draws over the 8 cases
+                assert sip_pole_gain(a, b, coeffs).tolist() == _ackermann(a, b, poles), (a, b)
+                pivots["ab" if abs(a * b) > abs(b) else "b"] += 1
+        if kind in ("wide", "tie"):
+            assert min(pivots["ab"], pivots["b"]) > 1000
+
+    @pytest.mark.parametrize("sid", ["sip_adaptive_sysid", "sip_adaptive_online"])
+    def test_replays_every_gain_of_the_default_adaptive_runs(self, sid, monkeypatch):
+        calls = []
+
+        def recording(a, b, coeffs):
+            K = synthesis.sip_pole_gain(a, b, coeffs)
+            calls.append((a, b, K.tolist()))
+            return K
+
+        monkeypatch.setattr(scenarios, "sip_pole_gain", recording)
+        monkeypatch.setattr(control, "sip_pole_gain", recording)
+        scenarios.run_scenario(sid)
+        assert len(calls) > 2900
+        assert all(K == _ackermann(a, b, POLES3) for a, b, K in calls)
+        if sid == "sip_adaptive_sysid":  # a few of its estimates pivot on b
+            assert 0 < sum(abs(a * b) <= abs(b) for a, b, _ in calls) < 10
+
+    @pytest.mark.parametrize("theta", [0.0, 0.05, -0.3, math.pi / 4, THETA_MAX])
+    def test_stabilizing_gain_is_ackermann(self, theta):
+        K = scenarios.sip_stabilizing_gain(theta)
+        assert K.tolist() == _ackermann(*sip_frozen_coefficients(theta), POLES3)
+
+    @pytest.mark.parametrize("a, b, verdict", [
+        (0.0, 1.0, "raise"), (10.0, 0.0, "raise"), (10.0, 1e-14, "raise"),
+        (10.0, 1e-10, "quiet"), (10.0, 1e-11, "warn"), (-10.0, -1e-11, "warn"),
+        (1e13, 1.0, "raise"), (1e11, 1.0, "warn"), (1e9, 1.0, "quiet"),
+    ])
+    def test_failures_and_warnings_match_ackermann(self, a, b, verdict):
+        got = _outcome(lambda: sip_pole_gain(a, b, sip_coefficients(POLES3)))
+        assert got == _outcome(lambda: design_gain_matrix(*sip_design_pair(a, b), POLES3))
+        assert verdict == ("raise" if got[0] == "raise" else "warn" if got[1] else "quiet")
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf),
+                                      (1.0, math.nan), (0.0, math.inf)])
+    def test_non_finite_pair_raises_value_error(self, a, b):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):  # LinAlgError is one
+            design_gain_matrix(*sip_design_pair(a, b), POLES3)
+        with pytest.raises(ValueError, match="not controllable"):
+            sip_pole_gain(a, b, sip_coefficients(POLES3))
 
 
 class TestSolveCare:
@@ -120,7 +217,7 @@ class TestSolveCare:
 
 class TestRobustRiccatiGain:
     def test_zero_bounds_reduces_to_double_effort_lqr(self):
-        A, B = sip_partial_design_model(0.0)
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
         zero = UncertaintyBounds(dA_max=np.zeros((3, 3)), dB_max=np.zeros(3))
         cfg = RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01,
                            Q=np.eye(3), R=[[0.01]])
@@ -131,7 +228,7 @@ class TestRobustRiccatiGain:
         assert K == pytest.approx(expected, rel=1e-7)
 
     def test_pendulum_vertex_gain_regression(self):
-        A, B = sip_partial_design_model(0.0)
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
         cfg = RobustConfig(a_bar=300.0, b_bar=300.0, epsilon=0.01,
                            Q=np.eye(3), R=[[0.01]])
         K = robust_riccati_gain(A, B, pendulum_bounds(), cfg)
@@ -141,7 +238,7 @@ class TestRobustRiccatiGain:
         assert np.linalg.eigvals(Ac).real.max() < 0
 
     def test_small_caps_return_retunable_outcome(self):
-        A, B = sip_partial_design_model(0.0)
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
         cfg = RobustConfig(a_bar=0.2, b_bar=0.2, epsilon=0.5,
                            Q=np.eye(3), R=[[0.01]])
         out = robust_riccati_gain(A, B, pendulum_bounds(), cfg)
@@ -151,7 +248,7 @@ class TestRobustRiccatiGain:
 
     @pytest.mark.parametrize("bar", ["a_bar", "b_bar"])
     def test_zero_bar_with_non_zero_bound_rejected(self, bar):
-        A, B = sip_partial_design_model(0.0)
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
         cfg = RobustConfig(**{"a_bar": 300.0, "b_bar": 300.0, bar: 0.0}, epsilon=0.01,
                            Q=np.eye(3), R=[[0.01]])
         bound = "dA_max" if bar == "a_bar" else "dB_max"
@@ -161,7 +258,7 @@ class TestRobustRiccatiGain:
                 robust_riccati_gain(A, B, pendulum_bounds(), cfg)
 
     def test_zero_bar_with_zero_bound_is_valid(self):
-        A, B = sip_partial_design_model(0.0)
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
         bounds = UncertaintyBounds(dA_max=np.zeros((3, 3)), dB_max=[0.0, DB2, 0.0])
         K = robust_riccati_gain(A, B, bounds, RobustConfig(a_bar=0.0, b_bar=300.0, epsilon=0.01,
                                                            Q=np.eye(3), R=[[0.01]]))
@@ -251,17 +348,17 @@ class TestGainRegion:
 
 class TestPartialDesignModel:
     def test_upright_matrices(self):
-        A, B = sip_partial_design_model(0.0)
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
         assert A[1, 0] == 10.0
         assert np.array_equal(B, [0.0, -1.0, 1.0])
 
     def test_exact_trig_without_guard(self):
-        A, B = sip_partial_design_model(0.05)
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.05))
         assert A[1, 0] == pytest.approx(10.0 * math.sin(0.05) / 0.05)
         assert B[1] == pytest.approx(-math.cos(0.05))
 
     def test_extreme_angle(self):
-        A, B = sip_partial_design_model(THETA_MAX)
+        A, B = sip_design_pair(*sip_frozen_coefficients(THETA_MAX))
         assert A[1, 0] == pytest.approx(10.0 * math.sin(THETA_MAX) / THETA_MAX)
         assert B[1] == pytest.approx(-math.cos(THETA_MAX))
 
