@@ -8,7 +8,7 @@ from .models import (BlowupError, PlantModel, SimSpec, Trajectory, dip_plant,
                      linearize, motorcycle_lateral_plant, motorcycle_plant,
                      point2d_plant, simulate, sip_factored_model, sip_plant,
                      step_euler)
-from .numerics import induced_norm, least_squares, nnmf_rank1, qp_small
+from .numerics import least_squares, nnmf_rank1, qp_small
 from .scenarios import (SCENARIO_DEFAULTS, SCENARIO_IDS, RunReport, emit,
                         emit_table, parse_report, run_scenario,
                         sip_full_gain, sip_interval_gain, sip_robust_gain,

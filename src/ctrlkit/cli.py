@@ -228,7 +228,7 @@ def main(argv=None):
     except BlowupError as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # numpy's LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

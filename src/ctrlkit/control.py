@@ -27,7 +27,7 @@ def fsfc(K, x):
 
 
 def dip_sliding_target(x0, s_v, t):
-    """Cart-position target walking from x0 toward 0 at rate s_v: sign(x0)*max(|x0|-s_v*t, 0)."""
+    """The shared sliding-target walk from x0 toward 0 at rate s_v: sign(x0)*max(|x0|-s_v*t, 0)."""
     if t < 0:
         raise ValueError("t must be non-negative")
     return math.copysign(max(abs(x0) - s_v * t, 0.0), x0)

@@ -39,12 +39,11 @@ class PlantModel:
 
 @dataclass
 class SimSpec:
-    """Fixed-step simulation settings."""
+    """Fixed-step simulation settings; stop(state) names the terminal event, or returns None."""
 
     dt: float
     t_end: float
-    stop_success: Optional[Callable] = None
-    stop_failure: Optional[Callable] = None
+    stop: Optional[Callable] = None
 
     def __post_init__(self):
         for name, value in (("dt", self.dt), ("t_end", self.t_end)):
@@ -63,7 +62,7 @@ class Trajectory:
     times: list
     states: list  # one tuple of floats per sample
     inputs: list  # one 1-tuple of float per sample
-    terminal_event: str  # success | failure | destination | timeout
+    terminal_event: str  # the event stop named, or timeout
 
 
 def step_euler(plant, x, u, dt):
@@ -82,20 +81,20 @@ def step_euler(plant, x, u, dt):
 
 
 def simulate(plant, controller, x0, spec):
-    """Run Euler steps from x0 until stop_success, stop_failure, or t_end.
+    """Run Euler steps from x0 until spec.stop names an event, or to t_end ("timeout").
 
-    controller(t, state) is called once per step (control period equals
-    dt) and returns a float.  Success is checked before failure after each
-    step, matching the reference simulation loops.  Each state is the tuple
-    of floats step_euler returns, and each input the 1-tuple of the float
-    the controller returned; the last sample repeats the input before it.
+    controller(t, state) is called once per step (control period equals dt)
+    and returns a float; stop(state), when set, once after each step: None
+    goes on, a string ends the run with that event.  Each state is the tuple
+    of floats step_euler returns, each input the 1-tuple of the controller's
+    float; the last sample repeats the input before it.
     """
-    dt, stop_success, stop_failure = spec.dt, spec.stop_success, spec.stop_failure
+    dt, stop = spec.dt, spec.stop
     step = step_euler  # looked up once per run, so perfbench/spans.py can still replace it
-    x = tuple(np.array(x0, dtype=float).tolist())
+    x = tuple(map(float, x0))
     u = (float(controller(0.0, x)),)
     times, states, inputs = [0.0], [x], [u]
-    event = "timeout"
+    event = None
     n_steps = round(spec.t_end / dt)
     for k in range(1, n_steps + 1):
         t = k * dt
@@ -103,28 +102,22 @@ def simulate(plant, controller, x0, spec):
             x = step(plant, x, u, dt)
         except BlowupError as exc:
             raise BlowupError(f"{exc} (t={t:.6g})", t=t, state=exc.state) from None
-        fired = None
-        if stop_success is not None and stop_success(x):
-            fired = "success"
-        elif stop_failure is not None and stop_failure(x):
-            fired = "failure"
-        if fired is None and k < n_steps:
+        if stop is not None:
+            event = stop(x)
+        if event is None and k < n_steps:
             u = (float(controller(t, x)),)
         times.append(t)
         states.append(x)
         inputs.append(u)
-        if fired is not None:
-            event = fired
+        if event is not None:
             break
-    return Trajectory(times, states, inputs, event)
+    return Trajectory(times, states, inputs, "timeout" if event is None else event)
 
 
 def linearize(plant, x0, u0):
-    """(A, B) at (x0, u0): analytic when declared, else central differences sized by x0 and u0."""
+    """(A, B) at (x0, u0) by central differences of plant.deriv, sized by x0 and u0."""
     x0 = np.asarray(x0, dtype=float)
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    if plant.analytic_linearization is not None:
-        return plant.analytic_linearization(x0)
     h = 1e-6
     n, m = x0.size, u0.size
     A = np.zeros((n, n))

@@ -59,11 +59,6 @@ def nnmf_rank1(m):
     return w, h
 
 
-def induced_norm(m):
-    """Spectral norm: the matrix norm induced by the Euclidean vector norm."""
-    return float(np.linalg.norm(np.atleast_2d(np.asarray(m, dtype=float)), 2))
-
-
 def qp_small(H, c, A_ineq=None, b_ineq=None):
     """Minimize 1/2 z'Hz + c'z subject to A_ineq @ z <= b_ineq.
 

@@ -1,7 +1,7 @@
 """Named closed-loop studies with fixed defaults, plus result serialization.
 
-Each scenario wires a plant, a controller, an initial state, and stop
-predicates exactly as in the validation runs the gains were tuned on.
+Each scenario wires a plant, a controller, an initial state, and a stop
+predicate exactly as in the validation runs the gains were tuned on.
 run_scenario executes one and returns the trajectory together with a
 RunReport; emit/emit_table write CSV, JSON, or SVG artifacts.
 """
@@ -25,7 +25,7 @@ from .models import (MOTO_H, MOTO_L, MOTO_V, G, PlantModel, SimSpec,
                      sip_frozen_coefficients, sip_plant)
 from .synthesis import (CareNoSolution, RobustConfig, UncertaintyBounds,
                         design_gain_matrix, eig_sweep, robust_riccati_gain,
-                        sip_coefficients, sip_pole_gain)
+                        sip_coefficients, sip_pole_gain, sip_region_bounds)
 
 THETA_MAX = 0.4 * math.pi
 
@@ -60,19 +60,17 @@ class RunReport:
 class BuiltScenario:
     """One closed loop as a builder wires it, and what run_scenario reads back.
 
-    gains and guard are called after the run: gains returns the gain
-    vectors (adaptive scenarios report the gain they ended on), and guard,
-    when present, the number of singularity-guard activations.  A fired
-    stop_success is reported as success_event.
+    stop names the terminal event (SimSpec.stop).  gains and guard are
+    called after the run: gains returns the gain vectors (adaptive scenarios
+    report the gain they ended on), and guard, when present, the number of
+    singularity-guard activations.
     """
 
     plant: PlantModel
     x0: tuple
     controller: Callable  # (t, state) -> input
     gains: Callable  # () -> list of gain vectors
-    stop_success: Optional[Callable] = None
-    stop_failure: Optional[Callable] = None
-    success_event: str = "success"
+    stop: Optional[Callable] = None  # (state) -> event name or None
     barrier_h: Optional[Callable] = None
     guard: Optional[Callable] = None  # () -> activation count
 
@@ -123,17 +121,16 @@ def sip_robust_gain(parametrization):
 
 
 def sip_interval_gain():
-    """Decade-floor gain built inside the closed-form stability region.
+    """Decade-floor gain (-110, -50, -10) built inside the closed-form stability region.
 
-    With a <= G and b >= cos(0.4*pi): k3 = -10, then k2 and k1 are each the
-    next multiple of 10 strictly below their cascaded region threshold.
+    With a <= G and b >= cos(0.4*pi): k3 = -10, then k2 and k1 are each 10 below the
+    decade floor of their cascaded sip_region_bounds threshold (-32.4, then -91.7).
     """
     b_lo = math.cos(THETA_MAX)
-    a_hi = G
-    k3 = -10.0
-    k2 = math.floor((k3 / b_lo) / 10.0) * 10.0 - 10.0
-    k1 = math.floor((a_hi * k2 / (-b_lo * k2 + k3)) / 10.0) * 10.0 - 10.0
-    return np.array([k1, k2, k3])
+    K = [0.0, 0.0, -10.0]  # k2 = 0 fails its bound, so the first pass yields only k2's threshold
+    for i in (1, 0):  # k2, then k1 below the threshold the chosen k2 gives
+        K[i] = math.floor(sip_region_bounds(K, G, b_lo)[1 - i] / 10.0) * 10.0 - 10.0
+    return np.array(K)
 
 
 def _dip_design_matrices():
@@ -179,30 +176,26 @@ def _stabilize_then_slide(first_phase_acc, K_slide, s_v, dt):
             if x[0] ** 2 + x[1] ** 2 + x[3] ** 2 > 1.0:
                 return first_phase_acc(x)
             cx = x[2]
-        if cx > 0:
-            cx = max(cx - s_v * dt, 0.0)
-        else:
-            cx = min(cx + s_v * dt, 0.0)
+        cx = dip_sliding_target(cx, s_v, dt)
         return fsfc(K_slide, (x[0], x[1], x[2] - cx, x[3]))
 
     return controller
 
 
-def _sip_failure(s):
-    return abs(s[0]) >= math.pi / 2
+def _sip_fallen(s):
+    return "failure" if abs(s[0]) >= math.pi / 2 else None
 
 
-def _sip_success_full(s):
-    return s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2 < 0.001
+def _sip_settled_or_fallen(s):
+    return "success" if s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2 < 0.001 else _sip_fallen(s)
 
 
-_SIP_X0 = (0.4 * math.pi, 0.0, 0.2, 0.0)
+_SIP_X0 = (THETA_MAX, 0.0, 0.2, 0.0)
 
 
-def _sip_scenario(controller, gains, **stops):
+def _sip_scenario(controller, gains, stop=_sip_fallen):
     """Pendulum run from _SIP_X0 that fails past the horizontal."""
-    return BuiltScenario(sip_plant(), _SIP_X0, controller, gains,
-                         stop_failure=_sip_failure, **stops)
+    return BuiltScenario(sip_plant(), _SIP_X0, controller, gains, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +216,7 @@ def _build_sip_slide(p, K_p):
     K_slide = sip_full_gain((-4.0, -4.0 + 2.0j, -4.0 - 2.0j, -4.0))
     controller = _stabilize_then_slide(lambda x: fsfc(K_p, (x[0], x[1], x[3])),
                                        K_slide, p["s_v"], p["dt"])
-    return _sip_scenario(controller, lambda: [K_p, K_slide], stop_success=_sip_success_full)
+    return _sip_scenario(controller, lambda: [K_p, K_slide], _sip_settled_or_fallen)
 
 
 def _build_sip_adaptive_online(p):
@@ -243,8 +236,7 @@ def _build_sip_adaptive_lookup(p):
     controller = _stabilize_then_slide(
         lambda x: fsfc(region_gains[lookup_region(x[0])], (x[0], x[1], x[3])),
         K_slide, p["s_v"], p["dt"])
-    return _sip_scenario(controller, lambda: region_gains + [K_slide],
-                         stop_success=_sip_success_full)
+    return _sip_scenario(controller, lambda: region_gains + [K_slide], _sip_settled_or_fallen)
 
 
 def _build_sip_adaptive_sysid(p):
@@ -291,7 +283,7 @@ def _build_sip_cbf(p):
         return cbf_filter_scalar(u_ref, Lfh, Lgh, h(x))
 
     return BuiltScenario(sip_plant(), (0.2, 0.0, 20.0, 0.0), controller,
-                         lambda: [K], stop_failure=_sip_failure, barrier_h=h,
+                         lambda: [K], _sip_fallen, barrier_h=h,
                          guard=lambda: guards)
 
 
@@ -304,11 +296,11 @@ def _build_dip(p):
         c = dip_sliding_target(x0, s_v, t + dt)
         return fsfc(K, (s[0], s[1], s[2], s[3], s[4] - c, s[5]))
 
-    def failure(s):
-        return abs(s[0]) >= math.pi / 2 and abs(s[2]) >= math.pi / 2
+    def fallen(s):
+        return "failure" if abs(s[0]) >= math.pi / 2 and abs(s[2]) >= math.pi / 2 else None
 
     return BuiltScenario(dip_plant(), (0.2, 0.0, 0.0, 0.0, p["x0"], 0.0),
-                         controller, lambda: [K], stop_failure=failure)
+                         controller, lambda: [K], fallen)
 
 
 def _build_motorcycle(p):
@@ -320,15 +312,13 @@ def _build_motorcycle(p):
     def controller(t, s):
         return guidance.step(s, K)
 
-    def arrived(s):
-        return math.hypot(s[0] - xD, s[1] - yD) < _MOTO_ARRIVE_DIST
-
-    def fell(s):
-        return abs(s[4]) >= math.pi / 2
+    def arrived_or_fell(s):
+        if math.hypot(s[0] - xD, s[1] - yD) < _MOTO_ARRIVE_DIST:
+            return "destination"
+        return "failure" if abs(s[4]) >= math.pi / 2 else None
 
     return BuiltScenario(motorcycle_plant(), (0.0, -0.2, -0.1, 0.0, 0.3, 0.0),
-                         controller, lambda: [K], stop_success=arrived, stop_failure=fell,
-                         success_event="destination")
+                         controller, lambda: [K], arrived_or_fell)
 
 
 def _disk_barrier(disk):
@@ -465,11 +455,8 @@ def run_scenario(scenario_id, overrides=None):
         params[key] = value
 
     built = _BUILDERS[scenario_id](params)
-    spec = SimSpec(dt=params["dt"], t_end=params["t_end"],
-                   stop_success=built.stop_success, stop_failure=built.stop_failure)
-    traj = simulate(built.plant, built.controller, built.x0, spec)
-    if traj.terminal_event == "success":
-        traj.terminal_event = built.success_event
+    traj = simulate(built.plant, built.controller, built.x0,
+                    SimSpec(params["dt"], params["t_end"], built.stop))
 
     min_h = min(map(built.barrier_h, traj.states)) if built.barrier_h else None
     report = RunReport(
@@ -613,14 +600,14 @@ def emit_svg(traj, report, path):
 def emit_table(which, path):
     """Closed-loop eigenvalue real parts over theta = -72..72 degrees.
 
-    Table 1 sweeps the robust Riccati gain (recomputed at full precision);
-    table 2 sweeps the decade-floor region gain (-110, -50, -10).  Returns
-    the gain that was swept.
+    Table 1 sweeps the robust Riccati gain sip_robust_gain("vertex"), and
+    table 2 the decade-floor region gain sip_interval_gain(), both
+    recomputed at full precision.  Returns the gain that was swept.
     """
     if which == 1:
         K = sip_robust_gain("vertex")
     elif which == 2:
-        K = np.array([-110.0, -50.0, -10.0])
+        K = sip_interval_gain()
     else:
         raise ValueError("table number must be 1 or 2")
     degrees = range(-72, 73)

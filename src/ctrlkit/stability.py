@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import G
-from .numerics import induced_norm
 
 _ZERO_PIVOT = 1e-12
 
@@ -105,7 +104,7 @@ def interval_poly_stable(ip):
 
 
 def bauer_fike_check(Ac0, deltaAc):
-    """Eigenvalue-perturbation bound radius = cond(S) * ||deltaAc||.
+    """Eigenvalue-perturbation bound radius = cond(S) * ||deltaAc||_2 (the spectral norm).
 
     Returns (radius, holds) where holds reports whether every eigenvalue of
     Ac0 + deltaAc lies within radius of some eigenvalue of Ac0.  A nearly
@@ -119,7 +118,7 @@ def bauer_fike_check(Ac0, deltaAc):
     if kappa >= 1e8:
         warnings.warn(f"eigenvector matrix condition {kappa:.3g} is near non-diagonalizable; "
                       "the bound may be vacuous", stacklevel=2)
-    radius = kappa * induced_norm(deltaAc)
+    radius = kappa * np.linalg.norm(deltaAc, 2)
     vals1 = np.linalg.eigvals(Ac0 + deltaAc)
     slack = radius * 1e-9 + 1e-12
     holds = all(np.min(np.abs(v - vals0)) <= radius + slack for v in vals1)

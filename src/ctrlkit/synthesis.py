@@ -145,6 +145,12 @@ def sip_pole_gain(a, b, coeffs):
     return np.array([w1 * ((a + c1) * a), w1 * (c2 * a + c0), w2 * c0])
 
 
+def _require_shape(shape, **matrices):
+    for name, m in matrices.items():
+        if m.shape != shape:
+            raise ValueError(f"{name} must be {shape[0]}x{shape[1]}, got shape {m.shape}")
+
+
 def _care_residual(P, A, M, Q):
     return P @ A + A.T @ P - P @ M @ P + Q
 
@@ -164,6 +170,7 @@ def solve_care(A, M, Q):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     n = A.shape[0]
+    _require_shape((n, n), A=A, M=M, Q=Q)
     ham = np.block([[A, -M], [-Q, -A.T]])
     if np.min(np.abs(np.linalg.eigvals(ham).real)) <= 1e-9:
         raise ValueError("Hamiltonian has eigenvalues on the imaginary axis")
@@ -209,12 +216,16 @@ def robust_riccati_gain(A, B, bounds, cfg):
     four auxiliary matrices, assembles M and Q_sigma, solves the Riccati
     equation, and returns k = P B (R + eps*Sigma_y)^-1 as a 1-D gain.
 
+    A, dA_max and Q must be n x n, B and dB_max n x 1, R 1 x 1 (ValueError otherwise).
     Returns a CareNoSolution (carrying the assembled M and Q_sigma) when no
     positive definite P exists, so the caller can retune.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float).reshape(-1, 1)
     n = A.shape[0]
+    _require_shape((n, n), A=A, dA_max=bounds.dA_max, Q=cfg.Q)
+    _require_shape((n, 1), B=B, dB_max=bounds.dB_max)
+    _require_shape((1, 1), R=cfg.R)
     eps = cfg.epsilon
 
     if bounds.dA_max.any():

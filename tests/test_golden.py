@@ -6,7 +6,8 @@ only in the benchmark. The rules are the benchmark's own check_run: the
 documented outcome, then the terminal event and step count exactly, the
 final state and the gains to rel 1e-9, and min h. The checksums of the 14
 default runs are compared too, at the last ulp, and so are those of four
-dip_smc and motorcycle_smc runs away from their defaults.
+dip_smc and motorcycle_smc runs away from their defaults. Both eigenvalue
+sweep tables are compared with golden.json's "tables" by the same rel 1e-9.
 """
 
 import pathlib
@@ -17,7 +18,7 @@ import pytest
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
-from ctrlkit import SCENARIO_DEFAULTS, trajectory_checksum  # noqa: E402
+from ctrlkit import SCENARIO_DEFAULTS, emit_table, trajectory_checksum  # noqa: E402
 from test_acceptance import run_cached  # noqa: E402
 
 DEFAULT_RUNS = [(sid, {}) for sid in SCENARIO_DEFAULTS]
@@ -84,3 +85,13 @@ def test_tuned_run_matches_golden_checksum(golden, sid, overrides):
     """Every sample of dip_smc and motorcycle_smc at non-default tunables, to the last bit."""
     traj, _ = run_cached(sid, **overrides)
     assert trajectory_checksum(traj) == golden[_key(sid, overrides)]["checksum"]
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_sweep_table_matches_golden(tmp_path, which):
+    """Every row of both eigenvalue tables, to the benchmark's rel 1e-9."""
+    path = tmp_path / "table.csv"
+    emit_table(which, path)
+    rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 145
+    assert workloads._close(rows, workloads.load_golden()["tables"][str(which)])

@@ -61,15 +61,15 @@ class TestSimulate:
 
         def record(s):
             seen.append(s)
-            return False
+            return None
 
         def controller(t, x):
             record(x)
             return -x[0]
 
-        spec = SimSpec(dt=0.01, t_end=0.05, stop_success=record, stop_failure=record)
+        spec = SimSpec(dt=0.01, t_end=0.05, stop=record)
         traj = simulate(sip_plant(), controller, np.array([0.3, 0.0, 0.0, 0.0]), spec)
-        assert len(seen) == 1 + 2 * 5 + 4  # x0, both predicates per step, no control at the end
+        assert len(seen) == 1 + 5 + 4  # x0, the predicate once per step, no control at the end
         for s in seen + traj.states:
             assert type(s) is tuple and [type(v) for v in s] == [float] * 4
 
@@ -88,20 +88,26 @@ class TestSimulate:
         assert traj.states[-1][0] == pytest.approx(1.0)
 
     def test_success_checked_before_failure(self):
-        plant = PlantModel("int", lambda x, u: np.array([1.0]))
-        spec = SimSpec(dt=0.1, t_end=1.0,
-                       stop_success=lambda s: s[0] > 0.05,
-                       stop_failure=lambda s: s[0] > 0.05)
-        traj = simulate(plant, lambda t, x: 0.0, [0.0], spec)
-        assert traj.terminal_event == "success"
-        assert len(traj.times) == 2  # initial sample plus the event step
+        """The builder's stop decides priority: arrival wins over a fall at the same state."""
+        built = scenarios._BUILDERS["motorcycle_smc"]({"dt": 0.001, "t_end": 10.0, "preview": 6.0})
+        xD, yD, _ = scenarios._MOTO_POSE_D
+        assert built.stop((xD, yD, 0.0, 0.0, math.pi / 2, 0.0)) == "destination"
+        assert built.stop((xD + 1.0, yD, 0.0, 0.0, math.pi / 2, 0.0)) == "failure"
+        assert built.stop((xD + 1.0, yD, 0.0, 0.0, 0.0, 0.0)) is None
 
     def test_failure_event_recorded(self):
         plant = PlantModel("int", lambda x, u: np.array([1.0]))
-        spec = SimSpec(dt=0.1, t_end=1.0, stop_failure=lambda s: s[0] > 0.25)
+        spec = SimSpec(dt=0.1, t_end=1.0, stop=lambda s: "failure" if s[0] > 0.25 else None)
         traj = simulate(plant, lambda t, x: 0.0, [0.0], spec)
         assert traj.terminal_event == "failure"
         assert traj.times[-1] == pytest.approx(0.3)
+
+    def test_stop_names_the_event_and_ends_the_run_on_that_step(self):
+        plant = PlantModel("int", lambda x, u: np.array([1.0]))
+        spec = SimSpec(dt=0.1, t_end=1.0, stop=lambda s: "arrived" if s[0] > 0.05 else None)
+        traj = simulate(plant, lambda t, x: 0.0, [0.0], spec)
+        assert traj.terminal_event == "arrived"
+        assert len(traj.times) == 2  # initial sample plus the event step
 
     def test_deterministic_repeat(self):
         plant = sip_plant()
@@ -183,11 +189,10 @@ class TestLinearize:
     def test_point2d_analytic_matches_finite_differences(self):
         plant = point2d_plant()
         rng = np.random.default_rng(5)
-        fd = PlantModel("fd", plant.deriv)  # same dynamics, no analytic form
         for _ in range(20):
             x0 = rng.uniform(-2, 2, size=2)
-            A_an, B_an = linearize(plant, x0, [0.0])
-            A_fd, B_fd = linearize(fd, x0, [0.0])
+            A_an, B_an = plant.analytic_linearization(x0)
+            A_fd, B_fd = linearize(plant, x0, [0.0])
             assert np.abs(A_an - A_fd).max() < 1e-9
             assert np.abs(B_an - B_fd).max() < 1e-9
 

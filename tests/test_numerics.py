@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ctrlkit.numerics import induced_norm, least_squares, nnmf_rank1, qp_small
+from ctrlkit.numerics import least_squares, nnmf_rank1, qp_small
 
 
 class TestLeastSquares:
@@ -57,15 +57,6 @@ class TestNnmfRank1:
     def test_rank_two_rejected(self):
         with pytest.raises(ValueError):
             nnmf_rank1([[1.0, 0.0], [0.0, 1.0]])
-
-
-class TestNorms:
-    def test_induced_norm_is_spectral(self):
-        m = np.array([[3.0, 0.0], [0.0, -4.0]])
-        assert induced_norm(m) == pytest.approx(4.0)
-
-    def test_induced_norm_vector_as_row(self):
-        assert induced_norm([3.0, 4.0]) == pytest.approx(5.0)
 
 
 class TestQpSmall:

@@ -509,6 +509,25 @@ class TestCli:
         assert rc == 1
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("option, text, message", [
+        ("--q", "0.1\n", "Q must be 3x3, got shape (1, 1)"),
+        ("--da", "2.4\n", "dA_max must be 3x3, got shape (1, 1)"),
+        ("--db", "0.7\n", "dB_max must be 3x1, got shape (1, 1)"),
+        ("--b", "-1\n1\n", "B must be 3x1, got shape (2, 1)"),
+    ], ids=["q", "da", "db", "b"])
+    def test_robust_riccati_rejects_a_matrix_file_of_the_wrong_shape(self, tmp_path, capsys,
+                                                                      option, text, message):
+        """Each of these once broadcast into a wrong K or an unrelated numpy error."""
+        args = write_robust_riccati_files(tmp_path)
+        path = tmp_path / "wrong.txt"
+        path.write_text(text)
+        args[option] = str(path)
+        rc = main(["design", "robust-riccati", *[f"{k}={v}" for k, v in args.items()]])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("text", ["0 1\nnan 0\n", "[[0, 1], [Infinity, 0]]"])
     def test_matrix_file_rejects_non_finite_entries(self, tmp_path, capsys, text):
         a = tmp_path / "A.txt"

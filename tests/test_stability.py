@@ -134,6 +134,18 @@ class TestBauerFike:
         assert holds
         assert radius == pytest.approx(0.1, rel=1e-9)
 
+    def test_radius_is_eigenvector_condition_times_spectral_norm(self):
+        """cond(S) * ||deltaAc||_2 on a non-normal Ac0, where the Frobenius norm is sqrt(2) larger."""
+        Ac0 = np.array([[-1.0, 2.0], [0.0, -3.0]])
+        delta = np.array([[0.1, 0.05], [-0.05, 0.1]])  # two equal singular values
+        S = np.array([[1.0, 1.0], [0.0, -1.0]]) / [1.0, math.sqrt(2.0)]  # unit eigenvectors
+        kappa = np.linalg.cond(S, 2)
+        assert kappa > 2.0
+        assert np.linalg.norm(delta, "fro") > 1.4 * np.linalg.norm(delta, 2)
+        radius, holds = bauer_fike_check(Ac0, delta)
+        assert holds
+        assert radius == pytest.approx(kappa * np.linalg.norm(delta, 2), rel=1e-12)
+
     def test_containment_holds_for_random_diagonalizable_pairs(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

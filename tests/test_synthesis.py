@@ -208,6 +208,18 @@ class TestSolveCare:
         with pytest.raises(ValueError):
             solve_care([[1.0]], [[-1.0]], [[3.0]])
 
+    @pytest.mark.parametrize("A, M, Q, message", [
+        (np.eye(2), np.eye(3), np.eye(2), "M must be 2x2, got shape (3, 3)"),
+        (np.eye(2), np.eye(2), np.ones((2, 3)), "Q must be 2x2, got shape (2, 3)"),
+        (np.ones((2, 3)), np.eye(2), np.eye(2), "A must be 2x2, got shape (2, 3)"),
+    ], ids=["M", "Q", "A"])
+    def test_rejects_a_matrix_of_the_wrong_shape(self, A, M, Q, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before numpy sees the shapes
+            with pytest.raises(ValueError) as ei:
+                solve_care(A, M, Q)
+        assert str(ei.value) == message
+
     def test_non_definite_candidate_reported(self):
         out = solve_care([[-1.0]], [[1.0]], [[-0.5]])
         assert isinstance(out, CareNoSolution)
@@ -256,6 +268,27 @@ class TestRobustRiccatiGain:
             warnings.simplefilter("error")  # rejected before any division by the bar
             with pytest.raises(ValueError, match=f"^{bar} must be positive when {bound} is non-zero$"):
                 robust_riccati_gain(A, B, pendulum_bounds(), cfg)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("A", np.zeros((2, 3)), "A must be 2x2, got shape (2, 3)"),
+        ("B", [-1.0, 1.0], "B must be 3x1, got shape (2, 1)"),
+        ("dA_max", [[2.4]], "dA_max must be 3x3, got shape (1, 1)"),
+        ("dB_max", [0.7], "dB_max must be 3x1, got shape (1, 1)"),
+        ("Q", [[0.1]], "Q must be 3x3, got shape (1, 1)"),
+        ("R", np.diag([0.01, 0.01]), "R must be 1x1, got shape (2, 2)"),
+    ], ids=["A", "B", "dA_max", "dB_max", "Q", "R"])
+    def test_rejects_a_matrix_of_the_wrong_shape(self, field, value, message):
+        """numpy would broadcast each of these into a gain for some other problem."""
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
+        args = {"A": A, "B": B, "dA_max": pendulum_bounds().dA_max,
+                "dB_max": pendulum_bounds().dB_max, "Q": np.eye(3), "R": [[0.01]], field: value}
+        bounds = UncertaintyBounds(args["dA_max"], args["dB_max"])
+        cfg = RobustConfig(a_bar=300.0, b_bar=300.0, epsilon=0.01, Q=args["Q"], R=args["R"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as ei:
+                robust_riccati_gain(args["A"], args["B"], bounds, cfg)
+        assert str(ei.value) == message
 
     def test_zero_bar_with_zero_bound_is_valid(self):
         A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
