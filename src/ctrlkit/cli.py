@@ -41,7 +41,13 @@ def read_matrix_file(path):
     if text.lstrip().startswith("["):
         import json
 
-        return _finite(np.array(json.loads(text), dtype=float), path)
+        rows = json.loads(text)
+        if len({len(r) if isinstance(r, list) else None for r in rows}) > 1:
+            raise ValueError(f"rows in {path} have differing lengths")
+        m = np.array(rows, dtype=float)
+        if not m.size:
+            raise ValueError(f"no numeric rows in {path}")
+        return _finite(m, path)
     rows = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()

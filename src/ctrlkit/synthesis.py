@@ -5,6 +5,8 @@ solver built on the stable invariant subspace of the Hamiltonian, the
 rank-one-decomposition robust gain method, interval-polynomial gain
 regions, and the eigenvalue sweep tables.
 
+scipy is imported on the first Riccati solve, not with the package.
+
 Gains are plain 1-D arrays k with the single-input convention u = -k' x,
 so the closed loop is A - B k'.
 """
@@ -15,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .models import sip_design_pair, sip_frozen_coefficients
 from .numerics import nnmf_rank1
@@ -41,6 +42,11 @@ class RobustConfig:
         object.__setattr__(self, "R", np.atleast_2d(np.asarray(self.R, dtype=float)))
         if not np.linalg.eigvalsh(self.R).min() > 0:
             raise ValueError("R must be positive definite")
+        Q = self.Q
+        if Q.shape[0] == Q.shape[1]:  # robust_riccati_gain reports any other shape
+            tol = 1e-12 * np.abs(Q).max()
+            if not (np.abs(Q - Q.T).max() <= tol and np.linalg.eigvalsh(Q)[0] >= -tol):
+                raise ValueError("Q must be symmetric positive semi-definite")
 
 
 @dataclass(frozen=True)
@@ -75,12 +81,20 @@ class CareNoSolution:
 
 
 def _monic_coefficients(desired_eigs, n):
-    """Descending real coefficients of the monic polynomial with the n roots desired_eigs."""
+    """Descending real coefficients of the monic polynomial with the n roots desired_eigs.
+
+    np.poly(desired).real bit for bit: the same convolutions, without np.poly's
+    wrapper; its exact conjugate-pair test only decides a request whose
+    coefficients have an imaginary part above 1e-9.
+    """
     desired = np.asarray(desired_eigs, dtype=complex).ravel()
     if desired.size != n:
         raise ValueError("need exactly n desired eigenvalues")
-    coeffs = np.poly(desired)
-    if np.max(np.abs(coeffs.imag)) > 1e-9:
+    coeffs = np.ones(1, dtype=complex)
+    for z in desired:
+        coeffs = np.convolve(coeffs, np.array([1, -z], dtype=complex))
+    if (np.max(np.abs(coeffs.imag)) > 1e-9
+            and not np.array_equal(np.sort(desired), np.sort(desired.conj()))):
         raise ValueError("desired eigenvalues must be closed under conjugation")
     return coeffs.real
 
@@ -113,10 +127,11 @@ def design_gain_matrix(A, B, desired_eigs):
     sv = np.linalg.svd(C, compute_uv=False)
     _check_controllability(sv[0], sv[-1])
 
+    eye = np.eye(n)
     phi = np.zeros((n, n))
     for c in coeffs:
-        phi = phi @ A + c * np.eye(n)
-    return np.linalg.solve(C.T, np.eye(n)[-1]) @ phi
+        phi = phi @ A + c * eye
+    return np.linalg.solve(C.T, eye[-1]) @ phi
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,6 +170,46 @@ def _care_residual(P, A, M, Q):
     return P @ A + A.T @ P - P @ M @ P + Q
 
 
+@functools.cache
+def _lapack():
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack
+
+
+def _lhp(re, im):
+    return re < 0.0
+
+
+def _no_sort(re, im):
+    return None
+
+
+def _real_schur(a, select, sort):
+    """(T, Z, sdim) of scipy.linalg.schur(a, output="real", sort=...) by the same dgees calls."""
+    dgees = _lapack().dgees
+    lwork = int(dgees(_no_sort, a, lwork=-1)[-2][0])
+    t, sdim, _, _, z, _, info = dgees(select, a, lwork=lwork, sort_t=sort)
+    if info:
+        raise np.linalg.LinAlgError(f"real Schur form failed (LAPACK dgees info {info})")
+    return t, z, sdim
+
+
+def _lyapunov(a, q):
+    """scipy.linalg.solve_continuous_lyapunov(a, q), X with a X + X a' = q, for real square a, q."""
+    if not (np.isfinite(a).all() and np.isfinite(q).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    r, u, _ = _real_schur(a, _no_sort, 0)
+    f = u.T.dot(q.dot(u))
+    y, scale, info = _lapack().dtrsyl(r, r, f, tranb="T")
+    if info:
+        warnings.warn("Input \"a\" has an eigenvalue pair whose sum is very close to or "
+                      "exactly zero. The solution is obtained via perturbing the coefficients.",
+                      RuntimeWarning, stacklevel=2)
+    y *= scale
+    return u.dot(y).dot(u.T)
+
+
 def solve_care(A, M, Q):
     """Solve P A + A' P - P M P + Q = 0 for a symmetric positive definite P.
 
@@ -171,10 +226,14 @@ def solve_care(A, M, Q):
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     n = A.shape[0]
     _require_shape((n, n), A=A, M=M, Q=Q)
-    ham = np.block([[A, -M], [-Q, -A.T]])
+    ham = np.empty((2 * n, 2 * n))
+    ham[:n, :n] = A
+    ham[:n, n:] = -M
+    ham[n:, :n] = -Q
+    ham[n:, n:] = -A.T
     if np.min(np.abs(np.linalg.eigvals(ham).real)) <= 1e-9:
         raise ValueError("Hamiltonian has eigenvalues on the imaginary axis")
-    _, Z, sdim = scipy.linalg.schur(ham, output="real", sort="lhp")
+    _, Z, sdim = _real_schur(ham, _lhp, 1)
     if sdim != n:
         raise ValueError(f"stable Hamiltonian subspace has dimension {sdim}, expected {n}")
     X1 = Z[:n, :n]
@@ -192,7 +251,7 @@ def solve_care(A, M, Q):
         if rnorm <= target:
             break
         try:
-            delta = scipy.linalg.solve_continuous_lyapunov((A - M @ P).T, -res)
+            delta = _lyapunov((A - M @ P).T, -res)
         except Exception:
             break
         P_next = P + delta
@@ -250,7 +309,7 @@ def robust_riccati_gain(A, B, bounds, cfg):
         sigma_y = np.zeros((1, 1))
 
     r_eff = cfg.R + eps * sigma_y
-    r_inv = np.linalg.inv(r_eff)
+    r_inv = 1.0 / r_eff  # inv of the 1x1 r_eff, as LAPACK's LU solve computes it
     M = B @ r_inv @ (2 * cfg.R + eps * sigma_y) @ r_inv @ B.T - sigma_a - (1 / eps) * sigma_b
     q_sigma = sigma_x + cfg.Q
 
@@ -260,9 +319,24 @@ def robust_riccati_gain(A, B, bounds, cfg):
     return (P @ B @ r_inv).ravel()
 
 
+def _char_poly_3x3(m):
+    """[-det, sum of principal 2x2 minors, -trace, 1] of a 3x3 matrix given as rows of floats."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    minor_ei = e * i - f * h
+    det = a * minor_ei - b * (d * i - f * g) + c * (d * h - e * g)
+    return [-det, (a * e - b * d) + (a * i - c * g) + minor_ei, -(a + e + i), 1.0]
+
+
 def char_poly_ascending(m):
-    """Monic characteristic polynomial of a square matrix, ascending coeffs."""
-    return np.poly(np.atleast_2d(np.asarray(m, dtype=float)))[::-1].copy()
+    """Monic characteristic polynomial of a square matrix, ascending coeffs.
+
+    A 3x3 matrix takes the closed form of _char_poly_3x3; other sizes go
+    through np.poly (the eigenvalues).
+    """
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    if m.shape == (3, 3):
+        return np.array(_char_poly_3x3(m.tolist()))
+    return np.poly(m)[::-1].copy()
 
 
 def vertex_interval_char_poly(A_family, B_family, K):
@@ -275,13 +349,13 @@ def vertex_interval_char_poly(A_family, B_family, K):
     K = np.asarray(K, dtype=float).ravel()
     if not len(A_family) or not len(B_family):
         raise ValueError("vertex families must be non-empty")
-    coeff_rows = []
-    for A_v in A_family:
-        A_v = np.atleast_2d(np.asarray(A_v, dtype=float))
-        for B_v in B_family:
-            B_v = np.asarray(B_v, dtype=float).ravel()
-            coeff_rows.append(char_poly_ascending(A_v - np.outer(B_v, K)))
-    coeff_rows = np.array(coeff_rows)
+    A = np.array([np.atleast_2d(A_v) for A_v in A_family], dtype=float)
+    B = np.array([np.ravel(B_v) for B_v in B_family], dtype=float)
+    closed = (A[:, None] - B[None, :, :, None] * K).reshape(-1, *A.shape[1:])  # A* - B* k', all pairs
+    if closed.shape[1:] == (3, 3):
+        coeff_rows = np.array([_char_poly_3x3(m) for m in closed.tolist()])
+    else:
+        coeff_rows = np.array([char_poly_ascending(m) for m in closed])
     return IntervalPoly(coeff_rows.min(axis=0), coeff_rows.max(axis=0))
 
 

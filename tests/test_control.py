@@ -116,6 +116,7 @@ class TestAdaptiveGain:
     def test_accepts_any_sequence_of_poles_and_computes_coefficients_once(self, monkeypatch):
         K = adaptive_gain(0.3, self.POLES)
         monkeypatch.setattr(np, "poly", None)  # a per-step np.poly call would fail now
+        monkeypatch.setattr(np, "convolve", None)  # and so would _monic_coefficients
         assert adaptive_gain(0.3, list(self.POLES)).tolist() == K.tolist()
         assert adaptive_gain(0.3, np.array(self.POLES)).tolist() == K.tolist()
 

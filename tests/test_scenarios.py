@@ -528,6 +528,41 @@ class TestCli:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text", ["1 5 0\n0 1 0\n0 0 1\n", "[[-1, 0, 0], [0, 1, 0], [0, 0, 1]]"],
+                             ids=["non-symmetric", "indefinite"])
+    def test_robust_riccati_rejects_a_q_not_symmetric_positive_semi_definite(self, tmp_path,
+                                                                             capsys, text):
+        """Both once exited 0 with a gain that solves no stated problem."""
+        args = write_robust_riccati_files(tmp_path)
+        path = tmp_path / "Q.txt"
+        path.write_text(text)
+        rc = main(["design", "robust-riccati", *[f"{k}={v}" for k, v in args.items()],
+                   f"--q={path}"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: Q must be symmetric positive semi-definite\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "no numeric rows in {}"),
+        ("[[]]", "no numeric rows in {}"),
+        ("# only a comment\n", "no numeric rows in {}"),
+        ("[[1, 2], [3]]", "rows in {} have differing lengths"),
+        ("[[1, 2], 3]", "rows in {} have differing lengths"),
+        ("1 2\n3\n", "rows in {} have differing lengths"),
+    ], ids=["json-empty", "json-empty-row", "text-empty", "json-ragged", "json-mixed", "text-ragged"])
+    def test_matrix_file_rejects_empty_and_ragged_matrices(self, tmp_path, capsys, text, message):
+        a = tmp_path / "A.txt"
+        a.write_text(text)
+        with pytest.raises(ValueError) as ei:
+            read_matrix_file(a)
+        assert str(ei.value) == message.format(a)
+        args = write_robust_riccati_files(tmp_path)
+        args["--a"] = str(a)
+        rc = main(["design", "robust-riccati", *[f"{k}={v}" for k, v in args.items()]])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message.format(a)}\n"
+
     @pytest.mark.parametrize("text", ["0 1\nnan 0\n", "[[0, 1], [Infinity, 0]]"])
     def test_matrix_file_rejects_non_finite_entries(self, tmp_path, capsys, text):
         a = tmp_path / "A.txt"

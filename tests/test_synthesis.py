@@ -2,7 +2,12 @@
 gain-region checks, and the eigenvalue sweep."""
 
 import collections
+import functools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -26,7 +31,10 @@ from ctrlkit import (
 )
 from ctrlkit import control, scenarios, synthesis
 from ctrlkit.models import G, sip_design_pair, sip_frozen_coefficients
-from ctrlkit.stability import routh_stable
+from ctrlkit.stability import interval_poly_stable, routh_stable
+
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 THETA_MAX = 0.4 * math.pi
 DA21 = abs(10.0 * math.sin(THETA_MAX) / THETA_MAX - 10.0)
@@ -116,6 +124,54 @@ def _outcome(design):
         except ValueError as exc:
             return "raise", str(exc)
     return gain, [str(w.message) for w in caught]
+
+
+class TestMonicCoefficients:
+    @staticmethod
+    def np_poly_reference(desired):
+        """The np.poly form _monic_coefficients replaces, kept as its oracle."""
+        coeffs = np.poly(np.asarray(desired, dtype=complex))
+        if np.max(np.abs(coeffs.imag)) > 1e-9:
+            raise ValueError("desired eigenvalues must be closed under conjugation")
+        return coeffs.real
+
+    @staticmethod
+    def draw(rng, kind, n):
+        scale = 10.0 ** rng.integers(-2, 4)
+        if kind == "real":
+            return rng.normal(size=n) * scale
+        pairs = rng.normal(size=n // 2) * scale + 1j * rng.uniform(0.1, 1.0, size=n // 2) * scale
+        roots = np.concatenate([pairs, pairs.conj(), rng.normal(size=n % 2) * scale])
+        if kind == "near-pairs":  # off by 1e-13 relative: np.poly returns complex coefficients
+            roots = roots + 1e-13j * scale * rng.normal(size=roots.size)
+        if kind == "unpaired":
+            roots = roots + 1e-3j * scale * rng.normal(size=roots.size)
+        return rng.permutation(roots)  # split pairs leave imaginary rounding in exact-pair sums
+
+    @pytest.mark.parametrize("kind", ["real", "pairs", "near-pairs", "unpaired"])
+    def test_bit_identical_to_np_poly(self, kind):
+        rng = np.random.default_rng(["real", "pairs", "near-pairs", "unpaired"].index(kind))
+        outcomes = collections.Counter()
+        for _ in range(500):
+            n = int(rng.integers(1, 8))
+            roots = self.draw(rng, kind, n)
+            try:
+                ref = self.np_poly_reference(roots)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    synthesis._monic_coefficients(roots, n)
+                outcomes["raise"] += 1
+                continue
+            got = synthesis._monic_coefficients(list(roots), n)
+            assert got.tobytes() == ref.tobytes()
+            products = functools.reduce(np.convolve, [[1, -z] for z in roots], [1 + 0j])
+            outcomes["large-imag" if np.max(np.abs(products.imag)) > 1e-9 else "small-imag"] += 1
+        if kind == "pairs":  # exact pairs pass np.poly's own test, whatever the rounding left
+            assert outcomes["large-imag"] > 25 and not outcomes["raise"]
+        elif kind == "unpaired":
+            assert outcomes["raise"] > 400
+        else:
+            assert outcomes["small-imag"] > 250
 
 
 class TestSipPoleGain:
@@ -227,6 +283,93 @@ class TestSolveCare:
         assert out.M.shape == (1, 1)
 
 
+def robust_op_lapack_inputs(n_ops):
+    """Every Hamiltonian and Newton-step closed loop that solve_care hands to LAPACK on n_ops
+    robust operations drawn as the design workload draws them, as (Hamiltonians, [(a, q), ...])."""
+    hams, loops = [], []
+    real_schur, lyapunov = synthesis._real_schur, synthesis._lyapunov
+
+    def record_schur(a, select, sort):
+        if sort:
+            hams.append(a.copy())
+        return real_schur(a, select, sort)
+
+    def record_lyapunov(a, q):
+        loops.append((a.copy(), q.copy()))
+        return lyapunov(a, q)
+
+    rng = np.random.default_rng(9101)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "_real_schur", record_schur)
+        mp.setattr(synthesis, "_lyapunov", record_lyapunov)
+        for _ in range(n_ops):
+            workloads._run_robust({"theta_max": rng.uniform(0.3 * math.pi, 0.45 * math.pi),
+                                   "bar": rng.uniform(200.0, 400.0),
+                                   "epsilon": rng.uniform(0.005, 0.02)})
+    return hams, loops
+
+
+class TestLapackHelpers:
+    """The direct dgees/dtrsyl calls of solve_care against scipy, the oracle, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def workload_inputs(self):
+        # make_inputs("design", seed) would spend 0.7 s on the placement draws first
+        hams, loops = robust_op_lapack_inputs(300)
+        assert len(hams) > 250 and len(loops) > 250
+        return hams, loops
+
+    @staticmethod
+    def random_inputs(n_draws=200):
+        rng = np.random.default_rng(16)
+        for _ in range(n_draws):
+            n = int(rng.integers(1, 7))
+            yield rng.normal(size=(n, n)), rng.normal(size=(n, n))
+
+    @staticmethod
+    def assert_schur_matches_scipy(ham):
+        T, Z, sdim = synthesis._real_schur(ham, synthesis._lhp, 1)
+        T_ref, Z_ref, sdim_ref = scipy.linalg.schur(ham, output="real", sort="lhp")
+        assert sdim == sdim_ref
+        assert np.array_equal(T, T_ref) and np.array_equal(Z, Z_ref)
+
+    def test_stable_schur_equals_scipy_on_workload_hamiltonians(self, workload_inputs):
+        for ham in workload_inputs[0]:
+            self.assert_schur_matches_scipy(ham)
+
+    def test_stable_schur_equals_scipy_on_random_matrices(self):
+        for a, _ in self.random_inputs():
+            self.assert_schur_matches_scipy(a)
+
+    def test_lyapunov_equals_scipy_on_workload_closed_loops(self, workload_inputs):
+        for a, q in workload_inputs[1]:
+            assert np.array_equal(synthesis._lyapunov(a, q),
+                                  scipy.linalg.solve_continuous_lyapunov(a, q))
+
+    def test_lyapunov_equals_scipy_on_random_matrices(self):
+        for a, q in self.random_inputs():
+            # the transposed view is the layout solve_care passes
+            for a_in in (a, a.T):
+                assert np.array_equal(synthesis._lyapunov(a_in, q),
+                                      scipy.linalg.solve_continuous_lyapunov(a_in, q))
+
+    def test_lyapunov_rejects_non_finite_input(self):
+        with pytest.raises(ValueError):
+            synthesis._lyapunov(np.array([[np.nan]]), np.eye(1))
+        with pytest.raises(ValueError):
+            synthesis._lyapunov(-np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_importing_ctrlkit_leaves_scipy_unloaded():
+    src = str(pathlib.Path(synthesis.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, ctrlkit\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestRobustRiccatiGain:
     def test_zero_bounds_reduces_to_double_effort_lqr(self):
         A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
@@ -305,6 +448,21 @@ class TestRobustRiccatiGain:
         with pytest.raises(ValueError, match="^R must be positive definite$"):
             RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01, Q=np.eye(3), R=R)
 
+    @pytest.mark.parametrize("Q", [[[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                                   np.diag([-1.0, 1.0, 1.0]), [[np.nan, 0.0], [0.0, 1.0]]],
+                             ids=["non-symmetric", "indefinite", "nan"])
+    def test_config_rejects_q_not_symmetric_positive_semi_definite(self, Q):
+        with pytest.raises(ValueError, match="^Q must be symmetric positive semi-definite$"):
+            RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01, Q=Q, R=[[0.01]])
+
+    def test_config_accepts_q_semi_definite_up_to_rounding(self):
+        rng = np.random.default_rng(3)
+        C = rng.normal(size=(2, 3))
+        almost = C.T @ C  # rank 2: its smallest eigenvalue is zero up to rounding
+        almost[0, 1] += 1e-14 * np.abs(almost).max()
+        for Q in (np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0]), almost):
+            RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01, Q=Q, R=[[0.01]])
+
     def test_config_and_bounds_validation(self):
         with pytest.raises(ValueError):
             RobustConfig(a_bar=-1.0, b_bar=1.0, epsilon=0.01, Q=np.eye(3), R=[[0.01]])
@@ -318,6 +476,36 @@ class TestCharPolyAndVertexFamilies:
     def test_char_poly_ascending_quadratic(self):
         m = [[0.0, 1.0], [-6.0, -5.0]]
         assert char_poly_ascending(m) == pytest.approx([6.0, 5.0, 1.0])
+
+    @staticmethod
+    def leverrier(m):
+        """Ascending characteristic coefficients by Faddeev-LeVerrier in exact integers."""
+        n = len(m)
+        coeffs = [1]
+        M = [[0] * n for _ in range(n)]
+        for k in range(1, n + 1):
+            M = [[sum(m[i][t] * M[t][j] for t in range(n)) + (coeffs[-1] if i == j else 0)
+                  for j in range(n)] for i in range(n)]
+            trace = sum(m[i][t] * M[t][i] for i in range(n) for t in range(n))
+            assert trace % k == 0
+            coeffs.append(-trace // k)
+        return coeffs[::-1]
+
+    def test_char_poly_ascending_3x3_exact_on_integer_matrices(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            m = rng.integers(-9, 10, size=(3, 3))
+            got = char_poly_ascending(m)
+            assert got.tolist() == [float(c) for c in self.leverrier(m.tolist())]
+
+    def test_char_poly_ascending_3x3_matches_np_poly(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            m = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-2, 3)
+            ref = np.poly(m)[::-1]
+            got = char_poly_ascending(m)
+            assert got.shape == (4,) and got[-1] == 1.0
+            assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
     def test_vertex_interval_covers_all_pairs(self):
         A_family = [np.array([[0.0, 1.0], [-a, 0.0]]) for a in (1.0, 2.0)]
@@ -377,6 +565,21 @@ class TestGainRegion:
         for _ in range(200):
             K = rng.uniform(-200.0, 5.0, size=3)
             assert sip_region_feasible(K, a_lo, a_hi, b_lo, b_hi) == corners_stable(K)
+
+    def test_kharitonov_verdict_matches_closed_form_on_the_workload_family(self):
+        """The design workload's region operation: 5,000 gains of its draw, its parameter box."""
+        a_lo, a_hi, b_lo, b_hi = workloads.REGION
+        A_family = [np.array([[0.0, 1.0, 0.0], [a, 0.0, 0.0], [0.0, 0.0, 0.0]]) for a in (a_lo, a_hi)]
+        B_family = [np.array([0.0, -b, 1.0]) for b in (b_lo, b_hi)]
+        rng = np.random.default_rng(23)
+        verdicts = collections.Counter()
+        for _ in range(5000):
+            K = rng.uniform(-200.0, 5.0, size=3)
+            feasible = sip_region_feasible(K, a_lo, a_hi, b_lo, b_hi)
+            ip = vertex_interval_char_poly(A_family, B_family, K)
+            assert interval_poly_stable(ip) == feasible
+            verdicts[feasible] += 1
+        assert min(verdicts.values()) > 200  # both verdicts are well represented
 
 
 class TestPartialDesignModel:
