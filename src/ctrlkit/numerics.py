@@ -1,14 +1,15 @@
 """Small dense linear-algebra helpers and a tiny quadratic-program solver.
 
-Everything operates on plain numpy arrays and is deterministic: the
-rank-one factorization is closed form, and the QP solver enumerates active
-sets exhaustively instead of iterating.
+Everything is deterministic: the rank-one factorization is closed form,
+worked on Python floats (each entry rounded once, as numpy rounds it), and
+the QP solver enumerates active sets exhaustively instead of iterating.
 
 qp_small is the general solver for QPs of up to 3 variables and 4 rows.
 No simulation step calls it: control.clf_cbf_step solves its 2-variable
 program in closed form, and qp_small is the reference it is tested against.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -38,25 +39,35 @@ def nnmf_rank1(m):
     exactly 1, so w carries the magnitude.  The zero matrix maps to w = 0
     and h = [1, 0, ..., 0].
 
-    Raises ValueError for negative entries or numerical rank above one.
+    Raises ValueError for an empty matrix, non-finite or negative entries,
+    or numerical rank above one.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("input must be a 2-D matrix")
-    if (m < 0).any():
+    if not m.size:
+        raise ValueError("matrix must not be empty")
+    rows = m.tolist()
+    entries = [v for row in rows for v in row]
+    if not all(map(math.isfinite, entries)):
+        raise ValueError("matrix must be finite")
+    if any(v < 0 for v in entries):
         raise ValueError("matrix must be element-wise non-negative")
-    if not m.any():
+    peak = max(entries)
+    if not peak:
         h = np.zeros(m.shape[1])
         h[0] = 1.0
         return np.zeros(m.shape[0]), h
-    # The global maximum entry sits at the crossing of the dominant row and
-    # column; scaling that row to peak 1 fixes the normalization.
-    i, j = np.unravel_index(int(np.argmax(m)), m.shape)
-    h = m[i, :] / m[i, j]
-    w = m[:, j].copy()
-    if np.max(np.abs(np.outer(w, h) - m)) > 1e-9 * max(1.0, m[i, j]):
+    # The first maximum entry in row-major order (np.argmax's pick) sits at the
+    # crossing of the dominant row and column; scaling that row to peak 1 fixes
+    # the normalization.
+    i, j = divmod(entries.index(peak), m.shape[1])
+    h = [v / peak for v in rows[i]]
+    w = [row[j] for row in rows]
+    residual = max(abs(w_r * h_c - v) for w_r, row in zip(w, rows) for h_c, v in zip(h, row))
+    if residual > 1e-9 * max(1.0, peak):
         raise ValueError("matrix has numerical rank above one; split it into rank-one terms")
-    return w, h
+    return np.array(w), np.array(h)
 
 
 def qp_small(H, c, A_ineq=None, b_ineq=None):

@@ -6,6 +6,7 @@ pendulum closed-loop deviation it is applied to.
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -16,24 +17,36 @@ from .models import G
 _ZERO_PIVOT = 1e-12
 
 
+def _floats(values):
+    """values as a flat list of Python floats, read as np.asarray(values, dtype=float).ravel() reads them."""
+    if type(values) in (list, tuple) and all(type(v) is float for v in values):
+        return list(values)  # already floats, e.g. the lists this package passes itself
+    return np.asarray(values, dtype=float).ravel().tolist()
+
+
 @dataclass(frozen=True)
 class IntervalPoly:
-    """Coefficient box a_i in [lower_i, upper_i], ascending degree."""
+    """Coefficient box a_i in [lower_i, upper_i], ascending degree, kept as tuples of floats."""
 
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: tuple
+    upper: tuple
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != hi.shape:
+        lo = _floats(self.lower)
+        hi = _floats(self.upper)
+        if len(lo) != len(hi):
             raise ValueError("coefficient intervals must have equal degree")
-        if (lo > hi).any():
+        if not lo:
+            raise ValueError("an interval polynomial needs at least one coefficient")
+        for name, bounds in (("lower", lo), ("upper", hi)):
+            if not all(map(math.isfinite, bounds)):
+                raise ValueError(f"{name} must be finite")
+        if not all(map(operator.le, lo, hi)):
             raise ValueError("lower must be coefficient-wise <= upper")
         if lo[-1] <= 0.0 <= hi[-1]:
             raise ValueError("leading-coefficient interval must exclude zero")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "lower", tuple(lo))
+        object.__setattr__(self, "upper", tuple(hi))
 
 
 @dataclass(frozen=True)
@@ -48,43 +61,48 @@ def routh_stable(p):
 
     A negative leading coefficient is normalized away by negating the whole
     polynomial.  A pivot smaller than 1e-12 in magnitude marks the array
-    degenerate and the polynomial not (strictly) stable.
+    degenerate and the polynomial not (strictly) stable; the rows it leaves
+    uncomputed count as 0.0 in first_column.  The array is built one row of
+    Python floats at a time, each entry (pivot*a - b*c) / pivot rounded as
+    numpy rounds it.
     """
-    c = np.atleast_1d(np.asarray(p, dtype=float)).ravel()
-    while c.size and c[-1] == 0.0:
-        c = c[:-1]
-    if c.size == 0:
+    c = _floats(p)
+    while c and c[-1] == 0.0:
+        c.pop()
+    if not c:
         raise ValueError("zero polynomial has no Routh array")
-    if c.size == 1:
+    if len(c) == 1:
         raise ValueError("degree must be at least 1")
     if c[-1] < 0:
-        c = -c
+        c = [-v for v in c]
     d = c[::-1]  # descending
-    n = d.size - 1
+    n = len(d) - 1
     width = (n + 2) // 2
-    rows = np.zeros((n + 1, width))
-    rows[0, : (n + 2) // 2] = d[0::2]
-    rows[1, : (n + 1) // 2] = d[1::2]
+    above, row = d[0::2], d[1::2]
+    row += [0.0] * (width - len(row))
+    first_column = [above[0], row[0]]
     degenerate = False
-    for i in range(2, n + 1):
-        pivot = rows[i - 1, 0]
+    for _ in range(2, n + 1):
+        pivot = row[0]
         if abs(pivot) < _ZERO_PIVOT:
             degenerate = True
             break
-        for j in range(width - 1):
-            rows[i, j] = (pivot * rows[i - 2, j + 1] - rows[i - 2, 0] * rows[i - 1, j + 1]) / pivot
-    first_column = [float(v) for v in rows[:, 0]]
+        lead = above[0]
+        above, row = row, [(pivot * above[j + 1] - lead * row[j + 1]) / pivot
+                           for j in range(width - 1)] + [0.0]
+        first_column.append(row[0])
+    first_column += [0.0] * (n + 1 - len(first_column))
     stable = (not degenerate) and all(v > 0 for v in first_column)
     return RouthResult(stable=stable, first_column=first_column, degenerate=degenerate)
 
 
 # Kharitonov coefficient patterns: which residues of the index (mod 4) take
 # the lower bound; the rest take the upper bound.
-_KHARITONOV_LOWER = ({0, 1}, {0, 3}, {1, 2}, {2, 3})
+_KHARITONOV_LOWER = ((0, 1), (0, 3), (1, 2), (2, 3))
 
 
 def kharitonov_polys(ip):
-    """The four bounding polynomials of an interval polynomial.
+    """The four bounding polynomials of an interval polynomial, as lists of floats.
 
     Ascending coefficients; the patterns repeat with period 4:
     K1=(lo,lo,hi,hi,...), K2=(lo,hi,hi,lo,...), K3=(hi,lo,lo,hi,...),
@@ -92,9 +110,10 @@ def kharitonov_polys(ip):
     """
     polys = []
     for lower_at in _KHARITONOV_LOWER:
-        coeffs = np.array([ip.lower[i] if i % 4 in lower_at else ip.upper[i]
-                           for i in range(ip.lower.size)])
-        polys.append(coeffs)
+        k = list(ip.upper)
+        for r in lower_at:
+            k[r::4] = ip.lower[r::4]
+        polys.append(k)
     return polys
 
 

@@ -12,7 +12,9 @@ so the closed loop is A - B k'.
 """
 
 import functools
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +22,19 @@ import numpy as np
 
 from .models import sip_design_pair, sip_frozen_coefficients
 from .numerics import nnmf_rank1
-from .stability import IntervalPoly
+from .stability import IntervalPoly, _floats
+
+
+def _all_finite(a):
+    """True iff no entry of the real array a is nan or infinite."""
+    return all(map(math.isfinite, a.ravel().tolist()))
+
+
+def _require_finite(**arrays):
+    """ValueError naming the first array with a nan or infinite entry."""
+    for name, a in arrays.items():
+        if not _all_finite(a):
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -34,18 +48,24 @@ class RobustConfig:
     R: np.ndarray  # 1x1 for single input
 
     def __post_init__(self):
+        for name in ("a_bar", "b_bar", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.a_bar < 0 or self.b_bar < 0:
             raise ValueError("a_bar and b_bar must be non-negative")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         object.__setattr__(self, "Q", np.atleast_2d(np.asarray(self.Q, dtype=float)))
         object.__setattr__(self, "R", np.atleast_2d(np.asarray(self.R, dtype=float)))
-        if not np.linalg.eigvalsh(self.R).min() > 0:
+        Q, R = self.Q, self.R
+        # robust_riccati_gain reports a Q or R that is not square by its shape; a nan or
+        # infinite entry fails both tests; LAPACK's eigenvalue of a 1x1 matrix is its entry
+        if R.shape[0] == R.shape[1] and not (
+                _all_finite(R) and (R[0, 0] > 0 if R.shape == (1, 1) else np.linalg.eigvalsh(R).min() > 0)):
             raise ValueError("R must be positive definite")
-        Q = self.Q
-        if Q.shape[0] == Q.shape[1]:  # robust_riccati_gain reports any other shape
+        if Q.shape[0] == Q.shape[1]:
             tol = 1e-12 * np.abs(Q).max()
-            if not (np.abs(Q - Q.T).max() <= tol and np.linalg.eigvalsh(Q)[0] >= -tol):
+            if not (_all_finite(Q) and np.abs(Q - Q.T).max() <= tol and np.linalg.eigvalsh(Q)[0] >= -tol):
                 raise ValueError("Q must be symmetric positive semi-definite")
 
 
@@ -61,7 +81,8 @@ class UncertaintyBounds:
         dB = np.asarray(self.dB_max, dtype=float)
         if dB.ndim == 1:
             dB = dB.reshape(-1, 1)
-        if (dA < 0).any() or (dB < 0).any():
+        _require_finite(dA_max=dA, dB_max=dB)
+        if any(v < 0 for v in dA.ravel().tolist() + dB.ravel().tolist()):
             raise ValueError("uncertainty bounds must be non-negative")
         object.__setattr__(self, "dA_max", dA)
         object.__setattr__(self, "dB_max", dB)
@@ -90,10 +111,15 @@ def _monic_coefficients(desired_eigs, n):
     desired = np.asarray(desired_eigs, dtype=complex).ravel()
     if desired.size != n:
         raise ValueError("need exactly n desired eigenvalues")
+    if not _all_finite(desired.view(float)):  # the real and imaginary parts, interleaved
+        raise ValueError("desired_eigs must be finite")
+    factors = np.empty((n, 2), dtype=complex)  # row i holds (1, -z_i)
+    factors[:, 0] = 1
+    factors[:, 1] = -desired
     coeffs = np.ones(1, dtype=complex)
-    for z in desired:
-        coeffs = np.convolve(coeffs, np.array([1, -z], dtype=complex))
-    if (np.max(np.abs(coeffs.imag)) > 1e-9
+    for factor in factors:
+        coeffs = np.convolve(coeffs, factor)
+    if (np.abs(coeffs.imag).max() > 1e-9
             and not np.array_equal(np.sort(desired), np.sort(desired.conj()))):
         raise ValueError("desired eigenvalues must be closed under conjugation")
     return coeffs.real
@@ -111,26 +137,30 @@ def design_gain_matrix(A, B, desired_eigs):
     """Single-input pole placement (Ackermann), u = -k' x convention.
 
     Eigenvalues of A - B k' match desired_eigs; the request must be closed
-    under conjugation.
+    under conjugation.  A, B and desired_eigs must be finite (ValueError
+    naming the one that is not).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float).ravel()
     n = A.shape[0]
     if A.shape != (n, n) or B.size != n:
         raise ValueError("A must be n x n and B length n")
+    _require_finite(A=A, B=B)
     coeffs = _monic_coefficients(desired_eigs, n)
 
-    cols = [B]
-    for _ in range(n - 1):
-        cols.append(A @ cols[-1])
-    C = np.column_stack(cols)
+    C = np.empty((n, n), order="F")  # [B, AB, ..., A^(n-1) B], column by column
+    C[:, 0] = B
+    for k in range(1, n):
+        np.matmul(A, C[:, k - 1], out=C[:, k])
     sv = np.linalg.svd(C, compute_uv=False)
     _check_controllability(sv[0], sv[-1])
 
+    # Horner's phi(A) = (...(A + c1 I) A + ...) + cn I; its first step, 0 A + 1 I,
+    # is I exactly for a finite A, so the loop starts there.
     eye = np.eye(n)
-    phi = np.zeros((n, n))
-    for c in coeffs:
-        phi = phi @ A + c * eye
+    phi = eye
+    for c_eye in coeffs[1:, None, None] * eye:
+        phi = phi @ A + c_eye
     return np.linalg.solve(C.T, eye[-1]) @ phi
 
 
@@ -185,11 +215,15 @@ def _no_sort(re, im):
     return None
 
 
+@functools.cache
+def _dgees_lwork(n):
+    """dgees's optimal workspace for an n x n matrix; the query reads the size only, never the entries."""
+    return int(_lapack().dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
+
+
 def _real_schur(a, select, sort):
-    """(T, Z, sdim) of scipy.linalg.schur(a, output="real", sort=...) by the same dgees calls."""
-    dgees = _lapack().dgees
-    lwork = int(dgees(_no_sort, a, lwork=-1)[-2][0])
-    t, sdim, _, _, z, _, info = dgees(select, a, lwork=lwork, sort_t=sort)
+    """(T, Z, sdim) of scipy.linalg.schur(a, output="real", sort=...) by the same dgees call and lwork."""
+    t, sdim, _, _, z, _, info = _lapack().dgees(select, a, lwork=_dgees_lwork(a.shape[0]), sort_t=sort)
     if info:
         raise np.linalg.LinAlgError(f"real Schur form failed (LAPACK dgees info {info})")
     return t, z, sdim
@@ -197,7 +231,7 @@ def _real_schur(a, select, sort):
 
 def _lyapunov(a, q):
     """scipy.linalg.solve_continuous_lyapunov(a, q), X with a X + X a' = q, for real square a, q."""
-    if not (np.isfinite(a).all() and np.isfinite(q).all()):
+    if not (_all_finite(a) and _all_finite(q)):
         raise ValueError("array must not contain infs or NaNs")
     r, u, _ = _real_schur(a, _no_sort, 0)
     f = u.T.dot(q.dot(u))
@@ -231,7 +265,7 @@ def solve_care(A, M, Q):
     ham[:n, n:] = -M
     ham[n:, :n] = -Q
     ham[n:, n:] = -A.T
-    if np.min(np.abs(np.linalg.eigvals(ham).real)) <= 1e-9:
+    if np.abs(np.linalg.eigvals(ham).real).min() <= 1e-9:
         raise ValueError("Hamiltonian has eigenvalues on the imaginary axis")
     _, Z, sdim = _real_schur(ham, _lhp, 1)
     if sdim != n:
@@ -275,7 +309,8 @@ def robust_riccati_gain(A, B, bounds, cfg):
     four auxiliary matrices, assembles M and Q_sigma, solves the Riccati
     equation, and returns k = P B (R + eps*Sigma_y)^-1 as a 1-D gain.
 
-    A, dA_max and Q must be n x n, B and dB_max n x 1, R 1 x 1 (ValueError otherwise).
+    A, dA_max and Q must be n x n, B and dB_max n x 1, R 1 x 1, and A and B
+    finite (ValueError otherwise).
     Returns a CareNoSolution (carrying the assembled M and Q_sigma) when no
     positive definite P exists, so the caller can retune.
     """
@@ -285,6 +320,7 @@ def robust_riccati_gain(A, B, bounds, cfg):
     _require_shape((n, n), A=A, dA_max=bounds.dA_max, Q=cfg.Q)
     _require_shape((n, 1), B=B, dB_max=bounds.dB_max)
     _require_shape((1, 1), R=cfg.R)
+    _require_finite(A=A, B=B)
     eps = cfg.epsilon
 
     if bounds.dA_max.any():
@@ -292,8 +328,8 @@ def robust_riccati_gain(A, B, bounds, cfg):
             raise ValueError("a_bar must be positive when dA_max is non-zero")
         w, h = nnmf_rank1(bounds.dA_max)
         a1 = w / cfg.a_bar
-        sigma_a = cfg.a_bar * np.outer(a1, a1)
-        sigma_x = cfg.a_bar * np.outer(h, h)
+        sigma_a = cfg.a_bar * np.multiply.outer(a1, a1)
+        sigma_x = cfg.a_bar * np.multiply.outer(h, h)
     else:
         sigma_a = np.zeros((n, n))
         sigma_x = np.zeros((n, n))
@@ -302,8 +338,8 @@ def robust_riccati_gain(A, B, bounds, cfg):
             raise ValueError("b_bar must be positive when dB_max is non-zero")
         wb, hb = nnmf_rank1(bounds.dB_max)
         b1 = wb / cfg.b_bar
-        sigma_b = cfg.b_bar * np.outer(b1, b1)
-        sigma_y = cfg.b_bar * np.outer(hb, hb)
+        sigma_b = cfg.b_bar * np.multiply.outer(b1, b1)
+        sigma_y = cfg.b_bar * np.multiply.outer(hb, hb)
     else:
         sigma_b = np.zeros((n, n))
         sigma_y = np.zeros((1, 1))
@@ -320,8 +356,8 @@ def robust_riccati_gain(A, B, bounds, cfg):
 
 
 def _char_poly_3x3(m):
-    """[-det, sum of principal 2x2 minors, -trace, 1] of a 3x3 matrix given as rows of floats."""
-    (a, b, c), (d, e, f), (g, h, i) = m
+    """[-det, sum of principal 2x2 minors, -trace, 1] of a 3x3 matrix given as 9 floats, row by row."""
+    a, b, c, d, e, f, g, h, i = m
     minor_ei = e * i - f * h
     det = a * minor_ei - b * (d * i - f * g) + c * (d * h - e * g)
     return [-det, (a * e - b * d) + (a * i - c * g) + minor_ei, -(a + e + i), 1.0]
@@ -335,8 +371,16 @@ def char_poly_ascending(m):
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape == (3, 3):
-        return np.array(_char_poly_3x3(m.tolist()))
+        return np.array(_char_poly_3x3(m.ravel().tolist()))
     return np.poly(m)[::-1].copy()
+
+
+def _finite_floats(values, name):
+    """values as a flat list of Python floats; ValueError naming them if one is nan or infinite."""
+    floats = _floats(values)
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"{name} must be finite")
+    return floats
 
 
 def vertex_interval_char_poly(A_family, B_family, K):
@@ -344,19 +388,34 @@ def vertex_interval_char_poly(A_family, B_family, K):
 
     Every A* from A_family is paired with every B* from B_family; the
     characteristic polynomial of A* - B* k' is evaluated at each pair and
-    coefficient-wise min/max become the interval polynomial.
+    coefficient-wise min/max become the interval polynomial.  With n = len(K),
+    each A* must be n x n and each B* must have n entries.
+
+    The closed loops and the box are worked on Python floats: each entry
+    a - b*k is rounded as numpy's broadcast rounds it, and of entries that
+    compare equal (0.0 and -0.0) min and max keep the last, as numpy's
+    reduction over the pairs does.
     """
-    K = np.asarray(K, dtype=float).ravel()
+    k = _finite_floats(K, "K")
+    n = len(k)
     if not len(A_family) or not len(B_family):
         raise ValueError("vertex families must be non-empty")
-    A = np.array([np.atleast_2d(A_v) for A_v in A_family], dtype=float)
-    B = np.array([np.ravel(B_v) for B_v in B_family], dtype=float)
-    closed = (A[:, None] - B[None, :, :, None] * K).reshape(-1, *A.shape[1:])  # A* - B* k', all pairs
-    if closed.shape[1:] == (3, 3):
-        coeff_rows = np.array([_char_poly_3x3(m) for m in closed.tolist()])
+    A_arrays = [np.asarray(A_v, dtype=float) for A_v in A_family]
+    B_arrays = [np.asarray(B_v, dtype=float).ravel() for B_v in B_family]
+    if any(A_v.shape != (n, n) for A_v in A_arrays) or any(B_v.size != n for B_v in B_arrays):
+        raise ValueError(f"each A* must be {n}x{n} and each B* must have {n} entries, with n = len(K)")
+    # the closed loops A* - B* k', row by row: one rounding per product, one per difference
+    BK = [[b * k_c for b in B_v.tolist() for k_c in k] for B_v in B_arrays]
+    closed = [list(map(operator.sub, A_v, bk))
+              for A_v in [A_v.ravel().tolist() for A_v in A_arrays] for bk in BK]
+    if n == 3:
+        coeff_rows = list(map(_char_poly_3x3, closed))
     else:
-        coeff_rows = np.array([char_poly_ascending(m) for m in closed])
-    return IntervalPoly(coeff_rows.min(axis=0), coeff_rows.max(axis=0))
+        coeff_rows = [char_poly_ascending(np.reshape(m, (n, n))).tolist() for m in closed]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(coeff_rows))):
+        raise ValueError("the vertex families give a non-finite characteristic coefficient")
+    columns = list(zip(*reversed(coeff_rows)))  # last pair first: min and max keep the first of equals
+    return IntervalPoly(list(map(min, columns)), list(map(max, columns)))
 
 
 def sip_region_bounds(K, a_hi, b_lo):
@@ -366,14 +425,16 @@ def sip_region_bounds(K, a_hi, b_lo):
     k3 < 0, k2 < k2_bound; None past its first failing inequality.  k1_bound is
     -inf, its limit, where rounding leaves its denominator at or below 0.
     """
-    k1, k2, k3 = np.asarray(K, dtype=float).ravel()
+    k1, k2, k3 = _finite_floats(K, "K")
+    if not b_lo > 0:
+        raise ValueError("b_lo must be positive")
     if not k3 < 0:
         return None, None
     k2_bound = float(k3 / b_lo)
     if not k2 < k2_bound:
         return k2_bound, None
     denominator = -b_lo * k2 + k3
-    return k2_bound, float(a_hi * k2 / denominator) if denominator > 0 else -np.inf
+    return k2_bound, float(a_hi * k2 / denominator) if denominator > 0 else -math.inf
 
 
 def sip_region_feasible(K, a_lo, a_hi, b_lo, b_hi):
@@ -384,11 +445,13 @@ def sip_region_feasible(K, a_lo, a_hi, b_lo, b_hi):
     fails — the reduction of the eight vertex Routh inequalities over a in
     [a_lo, a_hi], b in [b_lo, b_hi].
     """
+    if not all(map(math.isfinite, (a_lo, a_hi, b_lo, b_hi))):
+        raise ValueError("parameter bounds must be finite")
     if not (0 < b_lo <= b_hi and 0 < a_lo <= a_hi):
         raise ValueError("parameter bounds must be positive and ordered")
-    k1 = np.asarray(K, dtype=float).ravel()[0]
-    k1_bound = sip_region_bounds(K, a_hi, b_lo)[1]
-    return k1_bound is not None and bool(k1 < k1_bound)
+    k = _finite_floats(K, "K")
+    k1_bound = sip_region_bounds(k, a_hi, b_lo)[1]
+    return k1_bound is not None and k[0] < k1_bound
 
 
 def eig_sweep(K, theta_grid):

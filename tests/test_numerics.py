@@ -58,6 +58,67 @@ class TestNnmfRank1:
         with pytest.raises(ValueError):
             nnmf_rank1([[1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="^matrix must be finite$"):
+            nnmf_rank1([[1.0, 0.0], [bad, 0.0]])
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^matrix must not be empty$"):
+            nnmf_rank1(np.zeros((2, 0)))
+
+    @staticmethod
+    def nnmf_numpy(m):
+        """The numpy factorization nnmf_rank1 replaced, kept as its bit-for-bit oracle.
+
+        (w, h), or the ValueError message for a valid-shaped finite input.
+        """
+        m = np.asarray(m, dtype=float)
+        if (m < 0).any():
+            return "matrix must be element-wise non-negative"
+        if not m.any():
+            h = np.zeros(m.shape[1])
+            h[0] = 1.0
+            return np.zeros(m.shape[0]), h
+        i, j = np.unravel_index(int(np.argmax(m)), m.shape)
+        h = m[i, :] / m[i, j]
+        w = m[:, j].copy()
+        if np.max(np.abs(np.outer(w, h) - m)) > 1e-9 * max(1.0, m[i, j]):
+            return "matrix has numerical rank above one; split it into rank-one terms"
+        return w, h
+
+    def test_bit_identical_to_the_numpy_factorization(self):
+        """Ties for the maximum, zero rows and columns, signed zeros, the zero matrix, rank above one."""
+        rng = np.random.default_rng(1702)
+        levels = np.array([0.0, -0.0, 0.5, 1.0, 3.0])
+        seen = set()
+        for _ in range(400):
+            shape = tuple(rng.integers(1, 5, size=2))
+            kind = int(rng.integers(5))
+            if kind == 0:
+                m = np.zeros(shape) * rng.choice([1.0, -1.0])
+            elif kind == 1:  # rank above one
+                m = rng.uniform(0.0, 2.0, size=shape)
+            elif kind == 2:  # rank one but for one entry
+                m = np.outer(rng.choice(levels, shape[0]), rng.choice(levels, shape[1]))
+                m[tuple(rng.integers(0, shape))] += rng.choice([1e-12, 1e-6])
+            elif kind == 3:  # a negative entry
+                m = rng.uniform(0.0, 2.0, size=shape)
+                m[tuple(rng.integers(0, shape))] = -0.5
+            else:  # exact rank one with tied maxima and zero rows
+                scale = rng.uniform(0.5, 2.0)
+                m = np.outer(rng.choice(levels, shape[0]), rng.choice(levels, shape[1]) * scale)
+            ref = self.nnmf_numpy(m)
+            if isinstance(ref, str):
+                with pytest.raises(ValueError, match=f"^{ref}$"):
+                    nnmf_rank1(m)
+                seen.add(ref)
+                continue
+            w, h = nnmf_rank1(m)
+            assert w.tobytes() == ref[0].tobytes() and h.tobytes() == ref[1].tobytes()
+            seen.add("tie" if (m == m.max()).sum() > 1 and m.max() > 0 else "zero" if not m.any() else "one")
+        assert len(seen) == 5
+
 
 class TestQpSmall:
     def test_unconstrained_minimum(self):

@@ -1,8 +1,10 @@
 """Tests for interval polynomials, Routh arrays, Kharitonov vertices, and
 eigenvalue-perturbation bounds."""
 
+import collections
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -31,6 +33,19 @@ class TestIntervalTypes:
     def test_interval_poly_accepts_negative_leading_interval(self):
         ip = IntervalPoly(lower=[1.0, 1.0, -2.0], upper=[2.0, 2.0, -1.0])
         assert ip.upper[-1] == -1.0
+
+    def test_interval_poly_keeps_tuples_of_floats(self):
+        ip = IntervalPoly(lower=np.array([1, 2, 1]), upper=(2.0, np.float64(3.0), 1))
+        assert ip.lower == (1.0, 2.0, 1.0) and ip.upper == (2.0, 3.0, 1.0)
+        assert all(type(v) is float for v in ip.lower + ip.upper)
+
+    @pytest.mark.parametrize("field", ["lower", "upper"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_interval_poly_rejects_non_finite_bounds(self, field, bad):
+        bounds = {"lower": [-1.0, -1.0, -1.0, 1.0], "upper": [1.0, 1.0, 1.0, 1.0]}
+        bounds[field][1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            IntervalPoly(**bounds)
 
 
 class TestRouthStable:
@@ -81,6 +96,91 @@ class TestRouthStable:
                 continue  # too close to the imaginary axis to trust either side
             assert routh_stable(c).stable == bool(np.all(r.real < 0))
             checked += 1
+
+
+def routh_numpy(p):
+    """The numpy Routh array routh_stable replaced, kept as its bit-for-bit oracle.
+
+    (stable, first_column, degenerate) or the ValueError message.
+    """
+    c = np.atleast_1d(np.asarray(p, dtype=float)).ravel()
+    while c.size and c[-1] == 0.0:
+        c = c[:-1]
+    if c.size == 0:
+        return "zero polynomial has no Routh array"
+    if c.size == 1:
+        return "degree must be at least 1"
+    if c[-1] < 0:
+        c = -c
+    d = c[::-1]
+    n = d.size - 1
+    width = (n + 2) // 2
+    rows = np.zeros((n + 1, width))
+    rows[0, : (n + 2) // 2] = d[0::2]
+    rows[1, : (n + 1) // 2] = d[1::2]
+    degenerate = False
+    for i in range(2, n + 1):
+        pivot = rows[i - 1, 0]
+        if abs(pivot) < 1e-12:
+            degenerate = True
+            break
+        for j in range(width - 1):
+            rows[i, j] = (pivot * rows[i - 2, j + 1] - rows[i - 2, 0] * rows[i - 1, j + 1]) / pivot
+    first_column = [float(v) for v in rows[:, 0]]
+    return (not degenerate) and all(v > 0 for v in first_column), first_column, degenerate
+
+
+def routh_draws(n_draws):
+    """Degrees 1-6: uniform and small-integer coefficients (exact zero pivots), with
+    signed zeros, nan, pivots just under 1e-12 and trailing zeros mixed in."""
+    rng = np.random.default_rng(1701)
+    specials = np.array([0.0, -0.0, np.nan, 5e-13, -5e-13, 1.0, -1.0])
+    for _ in range(n_draws):
+        deg = int(rng.integers(1, 7))
+        if rng.random() < 0.4:
+            c = rng.integers(-2, 3, size=deg + 1).astype(float)
+        else:
+            c = rng.uniform(-3.0, 3.0, size=deg + 1)
+        mask = rng.random(deg + 1) < 0.15
+        c[mask] = rng.choice(specials, size=mask.sum())
+        if rng.random() < 0.15:
+            c = np.concatenate([c, rng.choice([0.0, -0.0], size=int(rng.integers(1, 3)))])
+        yield c
+
+
+def packed(first_column):
+    return struct.pack(f"<{len(first_column)}d", *first_column)
+
+
+class TestRouthFloatPath:
+    """routh_stable on Python floats against the numpy array it replaced, bit for bit."""
+
+    def test_bit_identical_to_the_numpy_routh_array(self):
+        seen = collections.Counter()
+        for c in routh_draws(800):
+            ref = routh_numpy(c)
+            for arg in (c, c.tolist()):  # an array and a list of floats take different conversions
+                if isinstance(ref, str):
+                    with pytest.raises(ValueError, match=f"^{ref}$"):
+                        routh_stable(arg)
+                    seen["raise"] += 1
+                    continue
+                got = routh_stable(arg)
+                assert (got.stable, got.degenerate) == (ref[0], ref[2])
+                assert all(type(v) is float for v in got.first_column)
+                assert packed(got.first_column) == packed(ref[1])
+                seen["stable"] += got.stable
+                seen["degenerate"] += got.degenerate
+                seen["nan"] += any(math.isnan(v) for v in got.first_column)
+                seen["negative leading"] += bool(c[np.flatnonzero(c)[-1]] < 0)
+                seen["signed zero"] += any(math.copysign(1.0, v) < 0 and v == 0 for v in got.first_column)
+        assert min(seen.values()) > 30, seen
+
+    def test_named_cases_match_the_numpy_routh_array(self):
+        for c in ([1.0, 2.0, 2.0, 1.0, 1.0], [-6.0, -11.0, -6.0, -1.0], [6.0, 11.0, 6.0, 1.0, 0.0, -0.0],
+                  [np.nan, 1.0, 1.0, 1.0], [1.0, np.nan, 1.0], [-0.0, 1.0], [2.0, -0.0, 1.0]):
+            got, ref = routh_stable(c), routh_numpy(c)
+            assert (got.stable, got.degenerate, packed(got.first_column)) == (ref[0], ref[2], packed(ref[1]))
 
 
 class TestKharitonov:

@@ -353,6 +353,14 @@ class TestLapackHelpers:
                 assert np.array_equal(synthesis._lyapunov(a_in, q),
                                       scipy.linalg.solve_continuous_lyapunov(a_in, q))
 
+    def test_workspace_size_equals_a_fresh_query(self):
+        """The per-size dgees lwork is what the query returns for any matrix of that size."""
+        rng = np.random.default_rng(1703)
+        dgees = synthesis._lapack().dgees
+        for n in range(1, 9):
+            for a in (rng.normal(size=(n, n)), 1e6 * rng.normal(size=(n, n)), np.eye(n)):
+                assert int(dgees(synthesis._no_sort, a, lwork=-1)[-2][0]) == synthesis._dgees_lwork(n)
+
     def test_lyapunov_rejects_non_finite_input(self):
         with pytest.raises(ValueError):
             synthesis._lyapunov(np.array([[np.nan]]), np.eye(1))
@@ -419,7 +427,8 @@ class TestRobustRiccatiGain:
         ("dB_max", [0.7], "dB_max must be 3x1, got shape (1, 1)"),
         ("Q", [[0.1]], "Q must be 3x3, got shape (1, 1)"),
         ("R", np.diag([0.01, 0.01]), "R must be 1x1, got shape (2, 2)"),
-    ], ids=["A", "B", "dA_max", "dB_max", "Q", "R"])
+        ("R", [[0.01, 0.0]], "R must be 1x1, got shape (1, 2)"),
+    ], ids=["A", "B", "dA_max", "dB_max", "Q", "R", "R-not-square"])
     def test_rejects_a_matrix_of_the_wrong_shape(self, field, value, message):
         """numpy would broadcast each of these into a gain for some other problem."""
         A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
@@ -472,6 +481,92 @@ class TestRobustRiccatiGain:
             UncertaintyBounds(dA_max=-np.ones((2, 2)), dB_max=np.zeros(2))
 
 
+class TestNonFiniteInputsFailAtTheBoundary:
+    """A nan or infinite input raises a ValueError naming it, not a nan result or a LAPACK error."""
+
+    @pytest.mark.parametrize("field", ["a_bar", "b_bar", "epsilon"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_robust_config_scalars(self, field, bad):
+        args = {"a_bar": 300.0, "b_bar": 300.0, "epsilon": 0.01, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            RobustConfig(**args, Q=np.eye(3), R=[[0.01]])
+
+    @pytest.mark.parametrize("R", [[[np.inf]], np.diag([np.inf, 1.0])], ids=["1x1", "2x2"])
+    def test_robust_config_infinite_r(self, R):
+        with pytest.raises(ValueError, match="^R must be positive definite$"):
+            RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01, Q=np.eye(3), R=R)
+
+    @pytest.mark.parametrize("Q", [np.diag([np.inf, 1.0, 1.0]), [[1.0, np.inf], [5.0, 1.0]]],
+                             ids=["diagonal", "off-diagonal"])
+    def test_robust_config_infinite_q(self, Q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Q must be symmetric positive semi-definite$"):
+                RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01, Q=Q, R=[[0.01]])
+
+    @pytest.mark.parametrize("field", ["dA_max", "dB_max"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_uncertainty_bounds(self, field, bad):
+        args = {"dA_max": np.zeros((3, 3)), "dB_max": np.zeros(3)}
+        args[field][1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            UncertaintyBounds(**args)
+
+    @pytest.mark.parametrize("field", ["A", "B"])
+    def test_robust_riccati_gain_model(self, field):
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
+        model = {"A": A.copy(), "B": B.copy()}
+        model[field].flat[1] = np.nan
+        cfg = RobustConfig(a_bar=300.0, b_bar=300.0, epsilon=0.01, Q=np.eye(3), R=[[0.01]])
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            robust_riccati_gain(model["A"], model["B"], pendulum_bounds(), cfg)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("A", np.nan), ("A", np.inf), ("B", -np.inf),
+        ("desired_eigs", np.nan), ("desired_eigs", complex(-1.0, np.inf)),
+    ])
+    def test_design_gain_matrix(self, field, bad):
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
+        args = {"A": A, "B": B, "desired_eigs": np.array([-1.0, -2.0, -3.0], dtype=complex)}
+        args[field] = args[field].copy()
+        args[field].flat[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                design_gain_matrix(**args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_region_gain(self, bad):
+        a_lo, a_hi, b_lo, b_hi = workloads.REGION
+        A_family = [np.array([[0.0, 1.0, 0.0], [a, 0.0, 0.0], [0.0, 0.0, 0.0]]) for a in (a_lo, a_hi)]
+        B_family = [np.array([0.0, -b, 1.0]) for b in (b_lo, b_hi)]
+        K = [-110.0, bad, -10.0]
+        for check in (lambda: vertex_interval_char_poly(A_family, B_family, K),
+                      lambda: sip_region_feasible(K, *workloads.REGION),
+                      lambda: sip_region_bounds(K, a_hi, b_lo)):
+            with pytest.raises(ValueError, match="^K must be finite$"):
+                check()
+
+    def test_region_parameter_bounds(self):
+        with pytest.raises(ValueError, match="^parameter bounds must be finite$"):
+            sip_region_feasible([-110.0, -50.0, -10.0], 5.0, np.inf, 0.31, 1.0)
+        with pytest.raises(ValueError, match="^b_lo must be positive$"):
+            sip_region_bounds([-110.0, -50.0, -10.0], 10.0, 0.0)
+
+    def test_vertex_families_that_overflow(self):
+        A_family = [np.full((3, 3), 1e200)]
+        with pytest.raises(ValueError, match="non-finite characteristic coefficient"):
+            vertex_interval_char_poly(A_family, [np.zeros(3)], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="non-finite characteristic coefficient"):
+            vertex_interval_char_poly([np.eye(3) * np.nan], [np.zeros(3)], [0.0, 0.0, 0.0])
+
+    def test_vertex_families_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match="^each A\\* must be 3x3 and each B\\* must have 3 entries"):
+            vertex_interval_char_poly([np.eye(3)], [np.zeros(2)], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^each A\\* must be 2x2"):
+            vertex_interval_char_poly([np.eye(3)], [np.zeros(3)], [1.0, 1.0])
+
+
 class TestCharPolyAndVertexFamilies:
     def test_char_poly_ascending_quadratic(self):
         m = [[0.0, 1.0], [-6.0, -5.0]]
@@ -506,6 +601,65 @@ class TestCharPolyAndVertexFamilies:
             got = char_poly_ascending(m)
             assert got.shape == (4,) and got[-1] == 1.0
             assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @staticmethod
+    def vertex_box_numpy(A_family, B_family, K):
+        """The numpy closed loops and box vertex_interval_char_poly replaced, kept as its
+        bit-for-bit oracle: (lower, upper) arrays."""
+        def char_poly_3x3(m):
+            (a, b, c), (d, e, f), (g, h, i) = m
+            minor_ei = e * i - f * h
+            det = a * minor_ei - b * (d * i - f * g) + c * (d * h - e * g)
+            return [-det, (a * e - b * d) + (a * i - c * g) + minor_ei, -(a + e + i), 1.0]
+
+        K = np.asarray(K, dtype=float).ravel()
+        A = np.array([np.atleast_2d(A_v) for A_v in A_family], dtype=float)
+        B = np.array([np.ravel(B_v) for B_v in B_family], dtype=float)
+        closed = (A[:, None] - B[None, :, :, None] * K).reshape(-1, *A.shape[1:])
+        if closed.shape[1:] == (3, 3):
+            coeff_rows = np.array([char_poly_3x3(m) for m in closed.tolist()])
+        else:
+            coeff_rows = np.array([np.poly(m)[::-1] for m in closed])
+        return coeff_rows.min(axis=0), coeff_rows.max(axis=0)
+
+    def assert_box_matches_numpy(self, A_family, B_family, K):
+        ip = vertex_interval_char_poly(A_family, B_family, K)
+        lower, upper = self.vertex_box_numpy(A_family, B_family, K)
+        assert np.array(ip.lower).tobytes() == lower.tobytes()
+        assert np.array(ip.upper).tobytes() == upper.tobytes()
+        return ip
+
+    def test_box_bit_identical_to_numpy_on_the_workload_family(self):
+        """The design workload's region family, its gain draw, and gains with signed zeros."""
+        a_lo, a_hi, b_lo, b_hi = workloads.REGION
+        A_family = [np.array([[0.0, 1.0, 0.0], [a, 0.0, 0.0], [0.0, 0.0, 0.0]]) for a in (a_lo, a_hi)]
+        B_family = [np.array([0.0, -b, 1.0]) for b in (b_lo, b_hi)]
+        rng = np.random.default_rng(1704)
+        for i in range(600):
+            K = rng.uniform(-200.0, 5.0, size=3)
+            if i % 2:
+                K[rng.random(3) < 0.5] = rng.choice([0.0, -0.0])
+            self.assert_box_matches_numpy(A_family, B_family, K)
+
+    def test_box_bit_identical_to_numpy_where_signed_zeros_tie(self):
+        """Small-integer families with signed zeros: min and max must keep numpy's choice of zero."""
+        rng = np.random.default_rng(1705)
+        levels = np.array([0.0, -0.0, 1.0, -1.0, 2.0])
+        negative_zero_bounds = 0
+        for _ in range(400):
+            n_a, n_b = rng.integers(1, 4, size=2)
+            ip = self.assert_box_matches_numpy(list(rng.choice(levels, size=(n_a, 3, 3))),
+                                               list(rng.choice(levels, size=(n_b, 3))),
+                                               rng.choice(levels, size=3))
+            negative_zero_bounds += sum(v == 0 and math.copysign(1.0, v) < 0 for v in ip.lower + ip.upper)
+        assert negative_zero_bounds > 50
+
+    def test_box_bit_identical_to_numpy_on_other_sizes(self):
+        rng = np.random.default_rng(1706)
+        for n in (1, 2, 4):
+            for _ in range(20):
+                self.assert_box_matches_numpy(list(rng.normal(size=(2, n, n))),
+                                              list(rng.normal(size=(2, n))), rng.normal(size=n))
 
     def test_vertex_interval_covers_all_pairs(self):
         A_family = [np.array([[0.0, 1.0], [-a, 0.0]]) for a in (1.0, 2.0)]
