@@ -41,24 +41,16 @@ def read_matrix_file(path):
     if text.lstrip().startswith("["):
         import json
 
-        rows = json.loads(text)
-        if len({len(r) if isinstance(r, list) else None for r in rows}) > 1:
-            raise ValueError(f"rows in {path} have differing lengths")
-        m = np.array(rows, dtype=float)
-        if not m.size:
-            raise ValueError(f"no numeric rows in {path}")
-        return _finite(m, path)
-    rows = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append([float(tok) for tok in line.split()])
-    if not rows:
-        raise ValueError(f"no numeric rows in {path}")
-    if len({len(r) for r in rows}) != 1:
+        rows = json.loads(text)  # a flat list of numbers reads as a vector
+    else:
+        rows = [[float(tok) for tok in tokens]
+                for tokens in (line.split("#", 1)[0].split() for line in text.splitlines()) if tokens]
+    if len({len(r) if isinstance(r, list) else None for r in rows}) > 1:
         raise ValueError(f"rows in {path} have differing lengths")
-    return _finite(np.array(rows, dtype=float), path)
+    m = np.array(rows, dtype=float)
+    if not m.size:
+        raise ValueError(f"no numeric rows in {path}")
+    return _finite(m, path)
 
 
 def _finite_float(text):
@@ -161,7 +153,6 @@ def _cmd_region_check(args):
     K = _parse_vector(args.k)
     if K.size != 3:
         raise ValueError("the gain region test needs exactly k1,k2,k3")
-    # first: sip_region_feasible rejects the bounds that sip_region_bounds would divide by
     feasible = sip_region_feasible(K, args.a_lo, args.a_hi, args.b_lo, args.b_hi)
     k2_bound, k1_bound = sip_region_bounds(K, args.a_hi, args.b_lo)
     k1, k2, k3 = K

@@ -1,4 +1,5 @@
-"""Small dense linear-algebra helpers and a tiny quadratic-program solver.
+"""Small dense linear-algebra helpers, the finite-float input check and a
+tiny quadratic-program solver.
 
 Everything is deterministic: the rank-one factorization is closed form,
 worked on Python floats (each entry rounded once, as numpy rounds it), and
@@ -13,6 +14,26 @@ import math
 from itertools import combinations
 
 import numpy as np
+
+
+def floats(values):
+    """values as a new flat list of Python floats, as np.asarray(values, dtype=float).ravel() reads them."""
+    if type(values) in (list, tuple) and all(type(v) is float for v in values):
+        return list(values)  # already floats, e.g. the lists this package passes itself
+    return np.asarray(values, dtype=float).ravel().tolist()
+
+
+def all_finite(values):
+    """True iff no entry of values, read as floats, is nan or infinite."""
+    return all(map(math.isfinite, floats(values)))
+
+
+def finite_floats(values, name):
+    """floats(values); ValueError "<name> must be finite" if one is nan or infinite."""
+    values = floats(values)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite")
+    return values
 
 
 def least_squares(design, target):
@@ -48,9 +69,7 @@ def nnmf_rank1(m):
     if not m.size:
         raise ValueError("matrix must not be empty")
     rows = m.tolist()
-    entries = [v for row in rows for v in row]
-    if not all(map(math.isfinite, entries)):
-        raise ValueError("matrix must be finite")
+    entries = finite_floats(m, "matrix")
     if any(v < 0 for v in entries):
         raise ValueError("matrix must be element-wise non-negative")
     peak = max(entries)

@@ -13,15 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import G
+from .numerics import finite_floats, floats
 
 _ZERO_PIVOT = 1e-12
-
-
-def _floats(values):
-    """values as a flat list of Python floats, read as np.asarray(values, dtype=float).ravel() reads them."""
-    if type(values) in (list, tuple) and all(type(v) is float for v in values):
-        return list(values)  # already floats, e.g. the lists this package passes itself
-    return np.asarray(values, dtype=float).ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -32,15 +26,12 @@ class IntervalPoly:
     upper: tuple
 
     def __post_init__(self):
-        lo = _floats(self.lower)
-        hi = _floats(self.upper)
+        lo = finite_floats(self.lower, "lower")
+        hi = finite_floats(self.upper, "upper")
         if len(lo) != len(hi):
             raise ValueError("coefficient intervals must have equal degree")
         if not lo:
             raise ValueError("an interval polynomial needs at least one coefficient")
-        for name, bounds in (("lower", lo), ("upper", hi)):
-            if not all(map(math.isfinite, bounds)):
-                raise ValueError(f"{name} must be finite")
         if not all(map(operator.le, lo, hi)):
             raise ValueError("lower must be coefficient-wise <= upper")
         if lo[-1] <= 0.0 <= hi[-1]:
@@ -66,7 +57,7 @@ def routh_stable(p):
     Python floats at a time, each entry (pivot*a - b*c) / pivot rounded as
     numpy rounds it.
     """
-    c = _floats(p)
+    c = floats(p)
     while c and c[-1] == 0.0:
         c.pop()
     if not c:

@@ -21,20 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import sip_design_pair, sip_frozen_coefficients
-from .numerics import nnmf_rank1
-from .stability import IntervalPoly, _floats
-
-
-def _all_finite(a):
-    """True iff no entry of the real array a is nan or infinite."""
-    return all(map(math.isfinite, a.ravel().tolist()))
-
-
-def _require_finite(**arrays):
-    """ValueError naming the first array with a nan or infinite entry."""
-    for name, a in arrays.items():
-        if not _all_finite(a):
-            raise ValueError(f"{name} must be finite")
+from .numerics import all_finite, finite_floats, nnmf_rank1
+from .stability import IntervalPoly
 
 
 @dataclass(frozen=True)
@@ -49,8 +37,7 @@ class RobustConfig:
 
     def __post_init__(self):
         for name in ("a_bar", "b_bar", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            finite_floats([getattr(self, name)], name)
         if self.a_bar < 0 or self.b_bar < 0:
             raise ValueError("a_bar and b_bar must be non-negative")
         if self.epsilon <= 0:
@@ -61,11 +48,11 @@ class RobustConfig:
         # robust_riccati_gain reports a Q or R that is not square by its shape; a nan or
         # infinite entry fails both tests; LAPACK's eigenvalue of a 1x1 matrix is its entry
         if R.shape[0] == R.shape[1] and not (
-                _all_finite(R) and (R[0, 0] > 0 if R.shape == (1, 1) else np.linalg.eigvalsh(R).min() > 0)):
+                all_finite(R) and (R[0, 0] > 0 if R.shape == (1, 1) else np.linalg.eigvalsh(R).min() > 0)):
             raise ValueError("R must be positive definite")
         if Q.shape[0] == Q.shape[1]:
             tol = 1e-12 * np.abs(Q).max()
-            if not (_all_finite(Q) and np.abs(Q - Q.T).max() <= tol and np.linalg.eigvalsh(Q)[0] >= -tol):
+            if not (all_finite(Q) and np.abs(Q - Q.T).max() <= tol and np.linalg.eigvalsh(Q)[0] >= -tol):
                 raise ValueError("Q must be symmetric positive semi-definite")
 
 
@@ -81,8 +68,7 @@ class UncertaintyBounds:
         dB = np.asarray(self.dB_max, dtype=float)
         if dB.ndim == 1:
             dB = dB.reshape(-1, 1)
-        _require_finite(dA_max=dA, dB_max=dB)
-        if any(v < 0 for v in dA.ravel().tolist() + dB.ravel().tolist()):
+        if any(v < 0 for v in finite_floats(dA, "dA_max") + finite_floats(dB, "dB_max")):
             raise ValueError("uncertainty bounds must be non-negative")
         object.__setattr__(self, "dA_max", dA)
         object.__setattr__(self, "dB_max", dB)
@@ -111,8 +97,7 @@ def _monic_coefficients(desired_eigs, n):
     desired = np.asarray(desired_eigs, dtype=complex).ravel()
     if desired.size != n:
         raise ValueError("need exactly n desired eigenvalues")
-    if not _all_finite(desired.view(float)):  # the real and imaginary parts, interleaved
-        raise ValueError("desired_eigs must be finite")
+    finite_floats(desired.view(float), "desired_eigs")  # the real and imaginary parts, interleaved
     factors = np.empty((n, 2), dtype=complex)  # row i holds (1, -z_i)
     factors[:, 0] = 1
     factors[:, 1] = -desired
@@ -145,7 +130,8 @@ def design_gain_matrix(A, B, desired_eigs):
     n = A.shape[0]
     if A.shape != (n, n) or B.size != n:
         raise ValueError("A must be n x n and B length n")
-    _require_finite(A=A, B=B)
+    finite_floats(A, "A")
+    finite_floats(B, "B")
     coeffs = _monic_coefficients(desired_eigs, n)
 
     C = np.empty((n, n), order="F")  # [B, AB, ..., A^(n-1) B], column by column
@@ -231,7 +217,7 @@ def _real_schur(a, select, sort):
 
 def _lyapunov(a, q):
     """scipy.linalg.solve_continuous_lyapunov(a, q), X with a X + X a' = q, for real square a, q."""
-    if not (_all_finite(a) and _all_finite(q)):
+    if not (all_finite(a) and all_finite(q)):
         raise ValueError("array must not contain infs or NaNs")
     r, u, _ = _real_schur(a, _no_sort, 0)
     f = u.T.dot(q.dot(u))
@@ -320,7 +306,8 @@ def robust_riccati_gain(A, B, bounds, cfg):
     _require_shape((n, n), A=A, dA_max=bounds.dA_max, Q=cfg.Q)
     _require_shape((n, 1), B=B, dB_max=bounds.dB_max)
     _require_shape((1, 1), R=cfg.R)
-    _require_finite(A=A, B=B)
+    finite_floats(A, "A")
+    finite_floats(B, "B")
     eps = cfg.epsilon
 
     if bounds.dA_max.any():
@@ -375,14 +362,6 @@ def char_poly_ascending(m):
     return np.poly(m)[::-1].copy()
 
 
-def _finite_floats(values, name):
-    """values as a flat list of Python floats; ValueError naming them if one is nan or infinite."""
-    floats = _floats(values)
-    if not all(map(math.isfinite, floats)):
-        raise ValueError(f"{name} must be finite")
-    return floats
-
-
 def vertex_interval_char_poly(A_family, B_family, K):
     """Coefficient interval over the closed loops of all (A*, B*) pairs.
 
@@ -396,7 +375,7 @@ def vertex_interval_char_poly(A_family, B_family, K):
     compare equal (0.0 and -0.0) min and max keep the last, as numpy's
     reduction over the pairs does.
     """
-    k = _finite_floats(K, "K")
+    k = finite_floats(K, "K")
     n = len(k)
     if not len(A_family) or not len(B_family):
         raise ValueError("vertex families must be non-empty")
@@ -419,13 +398,14 @@ def vertex_interval_char_poly(A_family, B_family, K):
 
 
 def sip_region_bounds(K, a_hi, b_lo):
-    """The two cascaded thresholds of the closed-form gain-region test, for b_lo > 0.
+    """The two cascaded thresholds of the closed-form gain-region test, for finite K, a_hi and b_lo > 0.
 
     (k2_bound, k1_bound) = (k3/b_lo, a_hi*k2 / (-b_lo*k2 + k3)) along the chain
     k3 < 0, k2 < k2_bound; None past its first failing inequality.  k1_bound is
     -inf, its limit, where rounding leaves its denominator at or below 0.
     """
-    k1, k2, k3 = _finite_floats(K, "K")
+    k1, k2, k3 = finite_floats(K, "K")
+    finite_floats([a_hi, b_lo], "a_hi and b_lo")
     if not b_lo > 0:
         raise ValueError("b_lo must be positive")
     if not k3 < 0:
@@ -445,11 +425,10 @@ def sip_region_feasible(K, a_lo, a_hi, b_lo, b_hi):
     fails — the reduction of the eight vertex Routh inequalities over a in
     [a_lo, a_hi], b in [b_lo, b_hi].
     """
-    if not all(map(math.isfinite, (a_lo, a_hi, b_lo, b_hi))):
-        raise ValueError("parameter bounds must be finite")
+    finite_floats([a_lo, a_hi, b_lo, b_hi], "parameter bounds")
     if not (0 < b_lo <= b_hi and 0 < a_lo <= a_hi):
         raise ValueError("parameter bounds must be positive and ordered")
-    k = _finite_floats(K, "K")
+    k = finite_floats(K, "K")
     k1_bound = sip_region_bounds(k, a_hi, b_lo)[1]
     return k1_bound is not None and k[0] < k1_bound
 

@@ -543,6 +543,25 @@ class TestCli:
         assert captured.err == "error: Q must be symmetric positive semi-definite\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text, json_text, shape", [
+        ("1 2 3\n4 5 6  # a comment\n\n7 8 9.5\n", "[[1, 2, 3], [4, 5, 6], [7, 8, 9.5]]", (3, 3)),
+        ("1 -2.5 3\n", "[[1, -2.5, 3]]", (1, 3)),
+        ("1\n-2\n3e-3\n", "[[1], [-2], [3e-3]]", (3, 1)),
+        ("1\n-2\n3\n", "[1, -2, 3]", (3,)),
+    ], ids=["3x3", "row", "column", "json-vector"])
+    def test_matrix_file_reads_text_and_json_alike(self, tmp_path, text, json_text, shape):
+        as_text = tmp_path / "M.txt"
+        as_json = tmp_path / "M.json"
+        as_text.write_text(text)
+        as_json.write_text(json_text)
+        from_text = read_matrix_file(as_text)
+        from_json = read_matrix_file(as_json)
+        assert from_json.shape == shape
+        if from_json.ndim == 1:  # text always reads 2-D: the vector's text form is its column
+            from_json = from_json[:, None]
+        assert from_text.shape == from_json.shape
+        assert np.array_equal(from_text, from_json)
+
     @pytest.mark.parametrize("text, message", [
         ("[]", "no numeric rows in {}"),
         ("[[]]", "no numeric rows in {}"),

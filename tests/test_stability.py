@@ -39,6 +39,12 @@ class TestIntervalTypes:
         assert ip.lower == (1.0, 2.0, 1.0) and ip.upper == (2.0, 3.0, 1.0)
         assert all(type(v) is float for v in ip.lower + ip.upper)
 
+    def test_interval_poly_does_not_alias_the_callers_list(self):
+        lower = [1.0, 2.0, 1.0]
+        ip = IntervalPoly(lower=lower, upper=[2.0, 3.0, 2.0])
+        lower[0] = 5.0
+        assert type(ip.lower) is tuple and ip.lower == (1.0, 2.0, 1.0)
+
     @pytest.mark.parametrize("field", ["lower", "upper"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_interval_poly_rejects_non_finite_bounds(self, field, bad):
@@ -70,6 +76,11 @@ class TestRouthStable:
         padded = routh_stable([6.0, 11.0, 6.0, 1.0, 0.0, 0.0])
         assert padded.stable == full.stable
         assert padded.first_column == full.first_column
+
+    def test_callers_list_is_left_unchanged(self):
+        p = [1.0, 2.0, 1.0, 0.0]
+        assert routh_stable(p).stable
+        assert p == [1.0, 2.0, 1.0, 0.0]
 
     def test_zero_pivot_marks_degenerate(self):
         # s^4 + s^3 + 2 s^2 + 2 s + 1 zeroes the third-row pivot

@@ -552,6 +552,10 @@ class TestNonFiniteInputsFailAtTheBoundary:
             sip_region_feasible([-110.0, -50.0, -10.0], 5.0, np.inf, 0.31, 1.0)
         with pytest.raises(ValueError, match="^b_lo must be positive$"):
             sip_region_bounds([-110.0, -50.0, -10.0], 10.0, 0.0)
+        # a nan, a -0.0 or an infinite bound was once returned, and read as a verdict
+        for a_hi, b_lo in [(np.nan, 0.3), (10.0, np.nan), (10.0, np.inf), (np.inf, 0.3), (-np.inf, 0.3)]:
+            with pytest.raises(ValueError, match="^a_hi and b_lo must be finite$"):
+                sip_region_bounds([-110.0, -50.0, -10.0], a_hi, b_lo)
 
     def test_vertex_families_that_overflow(self):
         A_family = [np.full((3, 3), 1e200)]
