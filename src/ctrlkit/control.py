@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .models import G
-from .numerics import least_squares
+from .numerics import lapack, least_squares
 from .synthesis import sip_coefficients, sip_pole_gain
 
 # |Lgh| at or below this makes the scalar barrier filter powerless; the
@@ -51,7 +51,7 @@ class MotorcycleGuidance:
             raise ValueError("guidance lines are parallel; no turning point exists")
         mat = np.array([[math.cos(phiI), -math.cos(phiD)],
                         [math.sin(phiI), -math.sin(phiD)]])
-        tID = np.linalg.solve(mat, np.array([xD - xI, yD - yI]))
+        tID = lapack.solve1(mat, np.array([xD - xI, yD - yI]))
         self.pose_I = (xI, yI, phiI)
         self.pose_D = (xD, yD, phiD)
         self.turning_point = (xI + math.cos(phiI) * tID[0], yI + math.sin(phiI) * tID[0])

@@ -11,6 +11,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .numerics import lapack
+
 # the plants' physics, read by every design model built on them
 G = 10.0  # gravity
 MOTO_V = 10.0  # motorcycle speed
@@ -185,15 +187,17 @@ def dip_plant():
     acceleration.  Angular accelerations come from the 2x2 Lagrangian
     mass-matrix solve.
     """
+    M, r = np.array([[2.0, 0.0], [0.0, 1.0]]), np.empty(2)  # refilled per call; solve1 copies them
+
     def deriv(x, u):
         y1, dy1, y2, dy2, _, dpos = x
         a = u[0]
         c12 = math.cos(y1 - y2)
         s12 = math.sin(y1 - y2)
-        M = np.array([[2.0, c12], [c12, 1.0]])
-        r = np.array([2.0 * (G * math.sin(y1) - a * math.cos(y1)) - dy2 ** 2 * s12,
-                      G * math.sin(y2) - a * math.cos(y2) + dy1 ** 2 * s12])
-        dd1, dd2 = np.linalg.solve(M, r).tolist()
+        M[0, 1] = M[1, 0] = c12
+        r[0] = 2.0 * (G * math.sin(y1) - a * math.cos(y1)) - dy2 ** 2 * s12
+        r[1] = G * math.sin(y2) - a * math.cos(y2) + dy1 ** 2 * s12
+        dd1, dd2 = lapack.solve1(M, r).tolist()  # np.linalg.solve(M, r)'s LAPACK call
         return (dy1, dd1, dy2, dd2, dpos, a)
 
     return PlantModel("dip", deriv)

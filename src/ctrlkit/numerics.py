@@ -10,10 +10,41 @@ No simulation step calls it: control.clf_cbf_step solves its 2-variable
 program in closed form, and qp_small is the reference it is tested against.
 """
 
+import functools
 import math
+import types
 from itertools import combinations
 
 import numpy as np
+
+
+def _gufunc(name, signature, message, finite=False):
+    """numpy.linalg's errstate-guarded call of _umath_linalg.<name>, without the wrapper's checks."""
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    call = np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")(
+        functools.partial(getattr(np.linalg._umath_linalg, name), signature=signature))
+
+    def checked(a):
+        if not np.isfinite(a).all():
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        return call(a)
+    return checked if finite else call
+
+
+# numpy.linalg's solve (1-D b), lstsq, svd (no u, v), eig, eigvals (complex), inv, eigvalsh (UPLO="L"),
+# bound once for float64 arrays; eig and eigvals keep numpy's test for a nan or infinite entry
+lapack = types.SimpleNamespace(
+    solve1=_gufunc("solve1", "dd->d", "Singular matrix"),
+    lstsq=_gufunc("lstsq", "ddd->ddid", "SVD did not converge in Linear Least Squares"),
+    svd=_gufunc("svd", "d->d", "SVD did not converge"),
+    svd_complex=_gufunc("svd", "D->d", "SVD did not converge"),
+    eig=_gufunc("eig", "d->DD", "Eigenvalues did not converge", finite=True),
+    eigvals=_gufunc("eigvals", "d->D", "Eigenvalues did not converge", finite=True),
+    inv=_gufunc("inv", "d->d", "Singular matrix"),
+    eigvalsh_lo=_gufunc("eigvalsh_lo", "d->d", "Eigenvalues did not converge"),
+)
 
 
 def floats(values):
@@ -47,10 +78,10 @@ def least_squares(design, target):
         raise ValueError(f"design must have at least as many rows as columns, got {design.shape}")
     if target.size != rows:
         raise ValueError("target length must match design row count")
-    z, _, _, sv = np.linalg.lstsq(design, target, rcond=None)
+    z, _, _, sv = lapack.lstsq(design, target[:, None], 2.0 ** -52 * rows)  # rcond=None: eps * max(m, n)
     if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
         raise ValueError("design matrix is rank deficient")
-    return z
+    return z.ravel()
 
 
 def nnmf_rank1(m):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import G
-from .numerics import finite_floats, floats
+from .numerics import finite_floats, floats, lapack
 
 _ZERO_PIVOT = 1e-12
 
@@ -122,14 +122,16 @@ def bauer_fike_check(Ac0, deltaAc):
     """
     Ac0 = np.asarray(Ac0, dtype=float)
     deltaAc = np.asarray(deltaAc, dtype=float)
-    vals0, S = np.linalg.eig(Ac0)
-    sv = np.linalg.svd(S, compute_uv=False)
+    if Ac0.ndim != 2 or not Ac0.shape == Ac0.shape[::-1] == deltaAc.shape:
+        raise ValueError("Ac0 and deltaAc must be square matrices of the same size")
+    vals0, S = lapack.eig(Ac0)  # np.linalg.eig returns a real S where no eigenvalue has an imaginary part
+    sv = lapack.svd_complex(S) if vals0.imag.any() else lapack.svd(S.real)
     kappa = float(sv[0] / sv[-1])
     if kappa >= 1e8:
         warnings.warn(f"eigenvector matrix condition {kappa:.3g} is near non-diagonalizable; "
                       "the bound may be vacuous", stacklevel=2)
-    radius = kappa * np.linalg.norm(deltaAc, 2)
-    vals1 = np.linalg.eigvals(Ac0 + deltaAc)
+    radius = kappa * lapack.svd(deltaAc).max()  # np.linalg.norm(deltaAc, 2)
+    vals1 = lapack.eigvals(Ac0 + deltaAc)
     slack = radius * 1e-9 + 1e-12
     holds = all(np.min(np.abs(v - vals0)) <= radius + slack for v in vals1)
     return float(radius), bool(holds)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import sip_design_pair, sip_frozen_coefficients
-from .numerics import all_finite, finite_floats, nnmf_rank1
+from .numerics import all_finite, finite_floats, lapack, nnmf_rank1
 from .stability import IntervalPoly
 
 
@@ -48,11 +48,11 @@ class RobustConfig:
         # robust_riccati_gain reports a Q or R that is not square by its shape; a nan or
         # infinite entry fails both tests; LAPACK's eigenvalue of a 1x1 matrix is its entry
         if R.shape[0] == R.shape[1] and not (
-                all_finite(R) and (R[0, 0] > 0 if R.shape == (1, 1) else np.linalg.eigvalsh(R).min() > 0)):
+                all_finite(R) and (R[0, 0] > 0 if R.shape == (1, 1) else lapack.eigvalsh_lo(R).min() > 0)):
             raise ValueError("R must be positive definite")
         if Q.shape[0] == Q.shape[1]:
             tol = 1e-12 * np.abs(Q).max()
-            if not (all_finite(Q) and np.abs(Q - Q.T).max() <= tol and np.linalg.eigvalsh(Q)[0] >= -tol):
+            if not (all_finite(Q) and np.abs(Q - Q.T).max() <= tol and lapack.eigvalsh_lo(Q)[0] >= -tol):
                 raise ValueError("Q must be symmetric positive semi-definite")
 
 
@@ -138,7 +138,7 @@ def design_gain_matrix(A, B, desired_eigs):
     C[:, 0] = B
     for k in range(1, n):
         np.matmul(A, C[:, k - 1], out=C[:, k])
-    sv = np.linalg.svd(C, compute_uv=False)
+    sv = lapack.svd(C)
     _check_controllability(sv[0], sv[-1])
 
     # Horner's phi(A) = (...(A + c1 I) A + ...) + cn I; its first step, 0 A + 1 I,
@@ -147,7 +147,7 @@ def design_gain_matrix(A, B, desired_eigs):
     phi = eye
     for c_eye in coeffs[1:, None, None] * eye:
         phi = phi @ A + c_eye
-    return np.linalg.solve(C.T, eye[-1]) @ phi
+    return lapack.solve1(C.T, eye[-1]) @ phi
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,8 +186,13 @@ def _care_residual(P, A, M, Q):
     return P @ A + A.T @ P - P @ M @ P + Q
 
 
+def _frobenius(m):
+    """np.linalg.norm(m, "fro") by its own fast path, sqrt(v.dot(v)) for v = m.ravel("K")."""
+    return math.sqrt(m.ravel("K").dot(m.ravel("K")))
+
+
 @functools.cache
-def _lapack():
+def _scipy_lapack():
     import scipy.linalg.lapack
 
     return scipy.linalg.lapack
@@ -204,12 +209,12 @@ def _no_sort(re, im):
 @functools.cache
 def _dgees_lwork(n):
     """dgees's optimal workspace for an n x n matrix; the query reads the size only, never the entries."""
-    return int(_lapack().dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
+    return int(_scipy_lapack().dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
 
 
 def _real_schur(a, select, sort):
     """(T, Z, sdim) of scipy.linalg.schur(a, output="real", sort=...) by the same dgees call and lwork."""
-    t, sdim, _, _, z, _, info = _lapack().dgees(select, a, lwork=_dgees_lwork(a.shape[0]), sort_t=sort)
+    t, sdim, _, _, z, _, info = _scipy_lapack().dgees(select, a, lwork=_dgees_lwork(a.shape[0]), sort_t=sort)
     if info:
         raise np.linalg.LinAlgError(f"real Schur form failed (LAPACK dgees info {info})")
     return t, z, sdim
@@ -221,7 +226,7 @@ def _lyapunov(a, q):
         raise ValueError("array must not contain infs or NaNs")
     r, u, _ = _real_schur(a, _no_sort, 0)
     f = u.T.dot(q.dot(u))
-    y, scale, info = _lapack().dtrsyl(r, r, f, tranb="T")
+    y, scale, info = _scipy_lapack().dtrsyl(r, r, f, tranb="T")
     if info:
         warnings.warn("Input \"a\" has an eigenvalue pair whose sum is very close to or "
                       "exactly zero. The solution is obtained via perturbing the coefficients.",
@@ -251,22 +256,22 @@ def solve_care(A, M, Q):
     ham[:n, n:] = -M
     ham[n:, :n] = -Q
     ham[n:, n:] = -A.T
-    if np.abs(np.linalg.eigvals(ham).real).min() <= 1e-9:
+    if np.abs(lapack.eigvals(ham).real).min() <= 1e-9:
         raise ValueError("Hamiltonian has eigenvalues on the imaginary axis")
     _, Z, sdim = _real_schur(ham, _lhp, 1)
     if sdim != n:
         raise ValueError(f"stable Hamiltonian subspace has dimension {sdim}, expected {n}")
     X1 = Z[:n, :n]
     X2 = Z[n:, :n]
-    sv = np.linalg.svd(X1, compute_uv=False)
+    sv = lapack.svd(X1)
     if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
         raise np.linalg.LinAlgError("stable-subspace X1 block is singular")
-    P = X2 @ np.linalg.inv(X1)
+    P = X2 @ lapack.inv(X1)
     P = (P + P.T) / 2
 
     res = _care_residual(P, A, M, Q)
-    rnorm = np.linalg.norm(res, "fro")
-    target = 1e-12 * (1 + np.linalg.norm(Q, "fro"))
+    rnorm = _frobenius(res)
+    target = 1e-12 * (1 + _frobenius(Q))
     for _ in range(5):
         if rnorm <= target:
             break
@@ -277,15 +282,26 @@ def solve_care(A, M, Q):
         P_next = P + delta
         P_next = (P_next + P_next.T) / 2
         res_next = _care_residual(P_next, A, M, Q)
-        rnorm_next = np.linalg.norm(res_next, "fro")
+        rnorm_next = _frobenius(res_next)
         if rnorm_next >= rnorm:
             break
         P, res, rnorm = P_next, res_next, rnorm_next
 
-    p_eigs = np.linalg.eigvalsh(P)
+    p_eigs = lapack.eigvalsh_lo(P)
     if p_eigs.min() <= 0:
         return CareNoSolution(M=M, Q=Q, p_eigenvalues=p_eigs)
     return P
+
+
+def _auxiliary_pair(bound, bar, bar_name, bound_name):
+    """(bar * v v', bar * h h') for bound = bar * v h' (nnmf_rank1), or zero matrices for a zero bound."""
+    if not bound.any():
+        return np.zeros((bound.shape[0],) * 2), np.zeros((bound.shape[1],) * 2)
+    if bar == 0:
+        raise ValueError(f"{bar_name} must be positive when {bound_name} is non-zero")
+    w, h = nnmf_rank1(bound)
+    v = w / bar
+    return bar * np.multiply.outer(v, v), bar * np.multiply.outer(h, h)
 
 
 def robust_riccati_gain(A, B, bounds, cfg):
@@ -310,27 +326,8 @@ def robust_riccati_gain(A, B, bounds, cfg):
     finite_floats(B, "B")
     eps = cfg.epsilon
 
-    if bounds.dA_max.any():
-        if cfg.a_bar == 0:
-            raise ValueError("a_bar must be positive when dA_max is non-zero")
-        w, h = nnmf_rank1(bounds.dA_max)
-        a1 = w / cfg.a_bar
-        sigma_a = cfg.a_bar * np.multiply.outer(a1, a1)
-        sigma_x = cfg.a_bar * np.multiply.outer(h, h)
-    else:
-        sigma_a = np.zeros((n, n))
-        sigma_x = np.zeros((n, n))
-    if bounds.dB_max.any():
-        if cfg.b_bar == 0:
-            raise ValueError("b_bar must be positive when dB_max is non-zero")
-        wb, hb = nnmf_rank1(bounds.dB_max)
-        b1 = wb / cfg.b_bar
-        sigma_b = cfg.b_bar * np.multiply.outer(b1, b1)
-        sigma_y = cfg.b_bar * np.multiply.outer(hb, hb)
-    else:
-        sigma_b = np.zeros((n, n))
-        sigma_y = np.zeros((1, 1))
-
+    sigma_a, sigma_x = _auxiliary_pair(bounds.dA_max, cfg.a_bar, "a_bar", "dA_max")
+    sigma_b, sigma_y = _auxiliary_pair(bounds.dB_max, cfg.b_bar, "b_bar", "dB_max")
     r_eff = cfg.R + eps * sigma_y
     r_inv = 1.0 / r_eff  # inv of the 1x1 r_eff, as LAPACK's LU solve computes it
     M = B @ r_inv @ (2 * cfg.R + eps * sigma_y) @ r_inv @ B.T - sigma_a - (1 / eps) * sigma_b
@@ -444,7 +441,7 @@ def eig_sweep(K, theta_grid):
     rows = []
     for theta in theta_grid:
         A, B = sip_design_pair(*sip_frozen_coefficients(theta))
-        vals = np.linalg.eigvals(A - np.outer(B, K))
+        vals = lapack.eigvals(A - np.outer(B, K))
         re = vals.real
         order = np.argsort(-np.abs(re), kind="stable")
         rows.append((float(theta), re[order]))

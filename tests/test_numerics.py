@@ -1,8 +1,20 @@
+import contextlib
+import functools
+import math
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ctrlkit.numerics import least_squares, nnmf_rank1, qp_small
+from ctrlkit import (MotorcycleGuidance, bauer_fike_check, design_gain_matrix, eig_sweep,
+                     run_scenario, scenarios, solve_care, trajectory_checksum)
+from ctrlkit.models import G, sip_design_pair
+from ctrlkit.numerics import lapack, least_squares, nnmf_rank1, qp_small
+
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 class TestLeastSquares:
@@ -15,7 +27,7 @@ class TestLeastSquares:
         X = rng.normal(size=(12, 3))
         y = rng.normal(size=12)
         ref, *_ = np.linalg.lstsq(X, y, rcond=None)
-        assert_allclose(least_squares(X, y), ref, atol=1e-10)
+        assert np.array_equal(least_squares(X, y), ref)
 
     def test_rank_deficient_rejected(self):
         X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
@@ -179,3 +191,181 @@ class TestQpSmall:
             if len(feas):
                 objs = 0.5 * np.einsum("ij,jk,ik->i", feas, H, feas) + feas @ c
                 assert obj <= objs.min() + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK bindings of numerics.lapack against numpy.linalg, on their callers' inputs
+
+NUMPY_LINALG = {
+    "solve1": np.linalg.solve,
+    "lstsq": np.linalg.lstsq,
+    "svd": functools.partial(np.linalg.svd, compute_uv=False),
+    "svd_complex": functools.partial(np.linalg.svd, compute_uv=False),
+    "eig": np.linalg.eig,
+    "eigvals": np.linalg.eigvals,
+    "inv": np.linalg.inv,
+    "eigvalsh_lo": np.linalg.eigvalsh,
+}
+PER_STEP_RUNS = ("dip_smc", "sip_adaptive_sysid")
+
+
+def _copy(value):
+    return tuple(map(np.copy, value)) if isinstance(value, tuple) else np.copy(value)
+
+
+@contextlib.contextmanager
+def recorded_bindings():
+    """Every call of a numerics.lapack binding made inside, as (name, inputs, outputs), copied."""
+    calls = []
+
+    def recorder(name, binding):
+        def record(*args):
+            out = binding(*args)
+            calls.append((name, _copy(args), _copy(out)))
+            return out
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, binding in vars(lapack).items():
+            mp.setattr(lapack, name, recorder(name, binding))
+        yield calls
+
+
+def assert_calls_match_numpy(calls):
+    for name, args, out in calls:
+        ref = NUMPY_LINALG[name](*args)
+        if name == "lstsq":  # x, rank and singular values; numpy trims the residuals
+            out, ref = (out[0], out[2], out[3]), (ref[0], ref[2], ref[3])
+        if isinstance(out, tuple):
+            assert all(np.array_equal(o, r) for o, r in zip(out, ref, strict=True)), name
+        else:
+            assert np.array_equal(out, ref), name
+
+
+@pytest.fixture(scope="module")
+def per_step_runs():
+    """dip_smc and sip_adaptive_sysid at their defaults, with numpy.linalg's solve and lstsq
+    raising and the bindings recorded: {sid: (trajectory, report, calls)}."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-step path called a numpy.linalg wrapper")
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", refuse)
+        mp.setattr(np.linalg, "lstsq", refuse)
+        for sid in PER_STEP_RUNS:
+            with recorded_bindings() as calls:
+                traj, rep = run_scenario(sid)
+            runs[sid] = (traj, rep, calls)
+    return runs
+
+
+class TestLapackBindings:
+    def test_every_binding_has_a_numpy_counterpart(self):
+        assert set(vars(lapack)) == set(NUMPY_LINALG)
+
+    @pytest.mark.parametrize("sid", PER_STEP_RUNS)
+    def test_per_step_paths_skip_the_numpy_wrappers(self, per_step_runs, sid):
+        """With np.linalg.solve and lstsq raising, both runs finish on their golden checksums."""
+        traj, rep, _ = per_step_runs[sid]
+        golden = workloads.load_golden()["scenarios"][workloads.scenario_key(
+            sid, scenarios.SCENARIO_DEFAULTS[sid]["params"])]
+        assert rep.terminal_event == golden["event"]
+        assert trajectory_checksum(traj) == golden["checksum"]
+
+    def test_dip_mass_matrix_solves(self, per_step_runs):
+        traj, _, calls = per_step_runs["dip_smc"]
+        steps = [args for name, args, _ in calls if name == "solve1" and args[0].shape == (2, 2)]
+        assert len(steps) == len(traj.times) - 1  # one deriv per Euler step
+        assert len(calls) == len(steps) + 2  # and the builder's 6x6 placement: svd, solve1
+        assert_calls_match_numpy(calls)
+
+    def test_sysid_windows(self, per_step_runs):
+        """Each six-row window's estimate is np.linalg.lstsq(rcond=None)'s, bit for bit."""
+        _, _, calls = per_step_runs["sip_adaptive_sysid"]
+        assert {name for name, _, _ in calls} == {"lstsq"}
+        assert len(calls) > 2900
+        for _, (a, b, rcond), (x, _, rank, sv) in calls:
+            assert a.shape == (6, 2) and b.shape == (6, 1) and rcond == np.finfo(float).eps * 6
+            ref_x, _, ref_rank, ref_sv = np.linalg.lstsq(a, b.ravel(), rcond=None)
+            assert np.array_equal(x.ravel(), ref_x) and rank == ref_rank and np.array_equal(sv, ref_sv)
+            assert np.array_equal(least_squares(a, b.ravel()), ref_x)
+
+    def test_placements(self):
+        """C and C' of 3x3, 4x4 and 6x6 placements: the scenario designs and workload draws."""
+        rng = np.random.default_rng(1901)
+        with recorded_bindings() as calls:
+            design_gain_matrix(*sip_design_pair(G, -1.0), [-4.0, -4.0, -4.0])
+            scenarios.sip_full_gain([-2.0, -2.5, -3.0, -3.5])
+            design_gain_matrix(*scenarios._dip_design_matrices(), [-4.0] * 6)
+            design_gain_matrix(*scenarios._motorcycle_design_matrices(), [-2.5] * 4)
+            for n in workloads.PLACE_SIZES:
+                for conjugate in (False, True):
+                    for _ in range(10):
+                        design_gain_matrix(*workloads._controllable_pair(rng, n),
+                                           workloads._pole_set(rng, n, conjugate))
+        assert {name for name, _, _ in calls} == {"svd", "solve1"}
+        assert {args[0].shape for _, args, _ in calls} == {(3, 3), (4, 4), (6, 6)}
+        assert_calls_match_numpy(calls)
+
+    def test_robust_draws(self):
+        """The Hamiltonians, X1 and P (and RobustConfig's Q test) of robust draws."""
+        rng = np.random.default_rng(9101)
+        with recorded_bindings() as calls:
+            for _ in range(60):
+                workloads._run_robust({"theta_max": rng.uniform(0.3 * math.pi, 0.45 * math.pi),
+                                       "bar": rng.uniform(200.0, 400.0),
+                                       "epsilon": rng.uniform(0.005, 0.02)})
+            scenarios.sip_robust_gain("vertex")
+            scenarios.sip_robust_gain("midpoint")
+        assert {name for name, _, _ in calls} == {"eigvals", "svd", "inv", "eigvalsh_lo"}
+        assert_calls_match_numpy(calls)
+
+    def test_sweeps_guidance_and_perturbation_bound(self):
+        rng = np.random.default_rng(1902)
+        K = scenarios.sip_robust_gain("vertex")
+        with recorded_bindings() as calls:
+            eig_sweep(K, np.linspace(-1.2, 1.2, 25))
+            MotorcycleGuidance(scenarios._MOTO_POSE_I, scenarios._MOTO_POSE_D)
+            for n in (2, 3, 4):
+                for _ in range(20):
+                    bauer_fike_check(rng.normal(size=(n, n)), 1e-3 * rng.normal(size=(n, n)))
+            bauer_fike_check(np.diag([-1.0, -2.0, -3.0]), 1e-3 * np.ones((3, 3)))
+        names = {name for name, _, _ in calls}
+        assert names == {"eigvals", "solve1", "eig", "svd", "svd_complex"}
+        assert_calls_match_numpy(calls)
+
+    def test_perturbation_bound_is_the_numpy_formula(self):
+        rng = np.random.default_rng(1903)
+        for n in (2, 3, 4):
+            for _ in range(20):
+                Ac0, delta = rng.normal(size=(n, n)), 1e-2 * rng.normal(size=(n, n))
+                sv = np.linalg.svd(np.linalg.eig(Ac0)[1], compute_uv=False)
+                radius = float(sv[0] / sv[-1]) * np.linalg.norm(delta, 2)
+                assert bauer_fike_check(Ac0, delta)[0] == radius
+
+    @pytest.mark.parametrize("name", ["solve1", "inv"])
+    def test_singular_matrix_raises_numpys_error(self, name):
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        args = (singular, np.ones(2)) if name == "solve1" else (singular,)
+        before = np.geterr()
+        for fn in (getattr(lapack, name), NUMPY_LINALG[name]):
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                fn(*args)
+        assert np.geterr() == before
+
+    def test_rank_deficient_window_raises_value_error(self):
+        window = [[0.3, 1.0]] * 6  # a constant warm-up row six times
+        with pytest.raises(ValueError, match="rank deficient"):
+            least_squares(window, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+
+    @pytest.mark.parametrize("which", ["A", "M", "Q"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_care_input_raises_numpys_eigvals_error(self, which, bad):
+        mats = {"A": -np.eye(2), "M": np.eye(2), "Q": np.eye(2)}
+        mats[which][1, 0] = bad
+        message = "^Array must not contain infs or NaNs$"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            solve_care(mats["A"], mats["M"], mats["Q"])
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            np.linalg.eigvals(np.block([[mats["A"], -mats["M"]], [-mats["Q"], -mats["A"].T]]))

@@ -272,6 +272,17 @@ class TestBauerFike:
         with pytest.warns(UserWarning):
             bauer_fike_check(Ac0, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("Ac0, delta", [
+        (np.ones((2, 3)), np.ones((2, 3))),  # not square
+        (np.ones(3), np.ones(3)),  # not a matrix
+        (np.eye(2), np.ones((3, 3))),  # sizes differ
+        (np.eye(2), np.ones(2)),  # a row, which broadcasting would have accepted
+        (np.ones((2, 2, 2)), np.ones((2, 2, 2))),  # a stack
+    ])
+    def test_rejects_matrices_that_are_not_square_of_one_size(self, Ac0, delta):
+        with pytest.raises(ValueError, match="^Ac0 and deltaAc must be square matrices of the same size$"):
+            bauer_fike_check(Ac0, delta)
+
 
 class TestSipPerturbation:
     def test_zero_angle_gives_zero_matrix(self):

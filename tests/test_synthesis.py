@@ -356,7 +356,7 @@ class TestLapackHelpers:
     def test_workspace_size_equals_a_fresh_query(self):
         """The per-size dgees lwork is what the query returns for any matrix of that size."""
         rng = np.random.default_rng(1703)
-        dgees = synthesis._lapack().dgees
+        dgees = synthesis._scipy_lapack().dgees
         for n in range(1, 9):
             for a in (rng.normal(size=(n, n)), 1e6 * rng.normal(size=(n, n)), np.eye(n)):
                 assert int(dgees(synthesis._no_sort, a, lwork=-1)[-2][0]) == synthesis._dgees_lwork(n)
