@@ -5,6 +5,7 @@ documented outcome, 2 when an outcome assertion failed, 1 on any error.
 """
 
 import argparse
+import functools
 import pathlib
 import sys
 
@@ -165,6 +166,7 @@ def _cmd_region_check(args):
     return 0 if feasible else 2
 
 
+@functools.cache  # one parser per process; building it takes about 1.4 ms
 def _build_parser():
     parser = _Parser(prog="ctrlkit",
                      description="Controller synthesis and scenario simulation toolkit.")

@@ -101,7 +101,7 @@ def nnmf_rank1(m):
         raise ValueError("matrix must not be empty")
     rows = m.tolist()
     entries = finite_floats(m, "matrix")
-    if any(v < 0 for v in entries):
+    if min(entries) < 0:
         raise ValueError("matrix must be element-wise non-negative")
     peak = max(entries)
     if not peak:

@@ -39,6 +39,13 @@ class IntervalPoly:
         object.__setattr__(self, "lower", tuple(lo))
         object.__setattr__(self, "upper", tuple(hi))
 
+    @classmethod
+    def _checked(cls, lower, upper):
+        """An IntervalPoly of bounds that already pass __post_init__'s checks, given as tuples of floats."""
+        ip = object.__new__(cls)
+        ip.__dict__.update(lower=lower, upper=upper)
+        return ip
+
 
 @dataclass(frozen=True)
 class RouthResult:

@@ -11,6 +11,7 @@ Gains are plain 1-D arrays k with the single-input convention u = -k' x,
 so the closed loop is A - B k'.
 """
 
+import cmath
 import functools
 import itertools
 import math
@@ -42,8 +43,8 @@ class RobustConfig:
             raise ValueError("a_bar and b_bar must be non-negative")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        object.__setattr__(self, "Q", np.atleast_2d(np.asarray(self.Q, dtype=float)))
-        object.__setattr__(self, "R", np.atleast_2d(np.asarray(self.R, dtype=float)))
+        object.__setattr__(self, "Q", np.array(self.Q, dtype=float, copy=None, ndmin=2))
+        object.__setattr__(self, "R", np.array(self.R, dtype=float, copy=None, ndmin=2))
         Q, R = self.Q, self.R
         # robust_riccati_gain reports a Q or R that is not square by its shape; a nan or
         # infinite entry fails both tests; LAPACK's eigenvalue of a 1x1 matrix is its entry
@@ -51,8 +52,10 @@ class RobustConfig:
                 all_finite(R) and (R[0, 0] > 0 if R.shape == (1, 1) else lapack.eigvalsh_lo(R).min() > 0)):
             raise ValueError("R must be positive definite")
         if Q.shape[0] == Q.shape[1]:
-            tol = 1e-12 * np.abs(Q).max()
-            if not (all_finite(Q) and np.abs(Q - Q.T).max() <= tol and lapack.eigvalsh_lo(Q)[0] >= -tol):
+            q, q_t = Q.ravel().tolist(), Q.T.ravel().tolist()
+            tol = 1e-12 * max(map(abs, q))  # |Q| and |Q - Q'| entry by entry, as numpy rounds them
+            if not (all_finite(q) and max(map(abs, map(operator.sub, q, q_t))) <= tol
+                    and lapack.eigvalsh_lo(Q)[0] >= -tol):
                 raise ValueError("Q must be symmetric positive semi-definite")
 
 
@@ -64,11 +67,11 @@ class UncertaintyBounds:
     dB_max: np.ndarray
 
     def __post_init__(self):
-        dA = np.atleast_2d(np.asarray(self.dA_max, dtype=float))
+        dA = np.array(self.dA_max, dtype=float, copy=None, ndmin=2)
         dB = np.asarray(self.dB_max, dtype=float)
         if dB.ndim == 1:
             dB = dB.reshape(-1, 1)
-        if any(v < 0 for v in finite_floats(dA, "dA_max") + finite_floats(dB, "dB_max")):
+        if min(finite_floats(dA, "dA_max") + finite_floats(dB, "dB_max"), default=0.0) < 0:
             raise ValueError("uncertainty bounds must be non-negative")
         object.__setattr__(self, "dA_max", dA)
         object.__setattr__(self, "dB_max", dB)
@@ -90,21 +93,22 @@ class CareNoSolution:
 def _monic_coefficients(desired_eigs, n):
     """Descending real coefficients of the monic polynomial with the n roots desired_eigs.
 
-    np.poly(desired).real bit for bit: the same convolutions, without np.poly's
-    wrapper; its exact conjugate-pair test only decides a request whose
+    np.poly(desired).real bit for bit: the same convolutions, without np.poly's or
+    np.convolve's wrapper; its exact conjugate-pair test only decides a request whose
     coefficients have an imaginary part above 1e-9.
     """
     desired = np.asarray(desired_eigs, dtype=complex).ravel()
     if desired.size != n:
         raise ValueError("need exactly n desired eigenvalues")
-    finite_floats(desired.view(float), "desired_eigs")  # the real and imaginary parts, interleaved
-    factors = np.empty((n, 2), dtype=complex)  # row i holds (1, -z_i)
-    factors[:, 0] = 1
-    factors[:, 1] = -desired
-    coeffs = np.ones(1, dtype=complex)
-    for factor in factors:
-        coeffs = np.convolve(coeffs, factor)
-    if (np.abs(coeffs.imag).max() > 1e-9
+    roots = desired.tolist()
+    if not all(map(cmath.isfinite, roots)):
+        raise ValueError("desired_eigs must be finite")
+    # np.convolve(c, (1, -z)) correlates c with (-z, 1); np.correlate conjugates its second argument
+    coeffs = np.array([1 + 0j])
+    for z in roots:
+        coeffs = np.correlate(coeffs, np.array([(-z).conjugate(), complex(1.0, -0.0)]), "full")
+    imag = coeffs.imag.tolist()
+    if (max(map(abs, imag)) > 1e-9 and not any(map(math.isnan, imag))  # np.abs(imag).max() > 1e-9
             and not np.array_equal(np.sort(desired), np.sort(desired.conj()))):
         raise ValueError("desired eigenvalues must be closed under conjugation")
     return coeffs.real
@@ -125,7 +129,7 @@ def design_gain_matrix(A, B, desired_eigs):
     under conjugation.  A, B and desired_eigs must be finite (ValueError
     naming the one that is not).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = np.array(A, dtype=float, copy=None, ndmin=2)
     B = np.asarray(B, dtype=float).ravel()
     n = A.shape[0]
     if A.shape != (n, n) or B.size != n:
@@ -134,11 +138,11 @@ def design_gain_matrix(A, B, desired_eigs):
     finite_floats(B, "B")
     coeffs = _monic_coefficients(desired_eigs, n)
 
-    C = np.empty((n, n), order="F")  # [B, AB, ..., A^(n-1) B], column by column
-    C[:, 0] = B
-    for k in range(1, n):
-        np.matmul(A, C[:, k - 1], out=C[:, k])
-    sv = lapack.svd(C)
+    columns = [B]
+    for _ in range(1, n):
+        columns.append(A @ columns[-1])
+    C = np.array(columns).T  # [B, AB, ..., A^(n-1) B]
+    sv = lapack.svd(C).tolist()
     _check_controllability(sv[0], sv[-1])
 
     # Horner's phi(A) = (...(A + c1 I) A + ...) + cn I; its first step, 0 A + 1 I,
@@ -246,9 +250,9 @@ def solve_care(A, M, Q):
     Returns P, or a CareNoSolution value when the candidate is not
     positive definite (a legitimate outcome the tuning rule consumes).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    A = np.array(A, dtype=float, copy=None, ndmin=2)
+    M = np.array(M, dtype=float, copy=None, ndmin=2)
+    Q = np.array(Q, dtype=float, copy=None, ndmin=2)
     n = A.shape[0]
     _require_shape((n, n), A=A, M=M, Q=Q)
     ham = np.empty((2 * n, 2 * n))
@@ -256,7 +260,7 @@ def solve_care(A, M, Q):
     ham[:n, n:] = -M
     ham[n:, :n] = -Q
     ham[n:, n:] = -A.T
-    if np.abs(lapack.eigvals(ham).real).min() <= 1e-9:
+    if min(map(abs, lapack.eigvals(ham).real.tolist())) <= 1e-9:  # eigvals takes no nan, gives no nan
         raise ValueError("Hamiltonian has eigenvalues on the imaginary axis")
     _, Z, sdim = _real_schur(ham, _lhp, 1)
     if sdim != n:
@@ -287,21 +291,23 @@ def solve_care(A, M, Q):
             break
         P, res, rnorm = P_next, res_next, rnorm_next
 
-    p_eigs = lapack.eigvalsh_lo(P)
-    if p_eigs.min() <= 0:
+    p_eigs = lapack.eigvalsh_lo(P)  # ascending, as LAPACK returns them
+    if p_eigs[0] <= 0:
         return CareNoSolution(M=M, Q=Q, p_eigenvalues=p_eigs)
     return P
 
 
-def _auxiliary_pair(bound, bar, bar_name, bound_name):
-    """(bar * v v', bar * h h') for bound = bar * v h' (nnmf_rank1), or zero matrices for a zero bound."""
-    if not bound.any():
-        return np.zeros((bound.shape[0],) * 2), np.zeros((bound.shape[1],) * 2)
+def _rank_one_factors(bound, bar, bar_name, bound_name):
+    """(v, h) as lists of floats with bound = bar * v h' (nnmf_rank1), or zeros for a zero bound.
+
+    The auxiliary matrices are bar * v v' and bar * h h', each entry bar * (v_i * v_j) as numpy rounds it.
+    """
+    if not any(bound.ravel().tolist()):
+        return [0.0] * bound.shape[0], [0.0] * bound.shape[1]
     if bar == 0:
         raise ValueError(f"{bar_name} must be positive when {bound_name} is non-zero")
     w, h = nnmf_rank1(bound)
-    v = w / bar
-    return bar * np.multiply.outer(v, v), bar * np.multiply.outer(h, h)
+    return [w_i / bar for w_i in w.tolist()], h.tolist()
 
 
 def robust_riccati_gain(A, B, bounds, cfg):
@@ -316,27 +322,34 @@ def robust_riccati_gain(A, B, bounds, cfg):
     Returns a CareNoSolution (carrying the assembled M and Q_sigma) when no
     positive definite P exists, so the caller can retune.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = np.array(A, dtype=float, copy=None, ndmin=2)
     B = np.asarray(B, dtype=float).reshape(-1, 1)
     n = A.shape[0]
     _require_shape((n, n), A=A, dA_max=bounds.dA_max, Q=cfg.Q)
     _require_shape((n, 1), B=B, dB_max=bounds.dB_max)
     _require_shape((1, 1), R=cfg.R)
     finite_floats(A, "A")
-    finite_floats(B, "B")
-    eps = cfg.epsilon
+    b = finite_floats(B, "B")
+    a_bar, b_bar, eps = float(cfg.a_bar), float(cfg.b_bar), float(cfg.epsilon)
 
-    sigma_a, sigma_x = _auxiliary_pair(bounds.dA_max, cfg.a_bar, "a_bar", "dA_max")
-    sigma_b, sigma_y = _auxiliary_pair(bounds.dB_max, cfg.b_bar, "b_bar", "dB_max")
-    r_eff = cfg.R + eps * sigma_y
-    r_inv = 1.0 / r_eff  # inv of the 1x1 r_eff, as LAPACK's LU solve computes it
-    M = B @ r_inv @ (2 * cfg.R + eps * sigma_y) @ r_inv @ B.T - sigma_a - (1 / eps) * sigma_b
-    q_sigma = sigma_x + cfg.Q
+    v_a, h_a = _rank_one_factors(bounds.dA_max, a_bar, "a_bar", "dA_max")
+    v_b, (h_b,) = _rank_one_factors(bounds.dB_max, b_bar, "b_bar", "dB_max")
+    r = cfg.R.item()
+    sigma_y = b_bar * (h_b * h_b)
+    r_inv = 1.0 / (r + eps * sigma_y)  # inv of the 1x1 R + eps*Sigma_y, as LAPACK's LU solve computes it
+    # M = B r_inv (2R + eps*Sigma_y) r_inv B' - Sigma_a - Sigma_b/eps.  Each product of the chain has
+    # inner dimension 1, and numpy's matmul sums it from +0.0: 0.0 + e_i * b_j makes its zeros +0.0.
+    mid = 2 * r + eps * sigma_y
+    e = [b_i * r_inv * mid * r_inv for b_i in b]
+    inv_eps = float(1 / cfg.epsilon)  # in epsilon's own type, as numpy's (1 / eps) was
+    M = [[(0.0 + e_i * b_j) - a_bar * (va_i * va_j) - inv_eps * (b_bar * (vb_i * vb_j))
+          for b_j, va_j, vb_j in zip(b, v_a, v_b)] for e_i, va_i, vb_i in zip(e, v_a, v_b)]
+    q_sigma = [[a_bar * (h_i * h_j) + q for h_j, q in zip(h_a, row)] for h_i, row in zip(h_a, cfg.Q.tolist())]
 
     P = solve_care(A, M, q_sigma)
     if isinstance(P, CareNoSolution):
         return P
-    return (P @ B @ r_inv).ravel()
+    return 0.0 + (P @ B).ravel() * r_inv  # P B r_inv, its k = 1 product summed from +0.0 as well
 
 
 def _char_poly_3x3(m):
@@ -391,7 +404,19 @@ def vertex_interval_char_poly(A_family, B_family, K):
     if not all(map(math.isfinite, itertools.chain.from_iterable(coeff_rows))):
         raise ValueError("the vertex families give a non-finite characteristic coefficient")
     columns = list(zip(*reversed(coeff_rows)))  # last pair first: min and max keep the first of equals
-    return IntervalPoly(list(map(min, columns)), list(map(max, columns)))
+    # finite, min <= max, leading coefficients exactly 1.0: the box passes IntervalPoly's checks
+    return IntervalPoly._checked(tuple(map(min, columns)), tuple(map(max, columns)))
+
+
+def _region_bounds(k2, k3, a_hi, b_lo):
+    """sip_region_bounds on inputs that have passed its checks."""
+    if not k3 < 0:
+        return None, None
+    k2_bound = float(k3 / b_lo)
+    if not k2 < k2_bound:
+        return k2_bound, None
+    denominator = -b_lo * k2 + k3
+    return k2_bound, float(a_hi * k2 / denominator) if denominator > 0 else -math.inf
 
 
 def sip_region_bounds(K, a_hi, b_lo):
@@ -401,17 +426,11 @@ def sip_region_bounds(K, a_hi, b_lo):
     k3 < 0, k2 < k2_bound; None past its first failing inequality.  k1_bound is
     -inf, its limit, where rounding leaves its denominator at or below 0.
     """
-    k1, k2, k3 = finite_floats(K, "K")
+    _, k2, k3 = finite_floats(K, "K")
     finite_floats([a_hi, b_lo], "a_hi and b_lo")
     if not b_lo > 0:
         raise ValueError("b_lo must be positive")
-    if not k3 < 0:
-        return None, None
-    k2_bound = float(k3 / b_lo)
-    if not k2 < k2_bound:
-        return k2_bound, None
-    denominator = -b_lo * k2 + k3
-    return k2_bound, float(a_hi * k2 / denominator) if denominator > 0 else -math.inf
+    return _region_bounds(k2, k3, a_hi, b_lo)
 
 
 def sip_region_feasible(K, a_lo, a_hi, b_lo, b_hi):
@@ -425,9 +444,9 @@ def sip_region_feasible(K, a_lo, a_hi, b_lo, b_hi):
     finite_floats([a_lo, a_hi, b_lo, b_hi], "parameter bounds")
     if not (0 < b_lo <= b_hi and 0 < a_lo <= a_hi):
         raise ValueError("parameter bounds must be positive and ordered")
-    k = finite_floats(K, "K")
-    k1_bound = sip_region_bounds(k, a_hi, b_lo)[1]
-    return k1_bound is not None and k[0] < k1_bound
+    k1, k2, k3 = finite_floats(K, "K")
+    k1_bound = _region_bounds(k2, k3, a_hi, b_lo)[1]
+    return k1_bound is not None and k1 < k1_bound
 
 
 def eig_sweep(K, theta_grid):
@@ -436,13 +455,15 @@ def eig_sweep(K, theta_grid):
     Each row is (theta, real parts of eig(A - B k')) for the 3-state design
     pair frozen at theta (exact coefficients, no small-angle branch), sorted
     by descending magnitude of the real part, the order the printed tables use.
+    K must have 3 entries, all finite (ValueError otherwise).
     """
-    K = np.asarray(K, dtype=float).ravel()
+    K = np.array(finite_floats(K, "K"))
+    if K.size != 3:
+        raise ValueError(f"K must have 3 entries, got {K.size}")
     rows = []
     for theta in theta_grid:
         A, B = sip_design_pair(*sip_frozen_coefficients(theta))
-        vals = lapack.eigvals(A - np.outer(B, K))
-        re = vals.real
-        order = np.argsort(-np.abs(re), kind="stable")
-        rows.append((float(theta), re[order]))
+        re = lapack.eigvals(A - np.outer(B, K)).real.tolist()
+        # a stable sort, as np.argsort(-np.abs(re), kind="stable"); eigvals never returns a nan
+        rows.append((float(theta), np.array(sorted(re, key=lambda v: -abs(v)))))
     return rows

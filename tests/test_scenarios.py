@@ -21,6 +21,7 @@ from ctrlkit import (
     run_scenario,
     trajectory_checksum,
 )
+from ctrlkit import cli
 from ctrlkit.cli import main, read_matrix_file
 from ctrlkit.scenarios import _BUILDERS, FINAL_NORM_BELOW, emit_csv, emit_json, emit_svg
 from test_acceptance import run_cached
@@ -399,6 +400,31 @@ class TestCli:
         with pytest.raises(SystemExit) as ei:
             main(["run", "sip_unknown"])
         assert ei.value.code == 1
+
+    def test_one_parser_per_process_answers_as_a_fresh_one(self, tmp_path, capsys, monkeypatch):
+        """main reuses one parser; a usage error, two run formats and a table come out as they
+        do from a parser built for each call."""
+        run = ["run", "point2d_cbf_case1", "--set", "t_end=0.2", "--out", str(tmp_path), "--format"]
+        calls = [["run", "sip_unknown"], run + ["json"], run + ["svg"],
+                 ["table", "2", "--out", str(tmp_path / "t2.csv")]]
+
+        def outcomes():
+            got = []
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                got.append((code, *capsys.readouterr()))
+            files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+            return got, files
+
+        shared = outcomes()
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)  # a new parser per call
+        assert cli._build_parser() is not cli._build_parser()
+        assert outcomes() == shared
+        assert [code for code, _, _ in shared[0]] == [1, 0, 0, 0] and len(shared[1]) == 3
 
     def test_table_command(self, tmp_path, capsys):
         out_file = tmp_path / "t2.csv"

@@ -2,6 +2,7 @@
 gain-region checks, and the eigenvalue sweep."""
 
 import collections
+import dataclasses
 import functools
 import math
 import os
@@ -31,7 +32,8 @@ from ctrlkit import (
 )
 from ctrlkit import control, scenarios, synthesis
 from ctrlkit.models import G, sip_design_pair, sip_frozen_coefficients
-from ctrlkit.stability import interval_poly_stable, routh_stable
+from ctrlkit.numerics import nnmf_rank1
+from ctrlkit.stability import IntervalPoly, interval_poly_stable, routh_stable
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -481,6 +483,190 @@ class TestRobustRiccatiGain:
             UncertaintyBounds(dA_max=-np.ones((2, 2)), dB_max=np.zeros(2))
 
 
+def auxiliary_pair_numpy(bound, bar, bar_name, bound_name):
+    """The numpy auxiliary matrices (bar * v v', bar * h h') for bound = bar * v h' that
+    robust_riccati_gain formed before its float path, kept as the oracle of _rank_one_factors."""
+    if not bound.any():
+        return np.zeros((bound.shape[0],) * 2), np.zeros((bound.shape[1],) * 2)
+    if bar == 0:
+        raise ValueError(f"{bar_name} must be positive when {bound_name} is non-zero")
+    w, h = nnmf_rank1(bound)
+    v = w / bar
+    return bar * np.multiply.outer(v, v), bar * np.multiply.outer(h, h)
+
+
+def robust_numpy(A, B, bounds, cfg):
+    """robust_riccati_gain's numpy form, the oracle of its float path: (M, Q_sigma, gain or
+    CareNoSolution)."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.asarray(B, dtype=float).reshape(-1, 1)
+    eps = cfg.epsilon
+    sigma_a, sigma_x = auxiliary_pair_numpy(bounds.dA_max, cfg.a_bar, "a_bar", "dA_max")
+    sigma_b, sigma_y = auxiliary_pair_numpy(bounds.dB_max, cfg.b_bar, "b_bar", "dB_max")
+    r_inv = 1.0 / (cfg.R + eps * sigma_y)
+    M = B @ r_inv @ (2 * cfg.R + eps * sigma_y) @ r_inv @ B.T - sigma_a - (1 / eps) * sigma_b
+    q_sigma = sigma_x + cfg.Q
+    P = solve_care(A, M, q_sigma)
+    return M, q_sigma, P if isinstance(P, CareNoSolution) else (P @ B @ r_inv).ravel()
+
+
+def workload_robust_inputs(n_draws, seed):
+    """(A, B, bounds, cfg) of n_draws robust operations drawn as the design workload draws them."""
+    rng = np.random.default_rng(seed)
+    A, B = workloads._nominal_pendulum()
+    for _ in range(n_draws):
+        theta = rng.uniform(0.3 * math.pi, 0.45 * math.pi)
+        bar, eps = rng.uniform(200.0, 400.0), rng.uniform(0.005, 0.02)
+        dA = np.zeros((3, 3))
+        dA[1, 0] = abs(10.0 * math.sin(theta) / theta - 10.0)
+        dB = np.zeros((3, 1))
+        dB[1, 0] = abs(1.0 - math.cos(theta))
+        yield A, B, UncertaintyBounds(dA, dB), RobustConfig(a_bar=bar, b_bar=bar, epsilon=eps,
+                                                            Q=np.eye(3), R=[[0.01]])
+
+
+class TestRobustFloatPath:
+    """robust_riccati_gain's float assembly against its numpy form, compared by bytes so that
+    signed zeros count: the rank-one auxiliaries, M, Q_sigma and the gain."""
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return call()
+        except ValueError as exc:  # the Hamiltonian test, on both paths alike
+            return str(exc)
+
+    def assert_matches_numpy(self, A, B, bounds, cfg, monkeypatch):
+        """Returns the outcome kind; M and Q_sigma are read where solve_care receives them."""
+        received = []
+        monkeypatch.setattr(synthesis, "solve_care",
+                            lambda A, M, Q: received.append((M, Q)) or solve_care(A, M, Q))
+        got = self.outcome(lambda: robust_riccati_gain(A, B, bounds, cfg))
+        monkeypatch.undo()
+        ref = self.outcome(lambda: robust_numpy(A, B, bounds, cfg))
+        if isinstance(ref, str):
+            assert got == ref
+            return "value_error"
+        M, Q, ref = ref
+        (got_M, got_Q), = received
+        assert np.array(got_M).tobytes() == M.tobytes() and np.array(got_Q).tobytes() == Q.tobytes()
+        if isinstance(ref, CareNoSolution):
+            assert isinstance(got, CareNoSolution)
+            for field in ("M", "Q", "p_eigenvalues"):
+                assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
+            return "no_solution"
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        return "gain"
+
+    def test_numpy_matmul_sums_an_inner_dimension_of_one_from_positive_zero(self):
+        """The fact the float path repeats with 0.0 + ...: a zero product is +0.0 after numpy's matmul."""
+        product = np.array([[0.0]]) @ np.array([[-1.0]])
+        assert product[0, 0] == 0.0 and math.copysign(1.0, product[0, 0]) == 1.0
+        assert math.copysign(1.0, 0.0 * -1.0) == -1.0
+
+    def test_workload_draws_match_numpy_byte_for_byte(self, monkeypatch):
+        outcomes = collections.Counter(self.assert_matches_numpy(*args, monkeypatch)
+                                       for args in workload_robust_inputs(300, 2001))
+        assert outcomes["gain"] > 100 and outcomes["no_solution"] > 25
+
+    def test_no_solution_m_keeps_numpy_positive_zeros(self):
+        """B's zero entry makes zero products of the M chain; numpy's are +0.0, and so are M's."""
+        for args in workload_robust_inputs(200, 2002):
+            out = robust_riccati_gain(*args)
+            if isinstance(out, CareNoSolution):
+                zeros = out.M[out.M == 0.0]
+                assert zeros.size and not np.signbit(zeros).any()
+                break
+        else:
+            pytest.fail("no draw gave a CareNoSolution")
+
+    def test_gain_entry_that_underflows_keeps_numpy_positive_zero(self, monkeypatch):
+        """P B = -5e-31 times r_inv = 1e-300 underflows to -0.0; numpy's k = 1 matmul gives +0.0."""
+        bounds = UncertaintyBounds(dA_max=[[0.0]], dB_max=[0.0])
+        cfg = RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01, Q=[[1.0]], R=[[1e300]])
+        assert self.assert_matches_numpy([[-1.0]], [-1e-30], bounds, cfg, monkeypatch) == "gain"
+        (k,) = robust_riccati_gain([[-1.0]], [-1e-30], bounds, cfg)
+        assert k == 0.0 and math.copysign(1.0, k) == 1.0
+
+    @pytest.mark.parametrize("parametrization", ["vertex", "midpoint"])
+    def test_sip_robust_gain_matches_numpy(self, parametrization, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scenarios, "robust_riccati_gain",
+                            lambda *args: calls.append(args) or robust_riccati_gain(*args))
+        K = scenarios.sip_robust_gain(parametrization)
+        monkeypatch.undo()
+        (args,) = calls
+        assert K.tobytes() == robust_numpy(*args)[2].tobytes()
+        assert self.assert_matches_numpy(*args, monkeypatch) == "gain"
+
+    @pytest.mark.parametrize("zero, bars", [
+        ("dA_max", (0.0, 300.0)), ("dA_max", (300.0, 300.0)), ("dB_max", (300.0, 0.0)),
+        ("dB_max", (300.0, 300.0)), ("both", (0.0, 0.0)), ("both", (1.0, 1.0)),
+    ])
+    def test_zero_bounds_and_zero_bars_match_numpy(self, zero, bars, monkeypatch):
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
+        bounds = pendulum_bounds()
+        dA = np.zeros((3, 3)) if zero in ("dA_max", "both") else bounds.dA_max
+        dB = np.zeros(3) if zero in ("dB_max", "both") else bounds.dB_max
+        cfg = RobustConfig(a_bar=bars[0], b_bar=bars[1], epsilon=0.01, Q=np.eye(3), R=[[0.01]])
+        assert self.assert_matches_numpy(A, B, UncertaintyBounds(dA, dB), cfg, monkeypatch) == "gain"
+
+    def test_random_models_with_signed_zeros_match_numpy(self, monkeypatch):
+        """Random n x n models, rank-one bounds and a B with +0.0 and -0.0 entries."""
+        rng = np.random.default_rng(2003)
+        outcomes = collections.Counter()
+        for _ in range(150):
+            n = int(rng.integers(1, 5))
+            A = rng.normal(size=(n, n))
+            B = rng.normal(size=n)
+            B[rng.random(n) < 0.4] = rng.choice([0.0, -0.0])
+            dA = np.multiply.outer(rng.random(n), rng.random(n)) * (rng.random() < 0.8)
+            dB = rng.random((n, 1)) * (rng.random() < 0.8)
+            cfg = RobustConfig(a_bar=rng.uniform(0.5, 50.0), b_bar=rng.uniform(0.5, 50.0),
+                               epsilon=rng.uniform(0.01, 1.0), Q=np.diag(rng.uniform(0.0, 2.0, n)),
+                               R=[[rng.uniform(0.01, 1.0)]])
+            outcomes[self.assert_matches_numpy(A, B, UncertaintyBounds(dA, dB), cfg, monkeypatch)] += 1
+        assert outcomes["gain"] > 50 and outcomes["no_solution"] > 10
+
+    def test_rank_one_factors_against_the_numpy_auxiliary_matrices(self):
+        rng = np.random.default_rng(2004)
+        for rows, cols in [(3, 3), (3, 1), (1, 1), (4, 2)]:
+            for bar in (0.0, 0.7, 300.0):
+                for bound in (np.zeros((rows, cols)), np.multiply.outer(rng.random(rows), rng.random(cols))):
+                    try:
+                        ref = auxiliary_pair_numpy(bound, bar, "a_bar", "dA_max")
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=f"^{exc}$"):
+                            synthesis._rank_one_factors(bound, bar, "a_bar", "dA_max")
+                        continue
+                    v, h = synthesis._rank_one_factors(bound, bar, "a_bar", "dA_max")
+                    assert len(v) == rows and len(h) == cols
+                    got = (np.array([[bar * (v_i * v_j) for v_j in v] for v_i in v]),
+                           np.array([[bar * (h_i * h_j) for h_j in h] for h_i in h]))
+                    assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+
+    def test_config_q_check_matches_numpy_near_its_tolerance(self):
+        """The float tolerance and asymmetry test give numpy's verdict on the edge of 1e-12 max|Q|."""
+        rng = np.random.default_rng(2005)
+        verdicts = collections.Counter()
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            C = rng.normal(size=(n, n))
+            Q = C @ C.T * 10.0 ** rng.integers(-3, 4)
+            i, j = rng.integers(n, size=2)
+            Q[i, j] += rng.choice([0.5, 1.0, 2.0]) * 1e-12 * np.abs(Q).max()
+            tol = 1e-12 * np.abs(Q).max()
+            expected = np.abs(Q - Q.T).max() <= tol and np.linalg.eigvalsh(Q)[0] >= -tol
+            try:
+                RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01, Q=Q, R=[[0.01]])
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected
+            verdicts[accepted] += 1
+        assert min(verdicts.values()) > 30
+
+
 class TestNonFiniteInputsFailAtTheBoundary:
     """A nan or infinite input raises a ValueError naming it, not a nan result or a LAPACK error."""
 
@@ -665,6 +851,32 @@ class TestCharPolyAndVertexFamilies:
                 self.assert_box_matches_numpy(list(rng.normal(size=(2, n, n))),
                                               list(rng.normal(size=(2, n))), rng.normal(size=n))
 
+    def test_region_op_matches_the_checked_calls_on_signed_zero_gains(self):
+        """The design workload's region op, K checked once per public call: its box (bytes), an
+        IntervalPoly equal to one built with every check, and both verdicts as the checked calls give them."""
+        a_lo, a_hi, b_lo, b_hi = workloads.REGION
+        A_family = [np.array([[0.0, 1.0, 0.0], [a, 0.0, 0.0], [0.0, 0.0, 0.0]]) for a in (a_lo, a_hi)]
+        B_family = [np.array([0.0, -b, 1.0]) for b in (b_lo, b_hi)]
+        rng = np.random.default_rng(2006)
+        verdicts = collections.Counter()
+        for i in range(600):
+            K = rng.uniform(-200.0, 5.0, size=3)
+            if i % 2:
+                K[rng.random(3) < 0.3] = rng.choice([0.0, -0.0])
+            ip = self.assert_box_matches_numpy(A_family, B_family, K)
+            checked = IntervalPoly(*self.vertex_box_numpy(A_family, B_family, K))
+            assert ip == checked and repr(ip) == repr(checked) and hash(ip) == hash(checked)
+            assert all(type(v) is float for v in ip.lower + ip.upper)
+            stable = interval_poly_stable(ip)
+            assert stable == interval_poly_stable(checked)
+            k1_bound = sip_region_bounds(K, a_hi, b_lo)[1]
+            feasible = sip_region_feasible(K, *workloads.REGION)
+            assert feasible == (k1_bound is not None and K[0] < k1_bound) == stable
+            verdicts[feasible] += 1
+        assert min(verdicts.values()) > 20
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ip.lower = ()
+
     def test_vertex_interval_covers_all_pairs(self):
         A_family = [np.array([[0.0, 1.0], [-a, 0.0]]) for a in (1.0, 2.0)]
         B_family = [np.array([0.0, b]) for b in (1.0, 2.0)]
@@ -775,6 +987,31 @@ class TestEigSweep:
         (_, re), = eig_sweep(K, [0.0])
         assert re == pytest.approx([-37.3975277998, -1.30123610009, -1.30123610009],
                                    rel=1e-9)
+
+    @pytest.mark.parametrize("K, message", [
+        ([5.0], "^K must have 3 entries, got 1$"),
+        ([-110.0, -50.0], "^K must have 3 entries, got 2$"),
+        ([-110.0, -50.0, -10.0, 1.0], "^K must have 3 entries, got 4$"),
+        ([-110.0, np.nan, -10.0], "^K must be finite$"),
+        ([-110.0, -50.0, -np.inf], "^K must be finite$"),
+    ], ids=["one", "two", "four", "nan", "inf"])
+    def test_rejects_a_gain_that_is_not_three_finite_entries(self, K, message):
+        """Once a 1-entry K was broadcast into eigenvalues, and a 2-entry or nan K failed inside numpy."""
+        with pytest.raises(ValueError, match=message):
+            eig_sweep(K, [0.1])
+
+    def test_rows_bit_identical_to_the_numpy_sort(self):
+        """The float sort against np.argsort(-np.abs(re), kind="stable"), on the table gains and ±0 gains."""
+        grid = [math.radians(d) for d in range(-72, 73)] + [0.0, -0.0, 1.5]
+        rng = np.random.default_rng(2007)
+        gains = [scenarios.sip_robust_gain("vertex"), scenarios.sip_interval_gain()]
+        gains += [np.where(rng.random(3) < 0.3, 0.0, rng.uniform(-200.0, 5.0, 3)) for _ in range(20)]
+        for K in gains:
+            for (theta, re), theta_ref in zip(eig_sweep(K, grid), grid):
+                A, B = sip_design_pair(*sip_frozen_coefficients(theta_ref))
+                ref = np.linalg.eigvals(A - np.outer(B, K)).real
+                order = np.argsort(-np.abs(ref), kind="stable")
+                assert theta == theta_ref and re.tobytes() == ref[order].tobytes()
 
     def test_grid_passthrough(self):
         rows = eig_sweep([-110.0, -50.0, -10.0], [0.1, 0.2])
