@@ -22,8 +22,11 @@ CBF_SINGULARITY_THRESHOLD = 1e-4
 
 
 def fsfc(K, x):
-    """Full-state feedback -k'x; a controller tracking a target passes x minus the target."""
-    return -float(np.dot(K, x))
+    """Full-state feedback -k'x; a controller tracking a target passes x minus the target.
+
+    The array's own dot is np.dot's BLAS call without np.dot's dispatch.
+    """
+    return -float(np.asarray(K).dot(x))
 
 
 def dip_sliding_target(x0, s_v, t):
@@ -69,7 +72,7 @@ class MotorcycleGuidance:
         xS, yS, phiS = self.pose_I if self.active_line == 1 else self.pose_D
         y_bar = -math.sin(phiS) * (x - xS) + math.cos(phiS) * (y - yS)
         phi_bar = phi - phiS
-        return float(-(K @ np.array([y_bar, phi_bar, s[4], s[5]])))
+        return -float(np.asarray(K).dot((y_bar, phi_bar, s[4], s[5])))  # fsfc's dot; no array built
 
 
 def lookup_region(theta):

@@ -70,15 +70,36 @@ class Trajectory:
 def step_euler(plant, x, u, dt):
     """One explicit Euler step: the tuple of x + dt * deriv(x, u), entry by entry.
 
-    plant.deriv must return a tuple of floats. Its finiteness is checked
-    through the sum of its entries first, and only when that sum is not
-    finite entry by entry, so finite entries whose sum overflows do not raise.
+    plant.deriv must return a tuple of floats, as many as x has. Its
+    finiteness is checked through the sum of its entries first, and only when
+    that sum is not finite entry by entry, so finite entries whose sum
+    overflows do not raise.  The plants' state sizes (2, 4 and 6) are spelled
+    out entry by entry, which skips the comprehension's frame; every entry is
+    still xi + dt * di, one rounded product and one rounded sum, so the result
+    is the comprehension's bit for bit.
     """
     dx = plant.deriv(x, u)
     if not math.isfinite(sum(dx)) and not all(map(math.isfinite, dx)):
         state = np.array(x, dtype=float)
         raise BlowupError(f"non-finite derivative for plant '{plant.name}' at state {state}",
                           state=state)
+    n = len(x)
+    if len(dx) != n:
+        raise ValueError(f"plant '{plant.name}' returned {len(dx)} derivative entries "
+                         f"for a state of {n}")
+    if n == 4:
+        x0, x1, x2, x3 = x
+        d0, d1, d2, d3 = dx
+        return (x0 + dt * d0, x1 + dt * d1, x2 + dt * d2, x3 + dt * d3)
+    if n == 6:
+        x0, x1, x2, x3, x4, x5 = x
+        d0, d1, d2, d3, d4, d5 = dx
+        return (x0 + dt * d0, x1 + dt * d1, x2 + dt * d2,
+                x3 + dt * d3, x4 + dt * d4, x5 + dt * d5)
+    if n == 2:
+        x0, x1 = x
+        d0, d1 = dx
+        return (x0 + dt * d0, x1 + dt * d1)
     return tuple([xi + dt * di for xi, di in zip(x, dx)])
 
 

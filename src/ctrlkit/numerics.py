@@ -79,7 +79,8 @@ def least_squares(design, target):
     if target.size != rows:
         raise ValueError("target length must match design row count")
     z, _, _, sv = lapack.lstsq(design, target[:, None], 2.0 ** -52 * rows)  # rcond=None: eps * max(m, n)
-    if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
+    s_max, s_min = sv[0].item(), sv[-1].item()
+    if s_max == 0.0 or s_min < 1e-10 * s_max:
         raise ValueError("design matrix is rank deficient")
     return z.ravel()
 

@@ -243,6 +243,7 @@ def _build_sip_adaptive_sysid(p):
     rows, rates = [], []  # identification rows (theta, input) and theta_dot rates, newest first
     dt = p["dt"]
     prev, acc, K = _SIP_X0, 1.0, None  # first difference 0; warm-up input until an estimate
+    coeffs = sip_coefficients(_POLES3)
 
     def controller(t, x):
         nonlocal prev, acc, K
@@ -252,7 +253,7 @@ def _build_sip_adaptive_sysid(p):
         del rows[6:], rates[6:]
         if warm:
             try:
-                K = sip_pole_gain(*sysid_solve(rows, rates).tolist(), sip_coefficients(_POLES3))
+                K = sip_pole_gain(*sysid_solve(rows, rates).tolist(), coeffs)
             except ValueError:
                 pass  # unidentifiable this step; keep the previous gain
             if K is not None:

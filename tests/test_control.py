@@ -30,6 +30,17 @@ class TestFsfc:
     def test_returns_python_float(self):
         assert isinstance(fsfc([1.0], [1.0]), float)
 
+    @pytest.mark.parametrize("n", [1, 3, 4, 6])
+    def test_bit_identical_to_np_dot_for_every_gain_kind(self, n):
+        rng = np.random.default_rng(2110 + n)
+        for _ in range(200):
+            K = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+            x = tuple((rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)).tolist())
+            ref = -float(np.dot(K, x))
+            for gain in (K, K.tolist(), tuple(K.tolist())):
+                out = fsfc(gain, x)
+                assert type(out) is float and out.hex() == ref.hex()
+
 
 class TestSlidingTarget:
     def test_walks_toward_origin_and_clamps(self):
@@ -84,6 +95,34 @@ class TestMotorcycleGuidance:
         g = self.make()
         u = g.step((5.0, 2.0, 0.0, 0.0, 0.1, -0.2), [0.0, 0.0, 3.0, 5.0])
         assert u == pytest.approx(-(3.0 * 0.1 + 5.0 * -0.2))
+
+    @staticmethod
+    def matmul_step(g, s, K):
+        """The command as step formed it with K @ np.array([...]), kept as its oracle."""
+        x, y, phi = s[0], s[1], s[2]
+        if g.active_line == 1 and math.hypot(x - g.turning_point[0], y - g.turning_point[1]) < g.preview:
+            g.active_line = 2
+        xS, yS, phiS = g.pose_I if g.active_line == 1 else g.pose_D
+        y_bar = -math.sin(phiS) * (x - xS) + math.cos(phiS) * (y - yS)
+        return float(-(K @ np.array([y_bar, phi - phiS, s[4], s[5]])))
+
+    def test_default_run_commands_match_the_matmul_form_without_building_an_array(self):
+        """Along the default motorcycle_smc run, with np.array raising while step runs."""
+        traj, _ = scenarios.run_scenario("motorcycle_smc")
+        K = design_gain_matrix(*scenarios._motorcycle_design_matrices(), [-2.5] * 4)
+        ref_guide = MotorcycleGuidance(scenarios._MOTO_POSE_I, scenarios._MOTO_POSE_D)
+        ref = [self.matmul_step(ref_guide, s, K) for s in traj.states]
+        guide = MotorcycleGuidance(scenarios._MOTO_POSE_I, scenarios._MOTO_POSE_D)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("MotorcycleGuidance.step built an array")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "array", refuse)
+            got = [guide.step(s, K) for s in traj.states]
+        assert ref_guide.active_line == guide.active_line == 2
+        assert [type(u) for u in got] == [float] * len(ref)
+        assert [u.hex() for u in got] == [u.hex() for u in ref]
 
 
 class TestAdaptiveGain:

@@ -27,7 +27,8 @@ class TestStepEuler:
             step_euler(bad, [0.0], [0.0], 0.01)
 
     @pytest.mark.filterwarnings("error")  # a blow-up raises BlowupError and nothing else
-    @pytest.mark.parametrize("dx", [[np.inf], [-np.inf, 0.0], [np.inf, -np.inf], [1.0, np.nan]])
+    @pytest.mark.parametrize("dx", [[np.inf], [-np.inf, 0.0], [np.inf, -np.inf], [1.0, np.nan],
+                                    [0.0, 1.0, np.nan, 0.0], [0.0] * 5 + [-np.inf], [1.0] * 6 + [np.nan]])
     def test_any_non_finite_entry_raises(self, dx):
         bad = PlantModel("bad", lambda x, u: tuple(dx))
         with pytest.raises(BlowupError):
@@ -35,15 +36,49 @@ class TestStepEuler:
 
     @pytest.mark.filterwarnings("error")
     def test_finite_entries_whose_sum_overflows_do_not_raise(self):
-        big = PlantModel("big", lambda x, u: (1e308, 1e308))
-        out = step_euler(big, (0.0, 0.0), [0.0], 0.5)
-        assert out == (5e307, 5e307)
+        for n in (2, 3, 4, 6):
+            big = PlantModel("big", lambda x, u: (1e308,) * n)
+            out = step_euler(big, (0.0,) * n, [0.0], 0.5)
+            assert out == (5e307,) * n
 
     def test_returns_a_tuple_of_floats(self):
         x, u = (0.2, 0.1, 0.0, 0.3), (1.5,)
         out = step_euler(sip_plant(), x, u, 0.001)
         assert type(out) is tuple and [type(v) for v in out] == [float] * 4
         assert out == tuple(np.array(x) + 0.001 * np.array(sip_plant().deriv(x, u)))
+
+    @staticmethod
+    def comprehension(x, dx, dt):
+        """The one-size-fits-all step the unpacked sizes replace, kept as their oracle."""
+        return tuple([xi + dt * di for xi, di in zip(x, dx)])
+
+    @staticmethod
+    def draw(rng, n):
+        """n floats over many magnitudes, with signed zeros and subnormals among them."""
+        values = (rng.normal(size=n) * 10.0 ** rng.uniform(-150, 150, n)).tolist()
+        specials = [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1e300]
+        return tuple(v if rng.random() < 0.7 else specials[rng.integers(len(specials))] for v in values)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bit_identical_to_the_comprehension(self, n):
+        rng = np.random.default_rng(2100 + n)
+        for _ in range(300):
+            x, dx = self.draw(rng, n), self.draw(rng, n)
+            dt = float(10.0 ** rng.uniform(-4, 0))
+            plant = PlantModel("drawn", lambda state, u: dx)
+            for state in (x, list(x), np.array(x)):
+                with np.errstate(over="ignore"):  # a numpy-scalar x may overflow as a float x does
+                    out, ref = step_euler(plant, state, (0.0,), dt), self.comprehension(state, dx, dt)
+                assert type(out) is tuple and list(map(type, out)) == list(map(type, ref))
+                assert np.array(out).tobytes() == np.array(ref).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_derivative_of_another_length_raises(self, n):
+        for m in (n - 1, n + 1):
+            plant = PlantModel("short" if m < n else "long", lambda x, u: (1.0,) * m)
+            with pytest.raises(ValueError, match=f"^plant '{plant.name}' returned {m} derivative "
+                                                 f"entries for a state of {n}$"):
+                step_euler(plant, (0.0,) * n, (0.0,), 0.01)
 
 
 @pytest.mark.parametrize("make", [sip_plant, dip_plant, motorcycle_plant, motorcycle_lateral_plant,

@@ -3,8 +3,11 @@ gain-region checks, and the eigenvalue sweep."""
 
 import collections
 import dataclasses
+import fractions
 import functools
+import itertools
 import math
+import operator
 import os
 import pathlib
 import subprocess
@@ -90,6 +93,57 @@ class TestDesignGainMatrix:
         B = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
             design_gain_matrix(A, B, [-3.0, -4.0])
+
+    @staticmethod
+    def assert_coefficients_as_promised(A, B, poles):
+        """The docstring's promise, with the closed loop's coefficients computed exactly."""
+        K = design_gain_matrix(A, B, poles)
+        want = np.poly(poles).real
+        got = np.array(exact_char_poly((A - np.outer(B, K)).tolist()))
+        C = np.array([np.linalg.matrix_power(A, j) @ B for j in range(len(B))]).T
+        slack = 1e-10 * (np.abs(want) + np.linalg.norm(K) * np.linalg.norm(C, 2))
+        assert (np.abs(got - want) <= slack).all()
+        return np.abs(got - want) / np.abs(want)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_characteristic_coefficients_on_random_draws(self, n):
+        rng = np.random.default_rng(2120 + n)
+        rel = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no draw is ill-conditioned enough to warn
+            for _ in range(200):
+                A, B = rng.normal(size=(n, n)), rng.normal(size=n)
+                rel.append(self.assert_coefficients_as_promised(A, B, -rng.uniform(0.5, 6.0, n)).max())
+        assert np.median(rel) < 1e-12  # most placements are close to exact
+
+    def test_characteristic_coefficients_of_the_repeated_scenario_poles(self):
+        """dip_smc's six poles at -4 are ill-conditioned roots, but their coefficients are not."""
+        A, B = scenarios._dip_design_matrices()
+        K = design_gain_matrix(A, B, [-4.0] * 6)
+        assert np.abs(np.linalg.eigvals(A - np.outer(B, K)) + 4.0).max() > 1e-3
+        assert self.assert_coefficients_as_promised(A, B, [-4.0] * 6).max() < 1e-13
+        self.assert_coefficients_as_promised(*scenarios._motorcycle_design_matrices(), [-2.5] * 4)
+        for theta in (0.0, math.pi / 4, THETA_MAX):
+            self.assert_coefficients_as_promised(*sip_design_pair(*sip_frozen_coefficients(theta)),
+                                                 [-4.0] * 3)
+
+
+def exact_char_poly(m):
+    """Descending coefficients of det(sI - m) for a float matrix m, each rounded once.
+
+    m times a power of two is an integer matrix N, whose Faddeev-LeVerrier recursion stays
+    in integers; the coefficient of s^(n-k) of m is N's divided by that power to the k.
+    """
+    n = len(m)
+    shift = max(53 - math.frexp(v)[1] for row in m for v in row if v)
+    N = [[int(math.ldexp(v, shift)) for v in row] for row in m]
+    coeffs, Mk = [1], [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        NM = [[sum(map(operator.mul, row, col)) for col in zip(*Mk)] for row in N]
+        c = -sum(NM[i][i] for i in range(n)) // k  # exact: N's coefficients are integers
+        coeffs.append(c)
+        Mk = [[v + c * (i == j) for j, v in enumerate(row)] for i, row in enumerate(NM)]
+    return [float(fractions.Fraction(c, 2 ** (shift * k))) for k, c in enumerate(coeffs)]
 
 
 POLES3 = (-4.0, -4.0, -4.0)
@@ -402,6 +456,21 @@ class TestRobustRiccatiGain:
         Ac = A - np.outer(B, K)
         assert np.linalg.eigvals(Ac).real.max() < 0
 
+    def test_float32_epsilon_gives_the_m_of_its_float_value(self, monkeypatch):
+        """The scalars are read as floats once, so 1/epsilon is not rounded to float32."""
+        A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
+        received = []
+        monkeypatch.setattr(synthesis, "solve_care",
+                            lambda A, M, Q: received.append(np.array(M)) or solve_care(A, M, Q))
+        gains = []
+        for scalar in (np.float32, lambda v: float(np.float32(v))):
+            cfg = RobustConfig(a_bar=scalar(300.0), b_bar=scalar(300.0), epsilon=scalar(0.01),
+                               Q=np.eye(3), R=[[0.01]])
+            assert [type(v) for v in (cfg.a_bar, cfg.b_bar, cfg.epsilon)] == [float] * 3
+            gains.append(robust_riccati_gain(A, B, pendulum_bounds(), cfg))
+        assert received[0].tobytes() == received[1].tobytes()
+        assert gains[0].tobytes() == gains[1].tobytes()
+
     def test_small_caps_return_retunable_outcome(self):
         A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
         cfg = RobustConfig(a_bar=0.2, b_bar=0.2, epsilon=0.5,
@@ -667,6 +736,86 @@ class TestRobustFloatPath:
         assert min(verdicts.values()) > 30
 
 
+class TestRobustCertificate:
+    """Quadratic stability over the uncertainty box, the robust synthesis' promise: with P the
+    Riccati solution behind k, (A + sa dA - (B + sb dB) k')'P + P(...) is negative definite at
+    the four vertices sa, sb in {-1, +1}.  The map is affine in (sa, sb), so its largest
+    eigenvalue is convex and the vertices cover the box."""
+
+    @staticmethod
+    def certified(A, B, bounds, cfg, monkeypatch):
+        """The largest eigenvalue of the certificate over the four vertices, or None when
+        there is no gain; P is read where solve_care returns it."""
+        solved = []
+        monkeypatch.setattr(synthesis, "solve_care",
+                            lambda *args: solved.append(solve_care(*args)) or solved[-1])
+        try:
+            K = robust_riccati_gain(A, B, bounds, cfg)
+        except ValueError:
+            return None
+        finally:
+            monkeypatch.undo()
+        if isinstance(K, CareNoSolution):
+            return None
+        (P,) = solved
+        A, B = np.array(A, dtype=float, ndmin=2), np.asarray(B, dtype=float).ravel()
+        dA, dB = bounds.dA_max, bounds.dB_max.ravel()
+        worst = -math.inf
+        for sa, sb in itertools.product((-1.0, 1.0), repeat=2):
+            closed = A + sa * dA - np.outer(B + sb * dB, K)
+            worst = max(worst, np.linalg.eigvalsh(closed.T @ P + P @ closed)[-1])
+        return worst
+
+    @staticmethod
+    def scenario_design(parametrization, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scenarios, "robust_riccati_gain",
+                            lambda *args: calls.append(args) or robust_riccati_gain(*args))
+        scenarios.sip_robust_gain(parametrization)
+        monkeypatch.undo()
+        (args,) = calls
+        return args
+
+    @pytest.mark.parametrize("parametrization", ["vertex", "midpoint"])
+    def test_scenario_gains_hold_the_certificate(self, parametrization, monkeypatch):
+        worst = self.certified(*self.scenario_design(parametrization, monkeypatch), monkeypatch)
+        assert worst < 0
+
+    def test_workload_draws_hold_the_certificate(self, monkeypatch):
+        worst = [self.certified(*args, monkeypatch) for args in workload_robust_inputs(300, 2003)]
+        gains = [w for w in worst if w is not None]
+        assert len(gains) > 200 and max(gains) < 0
+
+    @pytest.mark.parametrize("parametrization", ["vertex", "midpoint"])
+    def test_frozen_pendulum_models_lie_in_the_box(self, parametrization, monkeypatch):
+        """a(theta) = G sin(theta)/theta and b(theta) = -cos(theta) for |theta| <= 0.4 pi: the
+        deviation from the nominal pair sits in the (2, 1) and (2) entries the bounds cover."""
+        A, B, bounds, _ = self.scenario_design(parametrization, monkeypatch)
+        dA, dB = bounds.dA_max, bounds.dB_max.ravel()
+        assert np.count_nonzero(dA) == 1 and np.count_nonzero(dB) == 1
+        for theta in np.linspace(-THETA_MAX, THETA_MAX, 201).tolist() + [THETA_MAX, -THETA_MAX]:
+            A_theta, B_theta = sip_design_pair(*sip_frozen_coefficients(theta))
+            assert (np.abs(A_theta - A) <= dA).all() and (np.abs(B_theta - B.ravel()) <= dB).all()
+
+
+class TestEmptyInputsFailAtTheBoundary:
+    """A 0x0 model, Q or R raises a ValueError naming it, not a bare reduction or index error."""
+
+    def test_solve_care(self):
+        with pytest.raises(ValueError, match=r"^A must not be empty, got shape \(0, 0\)$"):
+            solve_care(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)))
+
+    def test_design_gain_matrix(self):
+        with pytest.raises(ValueError, match=r"^A must not be empty, got shape \(0, 0\)$"):
+            design_gain_matrix(np.zeros((0, 0)), np.zeros(0), [])
+
+    @pytest.mark.parametrize("field", ["Q", "R"])
+    def test_robust_config(self, field):
+        args = {"Q": np.eye(3), "R": [[0.01]], field: np.zeros((0, 0))}
+        with pytest.raises(ValueError, match=rf"^{field} must not be empty, got shape \(0, 0\)$"):
+            RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01, **args)
+
+
 class TestNonFiniteInputsFailAtTheBoundary:
     """A nan or infinite input raises a ValueError naming it, not a nan result or a LAPACK error."""
 
@@ -676,6 +825,13 @@ class TestNonFiniteInputsFailAtTheBoundary:
         args = {"a_bar": 300.0, "b_bar": 300.0, "epsilon": 0.01, field: bad}
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             RobustConfig(**args, Q=np.eye(3), R=[[0.01]])
+
+    @pytest.mark.parametrize("field", ["a_bar", "b_bar", "epsilon"])
+    def test_robust_config_scalars_that_are_not_one_number(self, field):
+        for bad, count in (([300.0, 1.0], 2), (np.zeros(0), 0)):
+            args = {"a_bar": 300.0, "b_bar": 300.0, "epsilon": 0.01, field: bad}
+            with pytest.raises(ValueError, match=f"^{field} must be a single number, got {count} entries$"):
+                RobustConfig(**args, Q=np.eye(3), R=[[0.01]])
 
     @pytest.mark.parametrize("R", [[[np.inf]], np.diag([np.inf, 1.0])], ids=["1x1", "2x2"])
     def test_robust_config_infinite_r(self, R):
