@@ -38,8 +38,9 @@ _MOTO_POSE_D = (20.0 * math.cos(math.pi / 8) + 20.0 * math.cos(math.pi / 4),
                 math.pi / 4)
 _MOTO_ARRIVE_DIST = 0.2
 
-# unsafe disks (center_x, center_y, radius) of the 2-D point studies
+# unsafe disks (center_x, center_y, radius) of the 2-D point studies, and their start
 _DISKS = {"case1": (2.0, 2.0, 1.0), "case2": (0.0, 3.5, 3.0)}
+_POINT2D_X0 = (4.0, 5.0)
 
 
 @dataclass
@@ -60,10 +61,11 @@ class RunReport:
 class BuiltScenario:
     """One closed loop as a builder wires it, and what run_scenario reads back.
 
-    stop names the terminal event (SimSpec.stop).  gains and guard are
-    called after the run: gains returns the gain vectors (adaptive scenarios
-    report the gain they ended on), and guard, when present, the number of
-    singularity-guard activations.
+    stop names the terminal event (SimSpec.stop).  gains, guard and lowest_h
+    are called after the run: gains returns the gain vectors (adaptive
+    scenarios report the gain they ended on), guard, when present, the number
+    of singularity-guard activations, and lowest_h, set with barrier_h, the
+    smallest barrier_h value the controller has seen, folded as min() folds.
     """
 
     plant: PlantModel
@@ -73,6 +75,7 @@ class BuiltScenario:
     stop: Optional[Callable] = None  # (state) -> event name or None
     barrier_h: Optional[Callable] = None
     guard: Optional[Callable] = None  # () -> activation count
+    lowest_h: Optional[Callable] = None  # () -> min h over the controller's states
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +274,24 @@ def _build_sip_cbf(p):
     def h(s):
         return (25.0 * (yB ** 2 - s[0] ** 2) + (dyB ** 2 - s[1] ** 2)) / 2.0
 
-    guards = 0
+    x0 = (0.2, 0.0, 20.0, 0.0)
+    guards, lowest = 0, h(x0)
 
     def controller(t, x):
-        nonlocal guards
+        nonlocal guards, lowest
+        hs = h(x)
+        if hs < lowest:
+            lowest = hs
         y, dy = x[0], x[1]
         u_ref = fsfc(K, x)
         Lfh = -25.0 * y * dy - G * dy * math.sin(y)
         Lgh = dy * math.cos(y)
         if abs(Lgh) <= CBF_SINGULARITY_THRESHOLD:
             guards += 1
-        return cbf_filter_scalar(u_ref, Lfh, Lgh, h(x))
+        return cbf_filter_scalar(u_ref, Lfh, Lgh, hs)
 
-    return BuiltScenario(sip_plant(), (0.2, 0.0, 20.0, 0.0), controller,
-                         lambda: [K], _sip_fallen, barrier_h=h,
-                         guard=lambda: guards)
+    return BuiltScenario(sip_plant(), x0, controller, lambda: [K], _sip_fallen,
+                         barrier_h=h, guard=lambda: guards, lowest_h=lambda: lowest)
 
 
 def _build_dip(p):
@@ -334,42 +340,49 @@ def _disk_barrier(disk):
 def _build_point2d_cbf(p, case):
     cx, cy, _ = _DISKS[case]
     h = _disk_barrier(_DISKS[case])
-    guards = 0
+    guards, lowest = 0, h(_POINT2D_X0)
 
     def controller(t, s):
-        nonlocal guards
+        nonlocal guards, lowest
+        hs = h(s)
+        if hs < lowest:
+            lowest = hs
         x, y = s[0], s[1]
         u_ref = lyapunov_ref_2d(x, y)
         Lfh = (x - cx) * x * math.sin(y) + (y - cy) * y
         Lgh = y - cy
         if abs(Lgh) <= CBF_SINGULARITY_THRESHOLD:
             guards += 1
-        return cbf_filter_scalar(u_ref, Lfh, Lgh, 10.0 * h(s))
+        return cbf_filter_scalar(u_ref, Lfh, Lgh, 10.0 * hs)
 
-    return BuiltScenario(point2d_plant(), (4.0, 5.0), controller, lambda: [],
-                         barrier_h=h, guard=lambda: guards)
+    return BuiltScenario(point2d_plant(), _POINT2D_X0, controller, lambda: [],
+                         barrier_h=h, guard=lambda: guards, lowest_h=lambda: lowest)
 
 
 def _build_point2d_clf_cbf(p, case):
     cx, cy, _ = _DISKS[case]
     h = _disk_barrier(_DISKS[case])
-    guards = 0
+    guards, lowest = 0, h(_POINT2D_X0)
 
     def controller(t, s):
-        nonlocal guards
+        nonlocal guards, lowest
+        hs = h(s)
+        if hs < lowest:
+            lowest = hs
         x, y = s[0], s[1]
         u_ref = lyapunov_ref_2d(x, y)
         if abs(y) <= CBF_SINGULARITY_THRESHOLD:
             guards += 1
             return u_ref
         V = (x * x + y * y) / 2.0
-        LfV = x * x * math.sin(y) + y * y
-        Lfh = (x - cx) * x * math.sin(y) + (y - cy) * y
-        u, _ = clf_cbf_step(u_ref, LfV, y, V, Lfh, y - cy, 10.0 * h(s))
+        sy = math.sin(y)
+        LfV = x * x * sy + y * y
+        Lfh = (x - cx) * x * sy + (y - cy) * y
+        u, _ = clf_cbf_step(u_ref, LfV, y, V, Lfh, y - cy, 10.0 * hs)
         return u
 
-    return BuiltScenario(point2d_plant(), (4.0, 5.0), controller, lambda: [],
-                         barrier_h=h, guard=lambda: guards)
+    return BuiltScenario(point2d_plant(), _POINT2D_X0, controller, lambda: [],
+                         barrier_h=h, guard=lambda: guards, lowest_h=lambda: lowest)
 
 
 _BUILDERS = {
@@ -459,7 +472,12 @@ def run_scenario(scenario_id, overrides=None):
     traj = simulate(built.plant, built.controller, built.x0,
                     SimSpec(params["dt"], params["t_end"], built.stop))
 
-    min_h = min(map(built.barrier_h, traj.states)) if built.barrier_h else None
+    min_h = None
+    if built.lowest_h is not None:
+        # the controller saw every state but the last (simulate's contract), so
+        # folding the last one in after its minimum is min() over all states
+        last, lowest = built.barrier_h(traj.states[-1]), built.lowest_h()
+        min_h = last if last < lowest else lowest
     report = RunReport(
         scenario=scenario_id,
         terminal_event=traj.terminal_event,
@@ -536,31 +554,35 @@ def parse_report(path):
 
 
 def _svg_document(curves, circles):
-    """Fixed-size SVG from data-space polylines of (x, y) points and circles (uniform scale)."""
+    """Fixed-size SVG from data-space polylines, each an (xs, ys, color) of
+    coordinate columns, and circles (uniform scale)."""
     W, H, pad = 480.0, 360.0, 20.0
-    xs = ([p[0] for pts, _ in curves for p in pts]
-          + [v for cx, _, r, _ in circles for v in (cx - r, cx + r)])
-    ys = ([p[1] for pts, _ in curves for p in pts]
-          + [v for _, cy, r, _ in circles for v in (cy - r, cy + r)])
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    # one chain over every column folds like a flat list of all coordinates:
+    # min/max keep the first of equal values (which of -0.0 and 0.0 wins)
+    x_ext = [v for cx, _, r, _ in circles for v in (cx - r, cx + r)]
+    y_ext = [v for _, cy, r, _ in circles for v in (cy - r, cy + r)]
+    x_lo = min(itertools.chain(*[xs for xs, _, _ in curves], x_ext))
+    x_hi = max(itertools.chain(*[xs for xs, _, _ in curves], x_ext))
+    y_lo = min(itertools.chain(*[ys for _, ys, _ in curves], y_ext))
+    y_hi = max(itertools.chain(*[ys for _, ys, _ in curves], y_ext))
     span_x = max(x_hi - x_lo, 1e-12)
     span_y = max(y_hi - y_lo, 1e-12)
     scale = min((W - 2 * pad) / span_x, (H - 2 * pad) / span_y)
-
-    def to_px(x, y):
-        return (pad + (x - x_lo) * scale, H - pad - (y - y_lo) * scale)
+    bottom = H - pad
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {W:g} {H:g}">',
              f'<rect width="{W:g}" height="{H:g}" fill="white"/>']
-    for pts, color in curves:
-        step = max(1, len(pts) // 2000)
-        coords = " ".join("{:.2f},{:.2f}".format(*to_px(px, py))
-                          for px, py in pts[::step])
-        parts.append(f'<polyline points="{coords}" fill="none" '
+    for xs, ys, color in curves:
+        step = max(1, len(xs) // 2000)
+        pxs = [pad + (x - x_lo) * scale for x in xs[::step]]
+        coords = [0.0] * (2 * len(pxs))
+        coords[0::2] = pxs
+        coords[1::2] = [bottom - (y - y_lo) * scale for y in ys[::step]]
+        points = " ".join(["%.2f,%.2f"] * len(pxs)) % tuple(coords)
+        parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
     for cx, cy, r, color in circles:
-        px, py = to_px(cx, cy)
+        px, py = pad + (cx - x_lo) * scale, bottom - (cy - y_lo) * scale
         parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{r * scale:.2f}" '
                      f'fill="none" stroke="{color}" stroke-width="1.5"/>')
     parts.append("</svg>")
@@ -575,11 +597,15 @@ def emit_svg(traj, report, path):
     angle and the cart position against time.
     """
     sid = report.scenario
+
+    def column(i):
+        return [s[i] for s in traj.states]
+
     curves, circles = [], []
     if sid.startswith("point2d"):
         case = "case1" if sid.endswith("case1") else "case2"
         cx, cy, cr = _DISKS[case]
-        curves.append((traj.states, "black"))  # the states are the (x, y) points
+        curves.append((column(0), column(1), "black"))
         circles.append((cx, cy, cr, "red"))
         circles.append((0.0, 0.0, 0.05, "green"))
     elif sid == "motorcycle_smc":
@@ -587,13 +613,13 @@ def emit_svg(traj, report, path):
         xD, yD, _ = _MOTO_POSE_D
         guide = MotorcycleGuidance(_MOTO_POSE_I, _MOTO_POSE_D)
         xM, yM = guide.turning_point
-        curves.append(([(xI, yI), (xM, yM), (xD, yD)], "gray"))
-        curves.append(([s[:2] for s in traj.states], "black"))
+        curves.append(((xI, xM, xD), (yI, yM, yD), "gray"))
+        curves.append((column(0), column(1), "black"))
         circles.append((xD, yD, _MOTO_ARRIVE_DIST, "green"))
     else:
         cart = 4 if sid == "dip_smc" else 2
-        curves.append(([(t, s[0]) for t, s in zip(traj.times, traj.states)], "blue"))
-        curves.append(([(t, s[cart]) for t, s in zip(traj.times, traj.states)], "gray"))
+        curves.append((traj.times, column(0), "blue"))
+        curves.append((traj.times, column(cart), "gray"))
     with open(path, "w", newline="\n") as f:
         f.write(_svg_document(curves, circles))
 

@@ -122,6 +122,26 @@ class TestSimulate:
         assert traj.times[-1] == pytest.approx(1.0)
         assert traj.states[-1][0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("t_end, stop, event", [
+        (1.0, None, "timeout"),
+        (1.0, lambda s: "failure" if s[0] > 0.25 else None, "failure"),
+        (0.1, None, "timeout"),  # one step
+    ])
+    def test_controller_receives_every_state_but_the_last(self, t_end, stop, event):
+        # the same tuple objects, in order, once each: run_scenario folds the
+        # barrier's last value after the controller's running minimum on this
+        seen = []
+        plant = PlantModel("int", lambda x, u: np.array([u[0]]))
+
+        def controller(t, x):
+            seen.append(x)
+            return 1.0
+
+        traj = simulate(plant, controller, [0.0], SimSpec(dt=0.1, t_end=t_end, stop=stop))
+        assert traj.terminal_event == event
+        assert len(seen) == len(traj.states) - 1
+        assert all(a is b for a, b in zip(seen, traj.states[:-1]))
+
     def test_success_checked_before_failure(self):
         """The builder's stop decides priority: arrival wins over a fall at the same state."""
         built = scenarios._BUILDERS["motorcycle_smc"]({"dt": 0.001, "t_end": 10.0, "preview": 6.0})

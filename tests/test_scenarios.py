@@ -1,9 +1,11 @@
 """Tests for the scenario registry, the runner, the emitters, and the CLI."""
 
 import hashlib
+import itertools
 import json
 import math
 import pathlib
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -33,6 +35,9 @@ EXPECTED_IDS = {
     "sip_cbf", "point2d_cbf_case1", "point2d_cbf_case2",
     "point2d_clf_cbf_case1", "point2d_clf_cbf_case2",
 }
+
+BARRIER_IDS = ("sip_cbf", "point2d_cbf_case1", "point2d_cbf_case2",
+               "point2d_clf_cbf_case1", "point2d_clf_cbf_case2")
 
 
 def write_robust_riccati_files(tmp_path):
@@ -68,14 +73,15 @@ class TestRegistry:
         assert set(FINAL_NORM_BELOW) <= EXPECTED_IDS
 
     def test_readme_table_mirrors_registry(self):
-        text = pathlib.Path(__file__).resolve().parents[1].joinpath("README.md").read_text()
+        # only the rows under the scenario table's header; cells split on
+        # markdown's unescaped "|", so an escaped "\|" in README.md stays text
+        lines = pathlib.Path(__file__).resolve().parents[1].joinpath(
+            "README.md").read_text().splitlines()
+        start = lines.index("| scenario | dt | t_end | expected event |") + 2
         rows = {}
-        for line in text.splitlines():
-            if not line.startswith("|"):
-                continue
-            cells = [c.strip() for c in line.strip("|").split("|")]
-            if len(cells) != 4 or cells[0] in ("scenario", "") or set(cells[0]) <= {"-", " "}:
-                continue
+        for line in itertools.takewhile(lambda row: row.startswith("|"), lines[start:]):
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line.strip()[1:-1])]
+            assert len(cells) == 4, line
             rows[cells[0].strip("`")] = cells
         assert set(rows) == EXPECTED_IDS
         for sid, cells in rows.items():
@@ -180,6 +186,39 @@ class TestRunScenario:
         assert built.guard() == 0
         built.controller(0.0, np.array(state))
         assert built.guard() == 1
+
+    # min_h is the controllers' running minimum with the last state folded
+    # in after it; min() over every state's h is the oracle, compared by hex
+    @pytest.mark.parametrize("overrides", [
+        {}, {"t_end": 0.001}, {"t_end": 0.002}, {"dt": 5e-4}, {"dt": 2e-3}],
+        ids=["defaults", "one-step", "two-steps", "dt-5e-4", "dt-2e-3"])
+    @pytest.mark.parametrize("scenario", BARRIER_IDS)
+    def test_min_h_is_min_over_every_state(self, scenario, overrides):
+        traj, report = run_cached(scenario, **overrides)
+        h = _BUILDERS[scenario](SCENARIO_DEFAULTS[scenario]["params"]).barrier_h
+        assert report.min_h.hex() == min(map(h, traj.states)).hex()
+        if "t_end" in overrides:
+            # h still falls here, so only the state the controller never
+            # sees holds the minimum
+            assert h(traj.states[-1]) < min(map(h, traj.states[:-1]))
+
+    def test_min_h_of_a_run_a_stop_event_ends(self):
+        traj, report = run_scenario("sip_cbf", {"dt": 0.005})
+        assert report.terminal_event == "failure"
+        h = _BUILDERS["sip_cbf"]({}).barrier_h
+        assert report.min_h.hex() == min(map(h, traj.states)).hex()
+
+    @pytest.mark.parametrize("scenario, state", [
+        ("sip_cbf", (0.25, 0.0, 20.0, 0.0)), ("point2d_cbf_case1", (2.0, 2.0)),
+        ("point2d_cbf_case2", (0.0, 3.5)), ("point2d_clf_cbf_case1", (2.0, 0.0)),
+        ("point2d_clf_cbf_case2", (0.0, 0.0))])
+    def test_a_guarded_step_still_folds_its_h(self, scenario, state):
+        # each state fires the singularity guard and lies below h(x0)
+        built = _BUILDERS[scenario](SCENARIO_DEFAULTS[scenario]["params"])
+        assert built.lowest_h().hex() == built.barrier_h(built.x0).hex()
+        built.controller(0.0, state)
+        assert built.guard() == 1
+        assert built.lowest_h().hex() == built.barrier_h(state).hex()
 
     def test_motorcycle_reaches_destination(self):
         _, report = run_scenario("motorcycle_smc")
@@ -308,13 +347,16 @@ class TestSvg:
             emit(traj, report, "png", tmp_path / "run.png")
 
     # sha256 of emit_svg's output, so that every byte of each projection is
-    # checked; the point2d and motorcycle paths exceed 2000 samples, so their
-    # polylines are thinned
+    # checked (dip_smc's cart is state index 4, the other carts index 2); the
+    # point2d and motorcycle paths exceed 2000 samples, so their polylines are
+    # thinned
     @pytest.mark.parametrize("scenario, digest", [
         ("point2d_cbf_case1", "60526d0b81fd863ccb2099f3133f82e8724f85a49d28812d11f8407875aad3b0"),
         ("motorcycle_smc", "433ab8eecac70c64b10845e8823e32260c2f6b13c496cb125ae43bc29e4f680c"),
         ("sip_nonrobust_failure",
          "5cfbf7c7ff3920c51245a20cdb17f311dfe387b3cd2537c4184e62d96b66e567"),
+        ("dip_smc", "23762a6c01c36d46d9cc3ebdf619b742f6e7e3531e814d79e4328a51d7259913"),
+        ("sip_cbf", "196b6c0704b18bc39f349b4c7f0a0be633c005f8bfc44c5281632090332bfc3c"),
     ])
     def test_bytes_of_each_projection_are_pinned(self, tmp_path, scenario, digest):
         traj, report = run_scenario(scenario, {"t_end": 4.5})
