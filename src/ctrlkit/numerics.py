@@ -33,14 +33,12 @@ def _gufunc(name, signature, message, finite=False):
     return checked if finite else call
 
 
-# numpy.linalg's solve (1-D b), lstsq, svd (no u, v), eig, eigvals (complex), inv, eigvalsh (UPLO="L"),
-# bound once for float64 arrays; eig and eigvals keep numpy's test for a nan or infinite entry
+# numpy.linalg's solve (1-D b), lstsq, svd (no u, v), eigvals (complex), inv, eigvalsh (UPLO="L"),
+# bound once for float64 arrays; eigvals keeps numpy's test for a nan or infinite entry
 lapack = types.SimpleNamespace(
     solve1=_gufunc("solve1", "dd->d", "Singular matrix"),
     lstsq=_gufunc("lstsq", "ddd->ddid", "SVD did not converge in Linear Least Squares"),
     svd=_gufunc("svd", "d->d", "SVD did not converge"),
-    svd_complex=_gufunc("svd", "D->d", "SVD did not converge"),
-    eig=_gufunc("eig", "d->DD", "Eigenvalues did not converge", finite=True),
     eigvals=_gufunc("eigvals", "d->D", "Eigenvalues did not converge", finite=True),
     inv=_gufunc("inv", "d->d", "Singular matrix"),
     eigvalsh_lo=_gufunc("eigvalsh_lo", "d->d", "Eigenvalues did not converge"),

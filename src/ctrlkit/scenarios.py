@@ -1,16 +1,17 @@
 """Named closed-loop studies with fixed defaults, plus result serialization.
 
-Each scenario wires a plant, a controller, an initial state, and a stop
-predicate exactly as in the validation runs the gains were tuned on.
-run_scenario executes one and returns the trajectory together with a
-RunReport; emit/emit_table write CSV, JSON, or SVG artifacts.
+Each scenario is one row of a table: a builder that wires a plant, a
+controller and an initial state exactly as in the validation runs the gains
+were tuned on, next to its defaults, stop predicate and plot. run_scenario
+executes one and returns the trajectory together with a RunReport;
+emit/emit_table write CSV, JSON, or SVG artifacts.
 """
 
 import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,6 +31,8 @@ from .synthesis import (CareNoSolution, RobustConfig, UncertaintyBounds,
 THETA_MAX = 0.4 * math.pi
 
 _POLES3 = (-4.0, -4.0, -4.0)
+_SIP_X0 = (THETA_MAX, 0.0, 0.2, 0.0)
+_SIP_CBF_YB, _SIP_CBF_DYB = math.pi / 15, 2.0  # sip_cbf's angle and angular-rate bounds
 
 # two-line motorcycle course: initial pose, destination pose (20 m per leg)
 _MOTO_POSE_I = (0.0, -0.2, math.pi / 8)
@@ -59,23 +62,48 @@ class RunReport:
 
 @dataclass(frozen=True)
 class BuiltScenario:
-    """One closed loop as a builder wires it, and what run_scenario reads back.
+    """What one run creates: the closed loop a row's build wires, and its read-backs.
 
-    stop names the terminal event (SimSpec.stop).  gains, guard and lowest_h
-    are called after the run: gains returns the gain vectors (adaptive
-    scenarios report the gain they ended on), guard, when present, the number
-    of singularity-guard activations, and lowest_h, set with barrier_h, the
-    smallest barrier_h value the controller has seen, folded as min() folds.
+    After the run gains() returns the gain vectors (adaptive scenarios report
+    the gain they ended on), guard() the singularity-guard activations, and
+    lowest_h() the smallest row.barrier_h the controller saw, folded as min().
     """
 
     plant: PlantModel
     x0: tuple
     controller: Callable  # (t, state) -> input
     gains: Callable  # () -> list of gain vectors
-    stop: Optional[Callable] = None  # (state) -> event name or None
-    barrier_h: Optional[Callable] = None
     guard: Optional[Callable] = None  # () -> activation count
     lowest_h: Optional[Callable] = None  # () -> min h over the controller's states
+
+
+@dataclass(frozen=True)
+class Plot:
+    """A scenario's SVG projection: with cart set, the lead angle and that state
+    entry against time; otherwise the x-y path, drawn after the guides (each an
+    (xs, ys, color) polyline) and before the circles (each (cx, cy, r, color))."""
+
+    cart: Optional[int] = None
+    guides: tuple = ()
+    circles: tuple = ()
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """What is fixed about one registered scenario (a row of _SCENARIOS).
+
+    build(params) wires one run; it looks the plant factory, fsfc and the guidance
+    up as it runs, so a tracer that replaces those module attributes sees them.
+    """
+
+    build: Callable  # (params) -> BuiltScenario
+    t_end: float
+    expected_event: str
+    plot: Plot
+    stop: Optional[Callable] = None  # (state) -> event name or None
+    params: dict = field(default_factory=dict)  # tunables and their defaults
+    barrier_h: Optional[Callable] = None  # (state) -> h, whose min over the run is reported
+    final_norm_below: Optional[float] = None  # extra pass criterion the CLI asserts
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +221,20 @@ def _sip_settled_or_fallen(s):
     return "success" if s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2 < 0.001 else _sip_fallen(s)
 
 
-_SIP_X0 = (THETA_MAX, 0.0, 0.2, 0.0)
+def _dip_fallen(s):
+    return "failure" if abs(s[0]) >= math.pi / 2 and abs(s[2]) >= math.pi / 2 else None
 
 
-def _sip_scenario(controller, gains, stop=_sip_fallen):
-    """Pendulum run from _SIP_X0 that fails past the horizontal."""
-    return BuiltScenario(sip_plant(), _SIP_X0, controller, gains, stop)
+def _moto_arrived_or_fell(s):
+    xD, yD, _ = _MOTO_POSE_D
+    if math.hypot(s[0] - xD, s[1] - yD) < _MOTO_ARRIVE_DIST:
+        return "destination"
+    return "failure" if abs(s[4]) >= math.pi / 2 else None
+
+
+def _sip_cbf_h(s):
+    """sip_cbf's barrier: |theta| <= pi/15 and |theta_dot| <= 2, the angle weighted 25:1."""
+    return (25.0 * (_SIP_CBF_YB ** 2 - s[0] ** 2) + (_SIP_CBF_DYB ** 2 - s[1] ** 2)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +247,7 @@ def _build_sip_nonrobust(p):
     def controller(t, x):
         return fsfc(K, (x[0], x[1], x[3]))
 
-    return _sip_scenario(controller, lambda: [K])
+    return BuiltScenario(sip_plant(), _SIP_X0, controller, lambda: [K])
 
 
 def _build_sip_slide(p, K_p):
@@ -219,7 +255,7 @@ def _build_sip_slide(p, K_p):
     K_slide = sip_full_gain((-4.0, -4.0 + 2.0j, -4.0 - 2.0j, -4.0))
     controller = _stabilize_then_slide(lambda x: fsfc(K_p, (x[0], x[1], x[3])),
                                        K_slide, p["s_v"], p["dt"])
-    return _sip_scenario(controller, lambda: [K_p, K_slide], _sip_settled_or_fallen)
+    return BuiltScenario(sip_plant(), _SIP_X0, controller, lambda: [K_p, K_slide])
 
 
 def _build_sip_adaptive_online(p):
@@ -230,7 +266,7 @@ def _build_sip_adaptive_online(p):
         K = adaptive_gain(x[0], _POLES3)
         return fsfc(K, (x[0], x[1], x[3]))
 
-    return _sip_scenario(controller, lambda: [] if K is None else [K])
+    return BuiltScenario(sip_plant(), _SIP_X0, controller, lambda: [] if K is None else [K])
 
 
 def _build_sip_adaptive_lookup(p):
@@ -239,7 +275,7 @@ def _build_sip_adaptive_lookup(p):
     controller = _stabilize_then_slide(
         lambda x: fsfc(region_gains[lookup_region(x[0])], (x[0], x[1], x[3])),
         K_slide, p["s_v"], p["dt"])
-    return _sip_scenario(controller, lambda: region_gains + [K_slide], _sip_settled_or_fallen)
+    return BuiltScenario(sip_plant(), _SIP_X0, controller, lambda: region_gains + [K_slide])
 
 
 def _build_sip_adaptive_sysid(p):
@@ -264,17 +300,12 @@ def _build_sip_adaptive_sysid(p):
         prev = x
         return acc
 
-    return _sip_scenario(controller, lambda: [] if K is None else [K])
+    return BuiltScenario(sip_plant(), _SIP_X0, controller, lambda: [] if K is None else [K])
 
 
 def _build_sip_cbf(p):
     K = sip_full_gain((-4.0, -4.0, -4.0, -4.0))
-    yB, dyB = math.pi / 15, 2.0
-
-    def h(s):
-        return (25.0 * (yB ** 2 - s[0] ** 2) + (dyB ** 2 - s[1] ** 2)) / 2.0
-
-    x0 = (0.2, 0.0, 20.0, 0.0)
+    h, x0 = _sip_cbf_h, (0.2, 0.0, 20.0, 0.0)
     guards, lowest = 0, h(x0)
 
     def controller(t, x):
@@ -290,8 +321,8 @@ def _build_sip_cbf(p):
             guards += 1
         return cbf_filter_scalar(u_ref, Lfh, Lgh, hs)
 
-    return BuiltScenario(sip_plant(), x0, controller, lambda: [K], _sip_fallen,
-                         barrier_h=h, guard=lambda: guards, lowest_h=lambda: lowest)
+    return BuiltScenario(sip_plant(), x0, controller, lambda: [K],
+                         guard=lambda: guards, lowest_h=lambda: lowest)
 
 
 def _build_dip(p):
@@ -303,43 +334,23 @@ def _build_dip(p):
         c = dip_sliding_target(x0, s_v, t + dt)
         return fsfc(K, (s[0], s[1], s[2], s[3], s[4] - c, s[5]))
 
-    def fallen(s):
-        return "failure" if abs(s[0]) >= math.pi / 2 and abs(s[2]) >= math.pi / 2 else None
-
-    return BuiltScenario(dip_plant(), (0.2, 0.0, 0.0, 0.0, p["x0"], 0.0),
-                         controller, lambda: [K], fallen)
+    return BuiltScenario(dip_plant(), (0.2, 0.0, 0.0, 0.0, p["x0"], 0.0), controller, lambda: [K])
 
 
 def _build_motorcycle(p):
     A, B = _motorcycle_design_matrices()
     K = design_gain_matrix(A, B, [-2.5] * 4)
     guidance = MotorcycleGuidance(_MOTO_POSE_I, _MOTO_POSE_D, preview=p["preview"])
-    xD, yD = _MOTO_POSE_D[0], _MOTO_POSE_D[1]
 
     def controller(t, s):
         return guidance.step(s, K)
 
-    def arrived_or_fell(s):
-        if math.hypot(s[0] - xD, s[1] - yD) < _MOTO_ARRIVE_DIST:
-            return "destination"
-        return "failure" if abs(s[4]) >= math.pi / 2 else None
-
     return BuiltScenario(motorcycle_plant(), (0.0, -0.2, -0.1, 0.0, 0.3, 0.0),
-                         controller, lambda: [K], arrived_or_fell)
+                         controller, lambda: [K])
 
 
-def _disk_barrier(disk):
-    cx, cy, cr = disk
-
-    def h(s):
-        return ((s[0] - cx) ** 2 + (s[1] - cy) ** 2 - cr ** 2) / 2.0
-
-    return h
-
-
-def _build_point2d_cbf(p, case):
-    cx, cy, _ = _DISKS[case]
-    h = _disk_barrier(_DISKS[case])
+def _build_point2d_cbf(disk, h):
+    cx, cy, _ = disk
     guards, lowest = 0, h(_POINT2D_X0)
 
     def controller(t, s):
@@ -356,12 +367,11 @@ def _build_point2d_cbf(p, case):
         return cbf_filter_scalar(u_ref, Lfh, Lgh, 10.0 * hs)
 
     return BuiltScenario(point2d_plant(), _POINT2D_X0, controller, lambda: [],
-                         barrier_h=h, guard=lambda: guards, lowest_h=lambda: lowest)
+                         guard=lambda: guards, lowest_h=lambda: lowest)
 
 
-def _build_point2d_clf_cbf(p, case):
-    cx, cy, _ = _DISKS[case]
-    h = _disk_barrier(_DISKS[case])
+def _build_point2d_clf_cbf(disk, h):
+    cx, cy, _ = disk
     guards, lowest = 0, h(_POINT2D_X0)
 
     def controller(t, s):
@@ -382,64 +392,75 @@ def _build_point2d_clf_cbf(p, case):
         return u
 
     return BuiltScenario(point2d_plant(), _POINT2D_X0, controller, lambda: [],
-                         barrier_h=h, guard=lambda: guards, lowest_h=lambda: lowest)
+                         guard=lambda: guards, lowest_h=lambda: lowest)
 
 
-_BUILDERS = {
-    "dip_smc": _build_dip,
-    "motorcycle_smc": _build_motorcycle,
-    "sip_nonrobust_failure": _build_sip_nonrobust,
-    "sip_robust_riccati": lambda p: _build_sip_slide(p, sip_robust_gain("vertex")),
-    "sip_robust_riccati_midpoint": lambda p: _build_sip_slide(p, sip_robust_gain("midpoint")),
-    "sip_interval_polynomial": lambda p: _build_sip_slide(p, sip_interval_gain()),
-    "sip_adaptive_online": _build_sip_adaptive_online,
-    "sip_adaptive_lookup": _build_sip_adaptive_lookup,
-    "sip_adaptive_sysid": _build_sip_adaptive_sysid,
-    "sip_cbf": _build_sip_cbf,
-    "point2d_cbf_case1": lambda p: _build_point2d_cbf(p, "case1"),
-    "point2d_cbf_case2": lambda p: _build_point2d_cbf(p, "case2"),
-    "point2d_clf_cbf_case1": lambda p: _build_point2d_clf_cbf(p, "case1"),
-    "point2d_clf_cbf_case2": lambda p: _build_point2d_clf_cbf(p, "case2"),
+# ---------------------------------------------------------------------------
+# the registry: one row per scenario
+
+
+def _point2d_row(build, case):
+    """A 2-D point study around case's unsafe disk; build(disk, h) wires its controller."""
+    cx, cy, cr = disk = _DISKS[case]
+
+    def h(s):
+        return ((s[0] - cx) ** 2 + (s[1] - cy) ** 2 - cr ** 2) / 2.0
+
+    return Scenario(lambda p: build(disk, h), 10.0, "timeout",
+                    Plot(circles=((*disk, "red"), (0.0, 0.0, 0.05, "green"))), barrier_h=h)
+
+
+def _motorcycle_plot():
+    """The two-line course through its turning point, and the arrival circle."""
+    (xI, yI, _), (xD, yD, _) = _MOTO_POSE_I, _MOTO_POSE_D
+    xM, yM = MotorcycleGuidance(_MOTO_POSE_I, _MOTO_POSE_D).turning_point
+    return Plot(guides=(((xI, xM, xD), (yI, yM, yD), "gray"),),
+                circles=((xD, yD, _MOTO_ARRIVE_DIST, "green"),))
+
+
+_DT = 0.001  # every scenario's default step
+_SIP_PLOT = Plot(cart=2)
+
+# defaults and expected outcomes; the README table mirrors these rows
+_SCENARIOS = {
+    "dip_smc": Scenario(_build_dip, 8.0, "timeout", Plot(cart=4), _dip_fallen,
+                        {"x0": 20.0, "s_v": 8.0}, final_norm_below=0.05),
+    "motorcycle_smc": Scenario(_build_motorcycle, 10.0, "destination", _motorcycle_plot(),
+                               _moto_arrived_or_fell, {"preview": 6.0}),
+    "sip_nonrobust_failure": Scenario(_build_sip_nonrobust, 5.0, "failure", _SIP_PLOT, _sip_fallen),
+    "sip_robust_riccati": Scenario(lambda p: _build_sip_slide(p, sip_robust_gain("vertex")), 20.0,
+                                   "success", _SIP_PLOT, _sip_settled_or_fallen, {"s_v": 8.0}),
+    "sip_robust_riccati_midpoint": Scenario(
+        lambda p: _build_sip_slide(p, sip_robust_gain("midpoint")), 20.0,
+        "success", _SIP_PLOT, _sip_settled_or_fallen, {"s_v": 8.0}),
+    "sip_interval_polynomial": Scenario(lambda p: _build_sip_slide(p, sip_interval_gain()), 20.0,
+                                        "success", _SIP_PLOT, _sip_settled_or_fallen, {"s_v": 8.0}),
+    "sip_adaptive_online": Scenario(_build_sip_adaptive_online, 3.0, "timeout", _SIP_PLOT, _sip_fallen),
+    "sip_adaptive_lookup": Scenario(_build_sip_adaptive_lookup, 10.0, "success", _SIP_PLOT,
+                                    _sip_settled_or_fallen, {"s_v": 8.0}),
+    "sip_adaptive_sysid": Scenario(_build_sip_adaptive_sysid, 3.0, "timeout", _SIP_PLOT, _sip_fallen),
+    "sip_cbf": Scenario(_build_sip_cbf, 10.0, "timeout", _SIP_PLOT, _sip_fallen, barrier_h=_sip_cbf_h),
+    "point2d_cbf_case1": _point2d_row(_build_point2d_cbf, "case1"),
+    "point2d_cbf_case2": _point2d_row(_build_point2d_cbf, "case2"),
+    "point2d_clf_cbf_case1": _point2d_row(_build_point2d_clf_cbf, "case1"),
+    "point2d_clf_cbf_case2": _point2d_row(_build_point2d_clf_cbf, "case2"),
 }
 
-# defaults and expected outcomes; the README table mirrors this literally
-SCENARIO_DEFAULTS = {
-    "dip_smc": {"dt": 0.001, "t_end": 8.0, "expected_event": "timeout",
-                "params": {"x0": 20.0, "s_v": 8.0}},
-    "motorcycle_smc": {"dt": 0.001, "t_end": 10.0, "expected_event": "destination",
-                       "params": {"preview": 6.0}},
-    "sip_nonrobust_failure": {"dt": 0.001, "t_end": 5.0, "expected_event": "failure",
-                              "params": {}},
-    "sip_robust_riccati": {"dt": 0.001, "t_end": 20.0, "expected_event": "success",
-                           "params": {"s_v": 8.0}},
-    "sip_robust_riccati_midpoint": {"dt": 0.001, "t_end": 20.0, "expected_event": "success",
-                                    "params": {"s_v": 8.0}},
-    "sip_interval_polynomial": {"dt": 0.001, "t_end": 20.0, "expected_event": "success",
-                                "params": {"s_v": 8.0}},
-    "sip_adaptive_online": {"dt": 0.001, "t_end": 3.0, "expected_event": "timeout",
-                            "params": {}},
-    "sip_adaptive_lookup": {"dt": 0.001, "t_end": 10.0, "expected_event": "success",
-                            "params": {"s_v": 8.0}},
-    "sip_adaptive_sysid": {"dt": 0.001, "t_end": 3.0, "expected_event": "timeout",
-                           "params": {}},
-    "sip_cbf": {"dt": 0.001, "t_end": 10.0, "expected_event": "timeout", "params": {}},
-    "point2d_cbf_case1": {"dt": 0.001, "t_end": 10.0, "expected_event": "timeout",
-                          "params": {}},
-    "point2d_cbf_case2": {"dt": 0.001, "t_end": 10.0, "expected_event": "timeout",
-                          "params": {}},
-    "point2d_clf_cbf_case1": {"dt": 0.001, "t_end": 10.0, "expected_event": "timeout",
-                              "params": {}},
-    "point2d_clf_cbf_case2": {"dt": 0.001, "t_end": 10.0, "expected_event": "timeout",
-                              "params": {}},
-}
-
-SCENARIO_IDS = tuple(SCENARIO_DEFAULTS)
-
-# extra pass criterion the CLI asserts beyond the terminal event
-FINAL_NORM_BELOW = {"dip_smc": 0.05}
+SCENARIO_IDS = tuple(_SCENARIOS)
+SCENARIO_DEFAULTS = {sid: {"dt": _DT, "t_end": row.t_end, "expected_event": row.expected_event,
+                           "params": dict(row.params)} for sid, row in _SCENARIOS.items()}
+FINAL_NORM_BELOW = {sid: row.final_norm_below for sid, row in _SCENARIOS.items()
+                    if row.final_norm_below is not None}
 
 # overrides that must be > 0 (dip_smc's x0 may take any finite value)
 _POSITIVE_TUNABLES = ("dt", "t_end", "s_v", "preview")
+
+
+def _row(scenario_id):
+    row = _SCENARIOS.get(scenario_id) if isinstance(scenario_id, str) else None
+    if row is None:
+        raise ValueError(f"unknown scenario {scenario_id!r}; see SCENARIO_IDS")
+    return row
 
 
 def run_scenario(scenario_id, overrides=None):
@@ -448,12 +469,11 @@ def run_scenario(scenario_id, overrides=None):
     overrides may set dt, t_end, and the scenario's own tunables (dip_smc:
     x0 and s_v; the sliding scenarios: s_v; motorcycle_smc: preview); any
     other key is rejected.  Every value must be a finite number; dt, t_end,
-    s_v and preview must be positive, and t_end must be at least dt.
+    s_v and preview must be positive, and t_end at least dt.  All of this is
+    checked before any gain is designed.
     """
-    if scenario_id not in _BUILDERS:
-        raise ValueError(f"unknown scenario {scenario_id!r}; see SCENARIO_IDS")
-    defaults = SCENARIO_DEFAULTS[scenario_id]
-    params = {"dt": defaults["dt"], "t_end": defaults["t_end"], **defaults["params"]}
+    row = _row(scenario_id)
+    params = {"dt": _DT, "t_end": row.t_end, **row.params}
     for key, value in (overrides or {}).items():
         if key not in params:
             raise ValueError(f"{key!r} is not a tunable of {scenario_id}; "
@@ -467,16 +487,16 @@ def run_scenario(scenario_id, overrides=None):
         if key in _POSITIVE_TUNABLES and value <= 0:
             raise ValueError(f"{key} must be positive, got {value:g}")
         params[key] = value
+    spec = SimSpec(params["dt"], params["t_end"], row.stop)
 
-    built = _BUILDERS[scenario_id](params)
-    traj = simulate(built.plant, built.controller, built.x0,
-                    SimSpec(params["dt"], params["t_end"], built.stop))
+    built = row.build(params)
+    traj = simulate(built.plant, built.controller, built.x0, spec)
 
     min_h = None
     if built.lowest_h is not None:
         # the controller saw every state but the last (simulate's contract), so
         # folding the last one in after its minimum is min() over all states
-        last, lowest = built.barrier_h(traj.states[-1]), built.lowest_h()
+        last, lowest = row.barrier_h(traj.states[-1]), built.lowest_h()
         min_h = last if last < lowest else lowest
     report = RunReport(
         scenario=scenario_id,
@@ -557,14 +577,14 @@ def _svg_document(curves, circles):
     """Fixed-size SVG from data-space polylines, each an (xs, ys, color) of
     coordinate columns, and circles (uniform scale)."""
     W, H, pad = 480.0, 360.0, 20.0
-    # one chain over every column folds like a flat list of all coordinates:
-    # min/max keep the first of equal values (which of -0.0 and 0.0 wins)
+    # one chain over every column folds like a flat list of all coordinates (min/max keep
+    # the first of equal values: which of -0.0 and 0.0 wins); with none, the extents are 0
     x_ext = [v for cx, _, r, _ in circles for v in (cx - r, cx + r)]
     y_ext = [v for _, cy, r, _ in circles for v in (cy - r, cy + r)]
-    x_lo = min(itertools.chain(*[xs for xs, _, _ in curves], x_ext))
-    x_hi = max(itertools.chain(*[xs for xs, _, _ in curves], x_ext))
-    y_lo = min(itertools.chain(*[ys for _, ys, _ in curves], y_ext))
-    y_hi = max(itertools.chain(*[ys for _, ys, _ in curves], y_ext))
+    x_lo = min(itertools.chain(*[xs for xs, _, _ in curves], x_ext), default=0.0)
+    x_hi = max(itertools.chain(*[xs for xs, _, _ in curves], x_ext), default=0.0)
+    y_lo = min(itertools.chain(*[ys for _, ys, _ in curves], y_ext), default=0.0)
+    y_hi = max(itertools.chain(*[ys for _, ys, _ in curves], y_ext), default=0.0)
     span_x = max(x_hi - x_lo, 1e-12)
     span_y = max(y_hi - y_lo, 1e-12)
     scale = min((W - 2 * pad) / span_x, (H - 2 * pad) / span_y)
@@ -590,38 +610,18 @@ def _svg_document(curves, circles):
 
 
 def emit_svg(traj, report, path):
-    """Minimal plot of the scenario's natural projection.
-
-    Planar scenarios (motorcycle, 2-D point) plot the x-y path with the
-    course or unsafe-disk geometry as circles; cart scenarios plot the lead
-    angle and the cart position against time.
-    """
-    sid = report.scenario
+    """Minimal plot of the projection (Plot) in the scenario's row."""
+    plot = _row(report.scenario).plot
 
     def column(i):
         return [s[i] for s in traj.states]
 
-    curves, circles = [], []
-    if sid.startswith("point2d"):
-        case = "case1" if sid.endswith("case1") else "case2"
-        cx, cy, cr = _DISKS[case]
-        curves.append((column(0), column(1), "black"))
-        circles.append((cx, cy, cr, "red"))
-        circles.append((0.0, 0.0, 0.05, "green"))
-    elif sid == "motorcycle_smc":
-        xI, yI, phiI = _MOTO_POSE_I
-        xD, yD, _ = _MOTO_POSE_D
-        guide = MotorcycleGuidance(_MOTO_POSE_I, _MOTO_POSE_D)
-        xM, yM = guide.turning_point
-        curves.append(((xI, xM, xD), (yI, yM, yD), "gray"))
-        curves.append((column(0), column(1), "black"))
-        circles.append((xD, yD, _MOTO_ARRIVE_DIST, "green"))
+    if plot.cart is None:
+        curves = [*plot.guides, (column(0), column(1), "black")]
     else:
-        cart = 4 if sid == "dip_smc" else 2
-        curves.append((traj.times, column(0), "blue"))
-        curves.append((traj.times, column(cart), "gray"))
+        curves = [(traj.times, column(0), "blue"), (traj.times, column(plot.cart), "gray")]
     with open(path, "w", newline="\n") as f:
-        f.write(_svg_document(curves, circles))
+        f.write(_svg_document(curves, plot.circles))
 
 
 def emit_table(which, path):

@@ -137,7 +137,7 @@ class TestAdaptiveGain:
         """Input of a fresh sip_adaptive_lookup controller in its first phase."""
         defaults = scenarios.SCENARIO_DEFAULTS["sip_adaptive_lookup"]
         params = {"dt": defaults["dt"], "t_end": defaults["t_end"], **defaults["params"]}
-        built = scenarios._BUILDERS["sip_adaptive_lookup"](params)
+        built = scenarios._SCENARIOS["sip_adaptive_lookup"].build(params)
         return built.controller(0.0, np.array(x, dtype=float))
 
     def test_per_period_upright(self):
@@ -207,7 +207,7 @@ class TestSysIdWindow:
     A, B, DT = 9.0, -0.8, 0.001
 
     def _run_builder(self, steps):
-        built = scenarios._BUILDERS["sip_adaptive_sysid"]({"dt": self.DT})
+        built = scenarios._SCENARIOS["sip_adaptive_sysid"].build({"dt": self.DT})
         states, dtheta = [], 0.5
         for k in range(steps):
             theta = 0.3 + 0.01 * k * k

@@ -143,12 +143,12 @@ class TestSimulate:
         assert all(a is b for a, b in zip(seen, traj.states[:-1]))
 
     def test_success_checked_before_failure(self):
-        """The builder's stop decides priority: arrival wins over a fall at the same state."""
-        built = scenarios._BUILDERS["motorcycle_smc"]({"dt": 0.001, "t_end": 10.0, "preview": 6.0})
+        """The row's stop decides priority: arrival wins over a fall at the same state."""
+        stop = scenarios._SCENARIOS["motorcycle_smc"].stop
         xD, yD, _ = scenarios._MOTO_POSE_D
-        assert built.stop((xD, yD, 0.0, 0.0, math.pi / 2, 0.0)) == "destination"
-        assert built.stop((xD + 1.0, yD, 0.0, 0.0, math.pi / 2, 0.0)) == "failure"
-        assert built.stop((xD + 1.0, yD, 0.0, 0.0, 0.0, 0.0)) is None
+        assert stop((xD, yD, 0.0, 0.0, math.pi / 2, 0.0)) == "destination"
+        assert stop((xD + 1.0, yD, 0.0, 0.0, math.pi / 2, 0.0)) == "failure"
+        assert stop((xD + 1.0, yD, 0.0, 0.0, 0.0, 0.0)) is None
 
     def test_failure_event_recorded(self):
         plant = PlantModel("int", lambda x, u: np.array([1.0]))

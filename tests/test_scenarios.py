@@ -1,5 +1,6 @@
 """Tests for the scenario registry, the runner, the emitters, and the CLI."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -23,9 +24,9 @@ from ctrlkit import (
     run_scenario,
     trajectory_checksum,
 )
-from ctrlkit import cli
+from ctrlkit import cli, synthesis
 from ctrlkit.cli import main, read_matrix_file
-from ctrlkit.scenarios import _BUILDERS, FINAL_NORM_BELOW, emit_csv, emit_json, emit_svg
+from ctrlkit.scenarios import _SCENARIOS, FINAL_NORM_BELOW, emit_csv, emit_json, emit_svg
 from test_acceptance import run_cached
 
 EXPECTED_IDS = {
@@ -56,7 +57,47 @@ def quick_run(scenario="point2d_cbf_case1", **overrides):
     return run_scenario(scenario, overrides)
 
 
+# SCENARIO_DEFAULTS spelled out, so that a row edit that moves a default or reorders the ids fails here
+PINNED_DEFAULTS = {
+    "dip_smc": {"dt": 0.001, "t_end": 8.0, "expected_event": "timeout",
+                "params": {"x0": 20.0, "s_v": 8.0}},
+    "motorcycle_smc": {"dt": 0.001, "t_end": 10.0, "expected_event": "destination",
+                       "params": {"preview": 6.0}},
+    "sip_nonrobust_failure": {"dt": 0.001, "t_end": 5.0, "expected_event": "failure",
+                              "params": {}},
+    "sip_robust_riccati": {"dt": 0.001, "t_end": 20.0, "expected_event": "success",
+                           "params": {"s_v": 8.0}},
+    "sip_robust_riccati_midpoint": {"dt": 0.001, "t_end": 20.0, "expected_event": "success",
+                                    "params": {"s_v": 8.0}},
+    "sip_interval_polynomial": {"dt": 0.001, "t_end": 20.0, "expected_event": "success",
+                                "params": {"s_v": 8.0}},
+    "sip_adaptive_online": {"dt": 0.001, "t_end": 3.0, "expected_event": "timeout",
+                            "params": {}},
+    "sip_adaptive_lookup": {"dt": 0.001, "t_end": 10.0, "expected_event": "success",
+                            "params": {"s_v": 8.0}},
+    "sip_adaptive_sysid": {"dt": 0.001, "t_end": 3.0, "expected_event": "timeout",
+                           "params": {}},
+    "sip_cbf": {"dt": 0.001, "t_end": 10.0, "expected_event": "timeout", "params": {}},
+    "point2d_cbf_case1": {"dt": 0.001, "t_end": 10.0, "expected_event": "timeout",
+                          "params": {}},
+    "point2d_cbf_case2": {"dt": 0.001, "t_end": 10.0, "expected_event": "timeout",
+                          "params": {}},
+    "point2d_clf_cbf_case1": {"dt": 0.001, "t_end": 10.0, "expected_event": "timeout",
+                              "params": {}},
+    "point2d_clf_cbf_case2": {"dt": 0.001, "t_end": 10.0, "expected_event": "timeout",
+                              "params": {}},
+}
+
+
 class TestRegistry:
+    def test_derived_views_match_their_pinned_values(self):
+        assert SCENARIO_IDS == tuple(PINNED_DEFAULTS)
+        assert SCENARIO_DEFAULTS == PINNED_DEFAULTS
+        assert all(list(SCENARIO_DEFAULTS[sid]) == list(entry) and
+                   list(SCENARIO_DEFAULTS[sid]["params"]) == list(entry["params"])
+                   for sid, entry in PINNED_DEFAULTS.items())  # same key order
+        assert FINAL_NORM_BELOW == {"dip_smc": 0.05}
+
     def test_all_fourteen_scenarios_registered(self):
         assert set(SCENARIO_IDS) == EXPECTED_IDS
         assert SCENARIO_IDS == tuple(SCENARIO_DEFAULTS)
@@ -96,6 +137,11 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             run_scenario("sip_unknown")
 
+    @pytest.mark.parametrize("scenario", [["sip_cbf"], None])
+    def test_scenario_id_that_is_no_string_rejected_by_name(self, scenario):
+        with pytest.raises(ValueError, match=re.escape(repr(scenario))):
+            run_scenario(scenario)
+
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError):
             run_scenario("sip_cbf", {"gain": 3.0})
@@ -115,6 +161,29 @@ class TestRunScenario:
     def test_invalid_override_fails_before_the_run(self, scenario, overrides, message):
         with pytest.raises(ValueError, match=message):
             run_scenario(scenario, overrides)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"dt": 0.1, "t_end": 0.05}, "^t_end must be at least dt"),
+        ({"dt": 1e-320}, "^dt must be large enough that t_end/dt is finite, got 1e-320$")])
+    @pytest.mark.parametrize("scenario", ["sip_robust_riccati", "dip_smc", "point2d_cbf_case1"])
+    def test_run_settings_fail_before_the_build(self, monkeypatch, scenario, overrides, message):
+        def build(params):
+            raise AssertionError("the build ran before the run settings were checked")
+
+        row = dataclasses.replace(_SCENARIOS[scenario], build=build)
+        monkeypatch.setitem(_SCENARIOS, scenario, row)
+        with pytest.raises(ValueError, match=message):
+            run_scenario(scenario, overrides)
+
+    def test_short_t_end_solves_no_care(self, monkeypatch):
+        calls, solve_care = [], synthesis.solve_care
+        monkeypatch.setattr(synthesis, "solve_care",
+                            lambda *args: calls.append(args) or solve_care(*args))
+        with pytest.raises(ValueError, match="^t_end must be at least dt"):
+            run_scenario("sip_robust_riccati", {"dt": 0.1, "t_end": 0.05})
+        assert calls == []
+        run_scenario("sip_robust_riccati", {"dt": 0.1, "t_end": 0.1})
+        assert len(calls) == 1  # the counter sees the vertex gain's CARE
 
     @pytest.mark.parametrize("value", ["abc", None])
     def test_non_number_override_names_the_key(self, value):
@@ -182,7 +251,7 @@ class TestRunScenario:
         ("point2d_clf_cbf_case1", [4.0, 0.0]), ("point2d_clf_cbf_case2", [4.0, 0.0])])
     def test_point2d_guard_counts_a_singular_step(self, scenario, state):
         # Lgh = y - c_y vanishes for the filter, LgV = y for the relaxed program
-        built = _BUILDERS[scenario](SCENARIO_DEFAULTS[scenario]["params"])
+        built = _SCENARIOS[scenario].build(SCENARIO_DEFAULTS[scenario]["params"])
         assert built.guard() == 0
         built.controller(0.0, np.array(state))
         assert built.guard() == 1
@@ -195,7 +264,7 @@ class TestRunScenario:
     @pytest.mark.parametrize("scenario", BARRIER_IDS)
     def test_min_h_is_min_over_every_state(self, scenario, overrides):
         traj, report = run_cached(scenario, **overrides)
-        h = _BUILDERS[scenario](SCENARIO_DEFAULTS[scenario]["params"]).barrier_h
+        h = _SCENARIOS[scenario].barrier_h
         assert report.min_h.hex() == min(map(h, traj.states)).hex()
         if "t_end" in overrides:
             # h still falls here, so only the state the controller never
@@ -205,7 +274,7 @@ class TestRunScenario:
     def test_min_h_of_a_run_a_stop_event_ends(self):
         traj, report = run_scenario("sip_cbf", {"dt": 0.005})
         assert report.terminal_event == "failure"
-        h = _BUILDERS["sip_cbf"]({}).barrier_h
+        h = _SCENARIOS["sip_cbf"].barrier_h
         assert report.min_h.hex() == min(map(h, traj.states)).hex()
 
     @pytest.mark.parametrize("scenario, state", [
@@ -214,11 +283,12 @@ class TestRunScenario:
         ("point2d_clf_cbf_case2", (0.0, 0.0))])
     def test_a_guarded_step_still_folds_its_h(self, scenario, state):
         # each state fires the singularity guard and lies below h(x0)
-        built = _BUILDERS[scenario](SCENARIO_DEFAULTS[scenario]["params"])
-        assert built.lowest_h().hex() == built.barrier_h(built.x0).hex()
+        h = _SCENARIOS[scenario].barrier_h
+        built = _SCENARIOS[scenario].build(SCENARIO_DEFAULTS[scenario]["params"])
+        assert built.lowest_h().hex() == h(built.x0).hex()
         built.controller(0.0, state)
         assert built.guard() == 1
-        assert built.lowest_h().hex() == built.barrier_h(state).hex()
+        assert built.lowest_h().hex() == h(state).hex()
 
     def test_motorcycle_reaches_destination(self):
         _, report = run_scenario("motorcycle_smc")
@@ -340,6 +410,29 @@ class TestSvg:
         root = ET.parse(path).getroot()
         poly = next(el for el in root.iter() if el.tag.endswith("polyline"))
         assert len(poly.attrib["points"].split()) == 2000
+
+    def test_unregistered_scenario_rejected(self, tmp_path):
+        traj, report = quick_run()
+        report.scenario = "point2d_cbf_case3"
+        with pytest.raises(ValueError, match="'point2d_cbf_case3'"):
+            emit_svg(traj, report, tmp_path / "run.svg")
+
+    @pytest.mark.parametrize("scenario, polylines, circles", [
+        ("sip_cbf", 2, 0), ("dip_smc", 2, 0), ("point2d_cbf_case1", 1, 2), ("motorcycle_smc", 2, 1)])
+    def test_empty_trajectory_writes_a_complete_document(self, tmp_path, scenario, polylines, circles):
+        traj = Trajectory(times=[], states=[], inputs=[], terminal_event="timeout")
+        report = RunReport(scenario=scenario, terminal_event="timeout", final_state=[],
+                           elapsed_sim_time=0.0, min_h=None, gain_matrices_used=[], checksum="x")
+        path = tmp_path / "empty.svg"
+        emit_svg(traj, report, path)
+        text = path.read_text()
+        assert text.startswith("<svg ") and text.endswith("</svg>\n")
+        assert ET.parse(path).getroot().tag.endswith("svg")
+        assert self.count(path, "polyline") == polylines
+        assert self.count(path, "circle") == circles
+        path_points = [el.attrib["points"] for el in ET.parse(path).getroot().iter()
+                       if el.tag.endswith("polyline")][-1]
+        assert path_points == ""  # the run's own curve; the motorcycle course is drawn before it
 
     def test_unknown_format_rejected(self, tmp_path):
         traj, report = quick_run()
