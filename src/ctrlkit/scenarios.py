@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import math
+import struct
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -512,9 +513,16 @@ def run_scenario(scenario_id, overrides=None):
 
 
 def trajectory_checksum(traj):
-    """SHA-256 over the float64 bytes of the times, states and inputs, then the terminal event."""
-    samples = np.fromiter(itertools.chain(traj.times, *traj.states, *traj.inputs), float)
-    return hashlib.sha256(samples.tobytes() + traj.terminal_event.encode()).hexdigest()
+    """SHA-256 over the float64 bytes of the times, states and inputs, then the terminal event.
+
+    struct packs native doubles, the bytes float64.tobytes() gives, without building an array.
+    """
+    digest = hashlib.sha256(struct.pack(f"{len(traj.times)}d", *traj.times))
+    for rows in (traj.states, traj.inputs):
+        width = len(rows[0]) if rows else 0
+        digest.update(struct.pack(f"{len(rows) * width}d", *itertools.chain.from_iterable(rows)))
+    digest.update(traj.terminal_event.encode())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

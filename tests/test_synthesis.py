@@ -424,14 +424,52 @@ class TestLapackHelpers:
             synthesis._lyapunov(-np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-def test_importing_ctrlkit_leaves_scipy_unloaded():
+def _fresh_python(code):
+    """stdout of code run by a new interpreter that imports this checkout's ctrlkit."""
     src = str(pathlib.Path(synthesis.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, ctrlkit\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def test_importing_ctrlkit_leaves_scipy_unloaded():
+    loaded = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    assert _fresh_python("import sys, ctrlkit\n" + loaded) == "[]"
+    # a Riccati solve loads the compiled LAPACK module alone, not the scipy.linalg package
+    assert _fresh_python("import sys, ctrlkit\n"
+                         "ctrlkit.sip_robust_gain('vertex')\n"
+                         "print('scipy.linalg._flapack' in sys.modules, 'scipy.linalg' in sys.modules)"
+                         ) == "True False"
+
+
+class TestFlapackLoader:
+    """synthesis._scipy_lapack hands out scipy.linalg.lapack's own dgees and dtrsyl, in either import order."""
+
+    def test_same_kernels_as_scipy_linalg_lapack_loaded_after_ctrlkit(self):
+        assert _fresh_python("import ctrlkit\n"
+                             "ctrlkit.sip_robust_gain('vertex')\n"
+                             "import scipy.linalg.lapack as lapack\n"
+                             "flapack = ctrlkit.synthesis._scipy_lapack()\n"
+                             "print(flapack.dgees is lapack.dgees, flapack.dtrsyl is lapack.dtrsyl)"
+                             ) == "True True"
+
+    def test_same_kernels_as_scipy_linalg_lapack_loaded_first(self):
+        assert "scipy.linalg" in sys.modules
+        flapack = synthesis._scipy_lapack()
+        assert flapack is sys.modules["scipy.linalg._flapack"]
+        assert flapack.dgees is scipy.linalg.lapack.dgees
+        assert flapack.dtrsyl is scipy.linalg.lapack.dtrsyl
+
+    def test_missing_module_names_the_directory_and_scipy_version(self, tmp_path, monkeypatch):
+        import scipy
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        with pytest.raises(ImportError) as info:
+            synthesis._scipy_lapack.__wrapped__()
+        message = str(info.value)
+        assert str(tmp_path / "linalg") in message
+        assert f"scipy {scipy.__version__} " in message
+        assert "_flapack" in message
 
 
 class TestRobustRiccatiGain:
