@@ -31,7 +31,7 @@ def fsfc(K, x):
 
 def dip_sliding_target(x0, s_v, t):
     """The shared sliding-target walk from x0 toward 0 at rate s_v: sign(x0)*max(|x0|-s_v*t, 0)."""
-    if t < 0:
+    if not t >= 0:  # a nan t is rejected too
         raise ValueError("t must be non-negative")
     return math.copysign(max(abs(x0) - s_v * t, 0.0), x0)
 
@@ -45,7 +45,7 @@ class MotorcycleGuidance:
     """
 
     def __init__(self, pose_I, pose_D, preview=6.0):
-        if preview <= 0:
+        if not preview > 0:  # a nan preview is rejected too
             raise ValueError("preview distance must be positive")
         xI, yI, phiI = (float(v) for v in pose_I)
         xD, yD, phiD = (float(v) for v in pose_D)

@@ -235,22 +235,19 @@ def _scipy_lapack():
 
 
 def _lhp(re, im):
+    """dgees's select function of sort="lhp"; with sort_t = 0 it is never called."""
     return re < 0.0
-
-
-def _no_sort(re, im):
-    return None
 
 
 @functools.cache
 def _dgees_lwork(n):
     """dgees's optimal workspace for an n x n matrix; the query reads the size only, never the entries."""
-    return int(_scipy_lapack().dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
+    return int(_scipy_lapack().dgees(_lhp, np.zeros((n, n)), lwork=-1)[-2][0])
 
 
-def _real_schur(a, select, sort):
-    """(T, Z, sdim) of scipy.linalg.schur(a, output="real", sort=...) by the same dgees call and lwork."""
-    t, sdim, _, _, z, _, info = _scipy_lapack().dgees(select, a, lwork=_dgees_lwork(a.shape[0]), sort_t=sort)
+def _real_schur(a, sort):
+    """(T, Z, sdim) of scipy.linalg.schur(a, output="real", sort="lhp" if sort else None) by its dgees call."""
+    t, sdim, _, _, z, _, info = _scipy_lapack().dgees(_lhp, a, lwork=_dgees_lwork(a.shape[0]), sort_t=sort)
     if info:
         raise np.linalg.LinAlgError(f"real Schur form failed (LAPACK dgees info {info})")
     return t, z, sdim
@@ -260,7 +257,7 @@ def _lyapunov(a, q):
     """scipy.linalg.solve_continuous_lyapunov(a, q), X with a X + X a' = q, for real square a, q."""
     if not (all_finite(a) and all_finite(q)):
         raise ValueError("array must not contain infs or NaNs")
-    r, u, _ = _real_schur(a, _no_sort, 0)
+    r, u, _ = _real_schur(a, 0)
     f = u.T.dot(q.dot(u))
     y, scale, info = _scipy_lapack().dtrsyl(r, r, f, tranb="T")
     if info:
@@ -277,7 +274,9 @@ def solve_care(A, M, Q):
     Constructed from the stable invariant subspace [X1; X2] of the
     Hamiltonian [[A, -M], [-Q, -A']] as P = X2 X1^-1, symmetrized, then
     refined by a few Newton steps (Lyapunov solves on the closed loop) so
-    the residual lands well below the 1e-8 contract.
+    the residual lands well below the 1e-8 contract.  The diagonal of the
+    same ordered real Schur form holds the eigenvalues' real parts: one
+    within 1e-9 of 0 raises ValueError (the imaginary axis).
 
     Returns P, or a CareNoSolution value when the candidate is not
     positive definite (a legitimate outcome the tuning rule consumes).
@@ -294,13 +293,14 @@ def solve_care(A, M, Q):
     ham[:n, n:] = -M
     ham[n:, :n] = -Q
     ham[n:, n:] = -A.T
-    if min(map(abs, lapack.eigvals(ham).real.tolist())) <= 1e-9:  # eigvals takes no nan, gives no nan
+    if not all_finite(ham):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    T, Z, sdim = _real_schur(ham, 1)
+    if min(map(abs, T.diagonal().tolist())) <= 1e-9:  # dgees's wr: a 2x2 block has Re(lambda) on both
         raise ValueError("Hamiltonian has eigenvalues on the imaginary axis")
-    _, Z, sdim = _real_schur(ham, _lhp, 1)
     if sdim != n:
         raise ValueError(f"stable Hamiltonian subspace has dimension {sdim}, expected {n}")
-    X1 = Z[:n, :n]
-    X2 = Z[n:, :n]
+    X1, X2 = Z[:n, :n], Z[n:, :n]
     sv = lapack.svd(X1)
     if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
         raise np.linalg.LinAlgError("stable-subspace X1 block is singular")
@@ -321,7 +321,7 @@ def solve_care(A, M, Q):
         P_next = (P_next + P_next.T) / 2
         res_next = _care_residual(P_next, A, M, Q)
         rnorm_next = _frobenius(res_next)
-        if rnorm_next >= rnorm:
+        if not rnorm_next < rnorm:  # a nan residual (from a nan or infinite step) is no improvement either
             break
         P, res, rnorm = P_next, res_next, rnorm_next
 
@@ -442,6 +442,13 @@ def vertex_interval_char_poly(A_family, B_family, K):
     return IntervalPoly._checked(tuple(map(min, columns)), tuple(map(max, columns)))
 
 
+def _three_gains(K):
+    k = finite_floats(K, "K")
+    if len(k) != 3:
+        raise ValueError(f"K must have 3 entries, got {len(k)}")
+    return k
+
+
 def _region_bounds(k2, k3, a_hi, b_lo):
     """sip_region_bounds on inputs that have passed its checks."""
     if not k3 < 0:
@@ -460,7 +467,7 @@ def sip_region_bounds(K, a_hi, b_lo):
     k3 < 0, k2 < k2_bound; None past its first failing inequality.  k1_bound is
     -inf, its limit, where rounding leaves its denominator at or below 0.
     """
-    _, k2, k3 = finite_floats(K, "K")
+    _, k2, k3 = _three_gains(K)
     finite_floats([a_hi, b_lo], "a_hi and b_lo")
     if not b_lo > 0:
         raise ValueError("b_lo must be positive")
@@ -478,7 +485,7 @@ def sip_region_feasible(K, a_lo, a_hi, b_lo, b_hi):
     finite_floats([a_lo, a_hi, b_lo, b_hi], "parameter bounds")
     if not (0 < b_lo <= b_hi and 0 < a_lo <= a_hi):
         raise ValueError("parameter bounds must be positive and ordered")
-    k1, k2, k3 = finite_floats(K, "K")
+    k1, k2, k3 = _three_gains(K)
     k1_bound = _region_bounds(k2, k3, a_hi, b_lo)[1]
     return k1_bound is not None and k1 < k1_bound
 
@@ -489,15 +496,13 @@ def eig_sweep(K, theta_grid):
     Each row is (theta, real parts of eig(A - B k')) for the 3-state design
     pair frozen at theta (exact coefficients, no small-angle branch), sorted
     by descending magnitude of the real part, the order the printed tables use.
-    K must have 3 entries, all finite (ValueError otherwise).
+    K must have 3 entries and K and theta_grid must be finite (ValueError otherwise).
     """
-    K = np.array(finite_floats(K, "K"))
-    if K.size != 3:
-        raise ValueError(f"K must have 3 entries, got {K.size}")
+    K = np.array(_three_gains(K))
     rows = []
-    for theta in theta_grid:
+    for theta in finite_floats(theta_grid, "theta_grid"):
         A, B = sip_design_pair(*sip_frozen_coefficients(theta))
         re = lapack.eigvals(A - np.outer(B, K)).real.tolist()
-        # a stable sort, as np.argsort(-np.abs(re), kind="stable"); eigvals never returns a nan
-        rows.append((float(theta), np.array(sorted(re, key=lambda v: -abs(v)))))
+        # a stable sort, as np.argsort(-np.abs(re), kind="stable"); eigvals of a finite matrix has no nan
+        rows.append((theta, np.array(sorted(re, key=lambda v: -abs(v)))))
     return rows

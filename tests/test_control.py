@@ -59,6 +59,11 @@ class TestSlidingTarget:
         with pytest.raises(ValueError):
             dip_sliding_target(20.0, 8.0, -0.1)
 
+    def test_nan_time_rejected(self):
+        """A nan t once passed the t < 0 test and returned nan."""
+        with pytest.raises(ValueError, match="^t must be non-negative$"):
+            dip_sliding_target(20.0, 8.0, math.nan)
+
 
 class TestMotorcycleGuidance:
     def make(self, preview=2.0):
@@ -77,6 +82,11 @@ class TestMotorcycleGuidance:
     def test_nonpositive_preview_rejected(self):
         with pytest.raises(ValueError):
             self.make(preview=0.0)
+
+    def test_nan_preview_rejected(self):
+        """A nan preview once passed the preview <= 0 test and never switched to line 2."""
+        with pytest.raises(ValueError, match="^preview distance must be positive$"):
+            self.make(preview=math.nan)
 
     def test_switches_inside_preview_distance_and_stays(self):
         g = self.make(preview=2.0)

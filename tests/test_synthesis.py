@@ -338,6 +338,41 @@ class TestSolveCare:
         assert out.p_eigenvalues.max() < 0
         assert out.M.shape == (1, 1)
 
+    def test_imaginary_axis_threshold_is_1e_9(self):
+        """A = 0, M = 1, Q = q: Hamiltonian eigenvalues +-sqrt(q), and P = sqrt(q) when it solves."""
+        with pytest.raises(ValueError, match="^Hamiltonian has eigenvalues on the imaginary axis$"):
+            solve_care([[0.0]], [[1.0]], [[1e-20]])  # +-1e-10
+        P = solve_care([[0.0]], [[1.0]], [[4e-18]])  # +-2e-9
+        assert P.shape == (1, 1) and P[0, 0] == pytest.approx(2e-9, rel=1e-12)
+
+    @staticmethod
+    def vertex_care():
+        """The (A, M, Q) that sip_robust_gain("vertex") hands to solve_care."""
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "solve_care", lambda *args: calls.append(args) or solve_care(*args))
+            scenarios.sip_robust_gain("vertex")
+        (args,) = calls
+        return args
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_newton_step_with_a_non_finite_residual_is_not_taken(self, bad, monkeypatch):
+        """A nan step once passed rnorm_next >= rnorm, so P became nan and eigvalsh failed."""
+        A, M, Q = self.vertex_care()
+
+        def lyapunov_fails(a, q):
+            raise ValueError("array must not contain infs or NaNs")
+
+        monkeypatch.setattr(synthesis, "_lyapunov", lyapunov_fails)
+        P_ref = solve_care(A, M, Q)
+        monkeypatch.setattr(synthesis, "_lyapunov", lambda a, q: np.full_like(q, bad))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            P = solve_care(A, M, Q)
+        assert np.array_equal(P, P_ref) and np.isfinite(P).all()
+        if math.isnan(bad):  # an infinite step's residual meets inf * 0 in its matmuls
+            assert not caught
+
 
 def robust_op_lapack_inputs(n_ops):
     """Every Hamiltonian and Newton-step closed loop that solve_care hands to LAPACK on n_ops
@@ -345,10 +380,10 @@ def robust_op_lapack_inputs(n_ops):
     hams, loops = [], []
     real_schur, lyapunov = synthesis._real_schur, synthesis._lyapunov
 
-    def record_schur(a, select, sort):
+    def record_schur(a, sort):
         if sort:
             hams.append(a.copy())
-        return real_schur(a, select, sort)
+        return real_schur(a, sort)
 
     def record_lyapunov(a, q):
         loops.append((a.copy(), q.copy()))
@@ -384,7 +419,7 @@ class TestLapackHelpers:
 
     @staticmethod
     def assert_schur_matches_scipy(ham):
-        T, Z, sdim = synthesis._real_schur(ham, synthesis._lhp, 1)
+        T, Z, sdim = synthesis._real_schur(ham, 1)
         T_ref, Z_ref, sdim_ref = scipy.linalg.schur(ham, output="real", sort="lhp")
         assert sdim == sdim_ref
         assert np.array_equal(T, T_ref) and np.array_equal(Z, Z_ref)
@@ -392,6 +427,21 @@ class TestLapackHelpers:
     def test_stable_schur_equals_scipy_on_workload_hamiltonians(self, workload_inputs):
         for ham in workload_inputs[0]:
             self.assert_schur_matches_scipy(ham)
+
+    def test_imaginary_axis_verdict_is_numpys_eigvals_rule(self, workload_inputs):
+        """The Schur diagonal's verdict against the eigenvalues' real parts from np.linalg.eigvals."""
+        rejected = 0
+        for ham in workload_inputs[0]:
+            n = ham.shape[0] // 2
+            on_axis = np.abs(np.linalg.eigvals(ham).real).min() <= 1e-9
+            try:
+                solve_care(ham[:n, :n], -ham[:n, n:], -ham[n:, :n])
+            except ValueError as e:
+                assert on_axis == (str(e) == "Hamiltonian has eigenvalues on the imaginary axis")
+            else:
+                assert not on_axis
+            rejected += on_axis
+        assert 0 < rejected < len(workload_inputs[0])
 
     def test_stable_schur_equals_scipy_on_random_matrices(self):
         for a, _ in self.random_inputs():
@@ -415,7 +465,7 @@ class TestLapackHelpers:
         dgees = synthesis._scipy_lapack().dgees
         for n in range(1, 9):
             for a in (rng.normal(size=(n, n)), 1e6 * rng.normal(size=(n, n)), np.eye(n)):
-                assert int(dgees(synthesis._no_sort, a, lwork=-1)[-2][0]) == synthesis._dgees_lwork(n)
+                assert int(dgees(lambda re, im: None, a, lwork=-1)[-2][0]) == synthesis._dgees_lwork(n)
 
     def test_lyapunov_rejects_non_finite_input(self):
         with pytest.raises(ValueError):
@@ -927,6 +977,16 @@ class TestNonFiniteInputsFailAtTheBoundary:
             with pytest.raises(ValueError, match="^K must be finite$"):
                 check()
 
+    @pytest.mark.parametrize("K, count", [([5.0], 1), ([-110.0, -50.0], 2), ([-110.0, -50.0, -10.0, 1.0], 4)],
+                             ids=["one", "two", "four"])
+    def test_region_gain_without_three_entries(self, K, count):
+        """Once Python's "not enough/too many values to unpack"."""
+        a_lo, a_hi, b_lo, b_hi = workloads.REGION
+        for check in (lambda: sip_region_feasible(K, *workloads.REGION),
+                      lambda: sip_region_bounds(K, a_hi, b_lo)):
+            with pytest.raises(ValueError, match=f"^K must have 3 entries, got {count}$"):
+                check()
+
     def test_region_parameter_bounds(self):
         with pytest.raises(ValueError, match="^parameter bounds must be finite$"):
             sip_region_feasible([-110.0, -50.0, -10.0], 5.0, np.inf, 0.31, 1.0)
@@ -1193,6 +1253,12 @@ class TestEigSweep:
         """Once a 1-entry K was broadcast into eigenvalues, and a 2-entry or nan K failed inside numpy."""
         with pytest.raises(ValueError, match=message):
             eig_sweep(K, [0.1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_angle(self, bad):
+        """Checked at the boundary, before a row is computed: LAPACK is handed finite matrices only."""
+        with pytest.raises(ValueError, match="^theta_grid must be finite$"):
+            eig_sweep([-110.0, -50.0, -10.0], [0.1, bad])
 
     def test_rows_bit_identical_to_the_numpy_sort(self):
         """The float sort against np.argsort(-np.abs(re), kind="stable"), on the table gains and ±0 gains."""
