@@ -152,8 +152,6 @@ def _cmd_robust_riccati(args):
 
 def _cmd_region_check(args):
     K = _parse_vector(args.k)
-    if K.size != 3:
-        raise ValueError("the gain region test needs exactly k1,k2,k3")
     feasible = sip_region_feasible(K, args.a_lo, args.a_hi, args.b_lo, args.b_hi)
     k2_bound, k1_bound = sip_region_bounds(K, args.a_hi, args.b_lo)
     k1, k2, k3 = K

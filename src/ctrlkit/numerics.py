@@ -85,7 +85,8 @@ def nnmf_rank1(m):
     and h = [1, 0, ..., 0].
 
     Raises ValueError for an empty matrix, non-finite or negative entries,
-    or numerical rank above one.
+    or numerical rank above one; so, with no nan, the first maximum is
+    np.argmax's pick, and each entry of w and h is the numpy form's.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:

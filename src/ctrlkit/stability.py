@@ -62,7 +62,8 @@ def routh_stable(p):
     degenerate and the polynomial not (strictly) stable; the rows it leaves
     uncomputed count as 0.0 in first_column.  The array is built one row of
     Python floats at a time, each entry (pivot*a - b*c) / pivot rounded as
-    numpy rounds it.
+    numpy rounds it, so the first column, signed zeros and nan included, is
+    the numpy array's.
     """
     c = floats(p)
     while c and c[-1] == 0.0:

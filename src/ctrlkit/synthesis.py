@@ -5,11 +5,6 @@ solver built on the stable invariant subspace of the Hamiltonian, the
 rank-one-decomposition robust gain method, interval-polynomial gain
 regions, and the eigenvalue sweep tables.
 
-The first Riccati solve loads scipy's compiled LAPACK module,
-scipy.linalg._flapack, and not the scipy.linalg package: solve_care calls
-only its dgees and dtrsyl, and the package would add about 0.2 s and 17 MB
-that nothing here uses.
-
 Gains are plain 1-D arrays k with the single-input convention u = -k' x,
 so the closed loop is A - B k'.
 """
@@ -59,16 +54,14 @@ class RobustConfig:
         for name, m in (("Q", Q), ("R", R)):
             if not m.size:
                 raise ValueError(f"{name} must not be empty, got shape {m.shape}")
-        # robust_riccati_gain reports a Q or R that is not square by its shape; a nan or
-        # infinite entry fails both tests; LAPACK's eigenvalue of a 1x1 matrix is its entry
-        if R.shape[0] == R.shape[1] and not (
-                all_finite(R) and (R[0, 0] > 0 if R.shape == (1, 1) else lapack.eigvalsh_lo(R).min() > 0)):
+        _require_shape((1, 1), R=R)  # the synthesis is single-input
+        if not 0 < R.item() < math.inf:  # a nan fails too; a 1x1 matrix's eigenvalue is its entry
             raise ValueError("R must be positive definite")
+        # robust_riccati_gain reports a Q that is not square by its shape; a nan or infinite
+        # entry fails the finite test, before Q - Q' could meet inf - inf
         if Q.shape[0] == Q.shape[1]:
-            q, q_t = Q.ravel().tolist(), Q.T.ravel().tolist()
-            tol = 1e-12 * max(map(abs, q))  # |Q| and |Q - Q'| entry by entry, as numpy rounds them
-            if not (all_finite(q) and max(map(abs, map(operator.sub, q, q_t))) <= tol
-                    and lapack.eigvalsh_lo(Q)[0] >= -tol):
+            tol = 1e-12 * np.abs(Q).max()
+            if not (all_finite(Q) and np.abs(Q - Q.T).max() <= tol and lapack.eigvalsh_lo(Q)[0] >= -tol):
                 raise ValueError("Q must be symmetric positive semi-definite")
 
 
@@ -185,8 +178,10 @@ def sip_pole_gain(a, b, coeffs):
     """design_gain_matrix(*sip_design_pair(a, b), poles) bit for bit; coeffs = sip_coefficients(poles).
 
     On this sparse pair each sum in Ackermann's products has one nonzero term at
-    most, and w = C'^-1 e3 repeats the pivoting and float operations of LAPACK's LU
-    solve.  C's singular values are |b| and s_hi, s_lo with s_hi +- s_lo = hypot(b, 1 +- |ab|).
+    most, so BLAS's order and fused multiply-adds move no bit, and w = C'^-1 e3 repeats
+    the pivoting and float operations of LAPACK's LU solve (OpenBLAS 0.3.31, numpy 2.4.6).
+    C's singular values are |b| and s_hi, s_lo with s_hi +- s_lo = hypot(b, 1 +- |ab|); within
+    numpy's SVD rounding of the controllability thresholds the two verdicts may differ.
     """
     c2, c1, c0 = coeffs
     ab = a * b
@@ -218,7 +213,8 @@ def _frobenius(m):
 
 @functools.cache
 def _scipy_lapack():
-    """scipy.linalg._flapack, whose dgees and dtrsyl are the objects scipy.linalg.lapack re-exports."""
+    """scipy.linalg._flapack, loaded alone on the first Riccati solve, not the scipy.linalg package;
+    solve_care calls only its dgees and dtrsyl, the objects scipy.linalg.lapack re-exports."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
@@ -315,7 +311,7 @@ def solve_care(A, M, Q):
             break
         try:
             delta = _lyapunov((A - M @ P).T, -res)
-        except Exception:
+        except ValueError:  # numpy's LinAlgError included
             break
         P_next = P + delta
         P_next = (P_next + P_next.T) / 2
@@ -334,7 +330,8 @@ def solve_care(A, M, Q):
 def _rank_one_factors(bound, bar, bar_name, bound_name):
     """(v, h) as lists of floats with bound = bar * v h' (nnmf_rank1), or zeros for a zero bound.
 
-    The auxiliary matrices are bar * v v' and bar * h h', each entry bar * (v_i * v_j) as numpy rounds it.
+    The auxiliary matrices are bar * v v' and bar * h h', each entry bar * (v_i * v_j) as numpy rounds it
+    (a zero bound's bar * (0 * 0) is +0.0, numpy's zero matrix).
     """
     if not any(bound.ravel().tolist()):
         return [0.0] * bound.shape[0], [0.0] * bound.shape[1]
@@ -361,7 +358,6 @@ def robust_riccati_gain(A, B, bounds, cfg):
     n = A.shape[0]
     _require_shape((n, n), A=A, dA_max=bounds.dA_max, Q=cfg.Q)
     _require_shape((n, 1), B=B, dB_max=bounds.dB_max)
-    _require_shape((1, 1), R=cfg.R)
     finite_floats(A, "A")
     b = finite_floats(B, "B")
     a_bar, b_bar, eps = cfg.a_bar, cfg.b_bar, cfg.epsilon
@@ -372,7 +368,8 @@ def robust_riccati_gain(A, B, bounds, cfg):
     sigma_y = b_bar * (h_b * h_b)
     r_inv = 1.0 / (r + eps * sigma_y)  # inv of the 1x1 R + eps*Sigma_y, as LAPACK's LU solve computes it
     # M = B r_inv (2R + eps*Sigma_y) r_inv B' - Sigma_a - Sigma_b/eps.  Each product of the chain has
-    # inner dimension 1, and numpy's matmul sums it from +0.0: 0.0 + e_i * b_j makes its zeros +0.0.
+    # inner dimension 1, and numpy's matmul sums it from +0.0: 0.0 + e_i * b_j makes its zeros +0.0
+    # (the zeros inside the chain may carry either sign: only its last product reaches M).
     mid = 2 * r + eps * sigma_y
     e = [b_i * r_inv * mid * r_inv for b_i in b]
     inv_eps = 1 / eps
@@ -397,8 +394,9 @@ def _char_poly_3x3(m):
 def char_poly_ascending(m):
     """Monic characteristic polynomial of a square matrix, ascending coeffs.
 
-    A 3x3 matrix takes the closed form of _char_poly_3x3; other sizes go
-    through np.poly (the eigenvalues).
+    A 3x3 matrix takes the closed form of _char_poly_3x3, exact on integer
+    matrices and within about 1e-15 relative of np.poly otherwise; other sizes
+    go through np.poly (the eigenvalues).
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape == (3, 3):

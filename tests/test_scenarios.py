@@ -1,5 +1,6 @@
 """Tests for the scenario registry, the runner, the emitters, and the CLI."""
 
+import ast
 import dataclasses
 import hashlib
 import itertools
@@ -7,6 +8,7 @@ import json
 import math
 import pathlib
 import re
+import shlex
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -24,7 +26,7 @@ from ctrlkit import (
     run_scenario,
     trajectory_checksum,
 )
-from ctrlkit import cli, synthesis
+from ctrlkit import cli, control, models, numerics, scenarios, stability, synthesis
 from ctrlkit.cli import main, read_matrix_file
 from ctrlkit.scenarios import _SCENARIOS, FINAL_NORM_BELOW, emit_csv, emit_json, emit_svg
 from test_acceptance import run_cached
@@ -605,6 +607,14 @@ class TestCli:
         assert main(common + ["--k=-58,-18.4,-6.4"]) == 2
         assert "infeasible" in capsys.readouterr().out
 
+    def test_region_check_rejects_a_gain_without_three_entries(self, capsys):
+        rc = main(["design", "region-check", "--a-lo", "5", "--a-hi", "10",
+                   "--b-lo", "0.31", "--b-hi", "1", "--k=1,2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: K must have 3 entries, got 2\n"
+        assert captured.out == ""
+
     def test_region_check_rejects_non_finite_gain(self, capsys):
         rc = main(["design", "region-check", "--a-lo", "5", "--a-hi", "10",
                    "--b-lo", "0.31", "--b-hi", "1", "--k=nan,-50,-10"])
@@ -760,3 +770,64 @@ class TestCli:
                    "--b", "/nonexistent/B.txt", "--poles=-1,-2"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+def readme_commands():
+    """Every `ctrlkit ...` line of the README's sh blocks, continuations joined, as argv lists."""
+    text = pathlib.Path(__file__).resolve().parents[1].joinpath("README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["ctrlkit"]:
+                commands.append(argv[1:])
+    return commands
+
+
+class TestReadmeCommands:
+    """The README's commands run as written, from a directory that holds the matrix files its
+    design examples name: the 3-state vertex pendulum and its bounds at |theta| = 0.4 pi."""
+
+    def test_every_subcommand_is_shown(self):
+        assert {argv[0] for argv in readme_commands()} == {"run", "table", "design"}
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_command_exits_zero(self, argv, tmp_path, monkeypatch, capsys):
+        theta = 0.4 * math.pi
+        for name, text in (("A", "0 1 0\n10 0 0\n0 0 0\n"), ("B", "0\n-1\n1\n"),
+                           ("dA", f"0 0 0\n{abs(10.0 * math.sin(theta) / theta - 10.0)!r} 0 0\n0 0 0\n"),
+                           ("dB", f"0\n{abs(1.0 - math.cos(theta))!r}\n0\n")):
+            (tmp_path / f"{name}.txt").write_text(text)
+        monkeypatch.chdir(tmp_path)  # every output path of the README's commands is relative
+        assert main(argv) == 0, capsys.readouterr().err
+
+
+def test_readme_exactness_map_names_code_and_tests_that_exist():
+    """Each row of the README's exactness map names objects of ctrlkit (module prefix optional)
+    and tier-1 tests as file.py::Class::test, the file carried down from the row above."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    lines = root.joinpath("README.md").read_text().splitlines()
+    start = lines.index("| shortcut | argument | oracle test |") + 2
+    rows = list(itertools.takewhile(lambda row: row.startswith("|"), lines[start:]))
+    assert len(rows) > 10
+    modules = (models, control, numerics, scenarios, stability, synthesis)
+    tests, test_file = {}, None
+    for path in root.joinpath("tests").glob("test_*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                tests[path.name, node.name] = node
+            if isinstance(node, ast.ClassDef):
+                tests.update({(path.name, f"{node.name}::{sub.name}"): sub for sub in node.body
+                              if isinstance(sub, ast.FunctionDef)})
+    for row in rows:
+        _, argument, oracle = (cell.strip() for cell in row.strip("|").split("|"))
+        for name in re.findall(r"`([^`]+)`", argument):
+            head, *rest = name.split(".")
+            objects = [vars(m).get(head) for m in modules] + [m for m in modules if m.__name__.endswith(head)]
+            for attr in rest:
+                objects = [getattr(obj, attr, None) for obj in objects]
+            assert any(obj is not None for obj in objects), name
+        for name in re.findall(r"`([^`]+)`", oracle):
+            if ".py::" in name:
+                test_file, name = name.split("::", 1)
+            assert (test_file, name) in tests, name

@@ -40,6 +40,7 @@ from ctrlkit.stability import IntervalPoly, interval_poly_stable, routh_stable
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
+from test_acceptance import run_cached  # noqa: E402
 
 THETA_MAX = 0.4 * math.pi
 DA21 = abs(10.0 * math.sin(THETA_MAX) / THETA_MAX - 10.0)
@@ -115,6 +116,35 @@ class TestDesignGainMatrix:
                 A, B = rng.normal(size=(n, n)), rng.normal(size=n)
                 rel.append(self.assert_coefficients_as_promised(A, B, -rng.uniform(0.5, 6.0, n)).max())
         assert np.median(rel) < 1e-12  # most placements are close to exact
+
+    @staticmethod
+    def textbook_ackermann(A, B, poles):
+        """The np.poly, column_stack and np.linalg.solve form design_gain_matrix replaced, kept as
+        its bit-for-bit oracle (Horner's phi(A) from zeros, each column of C one A @ product)."""
+        coeffs = np.poly(np.asarray(poles, dtype=complex)).real
+        cols = [B]
+        for _ in range(len(B) - 1):
+            cols.append(A @ cols[-1])
+        C = np.column_stack(cols)
+        phi = np.zeros(A.shape)
+        for c in coeffs:
+            phi = phi @ A + c * np.eye(len(B))
+        e_n = np.zeros(len(B))
+        e_n[-1] = 1.0
+        return np.linalg.solve(C.T, e_n) @ phi
+
+    def test_bit_identical_to_the_textbook_ackermann(self):
+        """The design workload's placement draws, and the scenarios' 4x4 and 6x6 designs."""
+        rng = np.random.default_rng(2130)
+        cases = [(*scenarios._dip_design_matrices(), [-4.0] * 6),
+                 (*scenarios._motorcycle_design_matrices(), [-2.5] * 4)]
+        for n in workloads.PLACE_SIZES:
+            for conjugate in (False, True):
+                cases += [(*workloads._controllable_pair(rng, n), workloads._pole_set(rng, n, conjugate))
+                          for _ in range(25)]
+        for A, B, poles in cases:
+            B = np.ravel(B)
+            assert design_gain_matrix(A, B, poles).tobytes() == self.textbook_ackermann(A, B, poles).tobytes()
 
     def test_characteristic_coefficients_of_the_repeated_scenario_poles(self):
         """dip_smc's six poles at -4 are ill-conditioned roots, but their coefficients are not."""
@@ -373,6 +403,17 @@ class TestSolveCare:
         if math.isnan(bad):  # an infinite step's residual meets inf * 0 in its matmuls
             assert not caught
 
+    def test_newton_step_error_that_is_not_a_value_error_propagates(self, monkeypatch):
+        """Only a failed solve (ValueError, numpy's LinAlgError included) ends the refinement."""
+        A, M, Q = self.vertex_care()
+
+        def lyapunov_misused(a, q):
+            raise TypeError("an error in the code, not in the numbers")
+
+        monkeypatch.setattr(synthesis, "_lyapunov", lyapunov_misused)
+        with pytest.raises(TypeError, match="^an error in the code, not in the numbers$"):
+            solve_care(A, M, Q)
+
 
 def robust_op_lapack_inputs(n_ops):
     """Every Hamiltonian and Newton-step closed loop that solve_care hands to LAPACK on n_ops
@@ -466,6 +507,13 @@ class TestLapackHelpers:
         for n in range(1, 9):
             for a in (rng.normal(size=(n, n)), 1e6 * rng.normal(size=(n, n)), np.eye(n)):
                 assert int(dgees(lambda re, im: None, a, lwork=-1)[-2][0]) == synthesis._dgees_lwork(n)
+
+    def test_frobenius_is_numpys_norm(self, workload_inputs):
+        """On the Newton steps' residuals and closed loops (a transposed view), and on random matrices."""
+        matrices = [m for a, q in workload_inputs[1] for m in (a, q)]
+        matrices += [m for a, q in self.random_inputs() for m in (a, q.T, 1e150 * a)]
+        for m in matrices:
+            assert synthesis._frobenius(m) == np.linalg.norm(m, "fro")
 
     def test_lyapunov_rejects_non_finite_input(self):
         with pytest.raises(ValueError):
@@ -593,11 +641,11 @@ class TestRobustRiccatiGain:
         A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
         args = {"A": A, "B": B, "dA_max": pendulum_bounds().dA_max,
                 "dB_max": pendulum_bounds().dB_max, "Q": np.eye(3), "R": [[0.01]], field: value}
-        bounds = UncertaintyBounds(args["dA_max"], args["dB_max"])
-        cfg = RobustConfig(a_bar=300.0, b_bar=300.0, epsilon=0.01, Q=args["Q"], R=args["R"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError) as ei:
+            with pytest.raises(ValueError) as ei:  # RobustConfig itself rejects an R that is not 1x1
+                bounds = UncertaintyBounds(args["dA_max"], args["dB_max"])
+                cfg = RobustConfig(a_bar=300.0, b_bar=300.0, epsilon=0.01, Q=args["Q"], R=args["R"])
                 robust_riccati_gain(args["A"], args["B"], bounds, cfg)
         assert str(ei.value) == message
 
@@ -610,11 +658,27 @@ class TestRobustRiccatiGain:
                                                                Q=np.eye(3), R=[[0.01]]))
         assert np.array_equal(K, K_ref)
 
-    @pytest.mark.parametrize("R", [[[0.0]], [[-1.0]], [[np.nan]], [[1.0, 0.0], [0.0, -1.0]]],
-                             ids=["zero", "negative", "nan", "indefinite"])
-    def test_config_rejects_r_not_positive_definite(self, R):
-        with pytest.raises(ValueError, match="^R must be positive definite$"):
+    @pytest.mark.parametrize("R, message", [
+        ([[0.0]], "R must be positive definite"), ([[-1.0]], "R must be positive definite"),
+        ([[np.nan]], "R must be positive definite"),
+        ([[1.0, 0.0], [0.0, -1.0]], "R must be 1x1, got shape (2, 2)"),  # the shape is checked first
+    ], ids=["zero", "negative", "nan", "indefinite"])
+    def test_config_rejects_r_not_positive_definite(self, R, message):
+        with pytest.raises(ValueError) as ei:
             RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01, Q=np.eye(3), R=R)
+        assert str(ei.value) == message
+
+    def test_config_r_check_is_the_eigenvalue_test(self):
+        """A 1x1 R passes iff it is finite and its eigvalsh eigenvalue is positive."""
+        for r in (0.01, 1e300, 5e-324, 0.0, -0.0, -5e-324, -1.0, math.inf, -math.inf, math.nan):
+            expected = math.isfinite(r) and np.linalg.eigvalsh([[r]])[0] > 0
+            try:
+                RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01, Q=np.eye(3), R=[[r]])
+                accepted = True
+            except ValueError as exc:
+                assert str(exc) == "R must be positive definite"
+                accepted = False
+            assert accepted == expected, r
 
     @pytest.mark.parametrize("Q", [[[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                                    np.diag([-1.0, 1.0, 1.0]), [[np.nan, 0.0], [0.0, 1.0]]],
@@ -874,6 +938,28 @@ class TestRobustCertificate:
         gains = [w for w in worst if w is not None]
         assert len(gains) > 200 and max(gains) < 0
 
+    @pytest.mark.parametrize("sid, parametrization", [("sip_robust_riccati", "vertex"),
+                                                      ("sip_robust_riccati_midpoint", "midpoint")])
+    def test_lyapunov_function_never_rises_along_the_first_phase(self, sid, parametrization, monkeypatch):
+        """The certificate on the nonlinear pendulum: theta'' = a(theta) theta + b(theta) u with
+        (a, b) in the box while |theta| <= 0.4 pi, so V = z'Pz with z = (theta, theta_dot, x_dot)
+        falls along the default run's first phase, which lasts while theta^2 + theta_dot^2 +
+        x_dot^2 > 1; the run must also keep |theta| <= 0.4 pi there, the certificate's hypothesis."""
+        solved = []
+        monkeypatch.setattr(synthesis, "solve_care",
+                            lambda *args: solved.append(solve_care(*args)) or solved[-1])
+        K = scenarios.sip_robust_gain(parametrization)
+        monkeypatch.undo()
+        (P,) = solved
+        traj, report = run_cached(sid)
+        assert np.array_equal(report.gain_matrices_used[0], K)
+        z = np.array(traj.states)[:, [0, 1, 3]]
+        steps = next(i for i, z_i in enumerate(z.tolist()) if sum(v * v for v in z_i) <= 1.0)
+        assert steps > 2000  # the phase's steps go from z[i] to z[i + 1], i < steps
+        V = np.einsum("ij,jk,ik->i", z[:steps + 1], P, z[:steps + 1])
+        assert (np.diff(V) <= 0).all()
+        assert np.abs(z[:steps + 1, 0]).max() <= THETA_MAX
+
     @pytest.mark.parametrize("parametrization", ["vertex", "midpoint"])
     def test_frozen_pendulum_models_lie_in_the_box(self, parametrization, monkeypatch):
         """a(theta) = G sin(theta)/theta and b(theta) = -cos(theta) for |theta| <= 0.4 pi: the
@@ -921,10 +1007,14 @@ class TestNonFiniteInputsFailAtTheBoundary:
             with pytest.raises(ValueError, match=f"^{field} must be a single number, got {count} entries$"):
                 RobustConfig(**args, Q=np.eye(3), R=[[0.01]])
 
-    @pytest.mark.parametrize("R", [[[np.inf]], np.diag([np.inf, 1.0])], ids=["1x1", "2x2"])
-    def test_robust_config_infinite_r(self, R):
-        with pytest.raises(ValueError, match="^R must be positive definite$"):
+    @pytest.mark.parametrize("R, message", [
+        ([[np.inf]], "R must be positive definite"),
+        (np.diag([np.inf, 1.0]), "R must be 1x1, got shape (2, 2)"),
+    ], ids=["1x1", "2x2"])
+    def test_robust_config_infinite_r(self, R, message):
+        with pytest.raises(ValueError) as ei:
             RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01, Q=np.eye(3), R=R)
+        assert str(ei.value) == message
 
     @pytest.mark.parametrize("Q", [np.diag([np.inf, 1.0, 1.0]), [[1.0, np.inf], [5.0, 1.0]]],
                              ids=["diagonal", "off-diagonal"])
