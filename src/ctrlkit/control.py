@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .models import G
-from .numerics import lapack, least_squares
+from .numerics import finite_floats, full_rank_lstsq, lapack
 from .synthesis import sip_coefficients, sip_pole_gain
 
 # |Lgh| at or below this makes the scalar barrier filter powerless; the
@@ -95,12 +95,22 @@ def adaptive_gain(theta, desired_eigs):
 
 
 def sysid_solve(regressors, responses):
-    """Least-squares parameter estimate from stacked regressor rows and responses.
+    """Least-squares estimate [a, b] of rate = a*theta + b*u over a window of rows.
 
-    Raises ValueError if the rows are rank deficient (unidentifiable);
-    callers keep their previous estimate then.
+    regressors holds the rows' (theta, u) pairs back to back and responses one
+    rate per row, all Python floats. They become the (m, 2) design and (m, 1)
+    target gelsd reads: the floats and order of an array of the rows, so the
+    estimate is least_squares' bit for bit. A nan or infinite entry raises
+    ValueError naming the design or the target before LAPACK sees it; their
+    sum is tested first, and entry by entry only when it is not finite, as in
+    step_euler. Raises ValueError too if the rows are rank deficient
+    (unidentifiable); callers keep their previous estimate then.
     """
-    return least_squares(np.array(regressors), np.array(responses))
+    if not math.isfinite(sum(regressors, sum(responses))):
+        finite_floats(regressors, "design")
+        finite_floats(responses, "target")
+    return full_rank_lstsq(np.array(regressors).reshape(-1, 2),
+                           np.array(responses).reshape(-1, 1)).ravel().tolist()
 
 
 def cbf_filter_scalar(u_ref, Lfh, Lgh, alpha_h):

@@ -59,22 +59,33 @@ def finite_floats(values, name):
     return values
 
 
+def full_rank_lstsq(design, target):
+    """min_z ||design @ z - target||_2 by lapack.lstsq with numpy's default rcond, eps * m.
+
+    design is an (m, n) and target an (m, 1) float64 array, both checked finite by the caller.
+    Returns z as an (n, 1) array; ValueError if m < n or the design is rank deficient.
+    """
+    rows, cols = design.shape
+    if rows < cols:
+        raise ValueError(f"design must have at least as many rows as columns, got {design.shape}")
+    if len(target) != rows:
+        raise ValueError("target length must match design row count")
+    z, _, _, sv = lapack.lstsq(design, target, 2.0 ** -52 * rows)
+    sv = sv.tolist()
+    if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
+        raise ValueError("design matrix is rank deficient")
+    return z
+
+
 def least_squares(design, target):
-    """Solve min_z ||design @ z - target||_2 for a full-column-rank design."""
+    """Solve min_z ||design @ z - target||_2 for a finite, full-column-rank design."""
     design = np.asarray(design, dtype=float)
     target = np.asarray(target, dtype=float).ravel()
     if design.ndim != 2:
         raise ValueError("design must be a 2-D matrix")
-    rows, cols = design.shape
-    if rows < cols:
-        raise ValueError(f"design must have at least as many rows as columns, got {design.shape}")
-    if target.size != rows:
-        raise ValueError("target length must match design row count")
-    z, _, _, sv = lapack.lstsq(design, target[:, None], 2.0 ** -52 * rows)  # rcond=None: eps * max(m, n)
-    s_max, s_min = sv[0].item(), sv[-1].item()
-    if s_max == 0.0 or s_min < 1e-10 * s_max:
-        raise ValueError("design matrix is rank deficient")
-    return z.ravel()
+    finite_floats(design, "design")
+    finite_floats(target, "target")
+    return full_rank_lstsq(design, target[:, None]).ravel()
 
 
 def nnmf_rank1(m):

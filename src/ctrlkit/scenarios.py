@@ -280,22 +280,24 @@ def _build_sip_adaptive_lookup(p):
 
 
 def _build_sip_adaptive_sysid(p):
-    rows, rates = [], []  # identification rows (theta, input) and theta_dot rates, newest first
+    # the six-row window as sysid_solve reads it, newest first: the rows' (theta, input)
+    # pairs back to back, and the theta_dot rates
+    regressors, rates = [], []
     dt = p["dt"]
     prev, acc, K = _SIP_X0, 1.0, None  # first difference 0; warm-up input until an estimate
     coeffs = sip_coefficients(_POLES3)
 
     def controller(t, x):
         nonlocal prev, acc, K
-        warm = len(rows) == 6  # read before this insert: 6 warm-up rows, then an estimate per step
-        rows.insert(0, [x[0], acc])
+        warm = len(rates) == 6  # read before this insert: 6 warm-up rows, then an estimate per step
+        regressors[:0] = x[0], acc
         rates.insert(0, (x[1] - prev[1]) / dt)
-        del rows[6:], rates[6:]
+        del regressors[12:], rates[6:]
         if warm:
             try:
-                K = sip_pole_gain(*sysid_solve(rows, rates).tolist(), coeffs)
+                K = sip_pole_gain(*sysid_solve(regressors, rates), coeffs)
             except ValueError:
-                pass  # unidentifiable this step; keep the previous gain
+                pass  # unidentifiable or non-finite this step; keep the previous gain
             if K is not None:
                 acc = fsfc(K, (x[0], x[1], x[3]))
         prev = x
@@ -549,12 +551,15 @@ def emit_csv(traj, path):
         n = m = 0
     header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)]
                       + [f"u{j + 1}" for j in range(m)])
-    row = ",".join(["%.12g"] * (1 + n + m))
-    lines = [header]
-    for t, x, u in zip(traj.times, traj.states, traj.inputs):
-        lines.append(row % (t, *x, *u))
+    width = 1 + n + m
+    row = ",".join(["%.12g"] * width) + "\n"
+    # one % over every sample's values formats each value as a % per row would; the values
+    # are chained straight into one tuple, so no tuple per sample is kept alive
+    flat = tuple(itertools.chain.from_iterable(
+        map(itertools.chain, zip(traj.times), traj.states, traj.inputs)))
     with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(header + "\n")
+        f.write((row * (len(flat) // width)) % flat)
 
 
 def emit_json(traj, report, path):

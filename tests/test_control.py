@@ -19,7 +19,7 @@ from ctrlkit import (
 from ctrlkit import scenarios
 from ctrlkit.control import lookup_region
 from ctrlkit.models import G, sip_design_pair
-from ctrlkit.numerics import qp_small
+from ctrlkit.numerics import least_squares, qp_small
 from ctrlkit.synthesis import design_gain_matrix
 
 
@@ -237,7 +237,7 @@ class TestSysIdWindow:
     def test_newest_row_on_top(self):
         built, states, outputs, _ = self._run_builder(7)
         # the six newest identification rows and rates, newest first, under the warm-up input 1.0
-        rows = [[states[k][0], 1.0] for k in range(6, 0, -1)]
+        rows = [v for k in range(6, 0, -1) for v in (states[k][0], 1.0)]
         rates = [(states[k][1] - states[k - 1][1]) / self.DT for k in range(6, 0, -1)]
         estimate = sysid_solve(rows, rates)
         assert estimate == pytest.approx([self.A, self.B], rel=1e-6)
@@ -251,12 +251,24 @@ class TestSysIdWindow:
         true = np.array([2.5, -1.2])
         rows = [rng.normal(size=2).tolist() for _ in range(6)]
         rates = [float(np.dot(reg, true)) for reg in rows]
-        assert sysid_solve(rows, rates) == pytest.approx(true, abs=1e-10)
+        assert sysid_solve([v for reg in rows for v in reg], rates) == pytest.approx(true, abs=1e-10)
 
     def test_rank_deficient_window_rejected(self):
-        rows = [[1.0 + k, 2.0 + 2 * k] for k in range(3)]  # all on one line
-        with pytest.raises(ValueError):
+        rows = [v for k in range(3) for v in (1.0 + k, 2.0 + 2 * k)]  # all on one line
+        with pytest.raises(ValueError, match="rank deficient"):
             sysid_solve(rows, [1.0] * 3)
+
+    def test_shares_least_squares_core(self):
+        """The flat window gives least_squares' estimate on the same rows, bit for bit."""
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            rows, rates = rng.normal(size=(6, 2)), rng.normal(size=6)
+            assert sysid_solve(rows.ravel().tolist(), rates.tolist()) == least_squares(rows, rates).tolist()
+
+    def test_finite_entries_whose_sum_overflows_pass(self):
+        rows, rates = [1e308, 0.0, 0.0, 1e308, 1e308, 1e308], [1.0, 2.0, 3.0]
+        assert sum(rows) == math.inf
+        assert sysid_solve(rows, rates) == least_squares([rows[0:2], rows[2:4], rows[4:6]], rates).tolist()
 
 
 class TestCbfFilterScalar:

@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import functools
 import math
 import pathlib
@@ -9,12 +10,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ctrlkit import (MotorcycleGuidance, bauer_fike_check, design_gain_matrix, eig_sweep,
-                     run_scenario, scenarios, solve_care, trajectory_checksum)
+                     run_scenario, scenarios, solve_care, sysid_solve, trajectory_checksum)
 from ctrlkit.models import G, sip_design_pair
 from ctrlkit.numerics import lapack, least_squares, nnmf_rank1, qp_small
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
+
+
+def c_output(capfd):
+    """(stdout, stderr) written since the last read, C stdio buffers flushed first: LAPACK's
+    error handler prints its "On entry to DLASCL ..." lines with printf."""
+    ctypes.CDLL(None).fflush(None)
+    return tuple(capfd.readouterr())
 
 
 class TestLeastSquares:
@@ -37,6 +45,17 @@ class TestLeastSquares:
     def test_more_columns_than_rows_rejected(self):
         with pytest.raises(ValueError):
             least_squares(np.ones((2, 3)), [1.0, 2.0])
+
+    @pytest.mark.parametrize("design, target, name", [
+        ([[math.nan, 1.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0], "design"),
+        ([[1.0, 0.0], [0.0, -math.inf], [1.0, 1.0]], [1.0, 2.0, 3.0], "design"),
+        ([[1, 0], [0, 1], [1, 1]], [1, math.inf, 3], "target"),  # gelsd would return [nan, nan]
+        ([[1, 0], [0, 1], [1, 1]], [math.nan, 2, 3], "target"),
+    ])
+    def test_non_finite_input_rejected_before_lapack(self, design, target, name, capfd):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            least_squares(design, target)
+        assert c_output(capfd) == ("", "")
 
 
 class TestNnmfRank1:
@@ -289,6 +308,21 @@ class TestLapackBindings:
             assert np.array_equal(x.ravel(), ref_x) and rank == ref_rank and np.array_equal(sv, ref_sv)
             assert np.array_equal(least_squares(a, b.ravel()), ref_x)
 
+    def test_sysid_windows_are_the_trajectorys_rows(self, per_step_runs):
+        """Each lstsq input is the window rebuilt from the run: rows (theta_k, the input before
+        it), newest first, with the warm-up input 1.0 before the first sample, and rates
+        (theta_dot_k - theta_dot_{k-1}) / dt, the first from _SIP_X0."""
+        traj, _, calls = per_step_runs["sip_adaptive_sysid"]
+        dt = scenarios.SCENARIO_DEFAULTS["sip_adaptive_sysid"]["dt"]
+        xs, before = traj.states, [scenarios._SIP_X0, *traj.states]
+        inputs = [1.0] + [u for u, in traj.inputs]
+        rows = [[x[0], u] for x, u in zip(xs, inputs)]
+        rates = [[(x[1] - p[1]) / dt] for x, p in zip(xs, before)]
+        assert len(calls) == len(traj.times) - 1 - 6  # one per controller call after six warm-up rows
+        for k, (_, (a, b, rcond), _) in enumerate(calls, start=6):
+            assert np.array_equal(a, rows[k:k - 6:-1]) and np.array_equal(b, rates[k:k - 6:-1])
+            assert rcond == 6 * np.finfo(float).eps
+
     def test_placements(self):
         """C and C' of 3x3, 4x4 and 6x6 placements: the scenario designs and workload draws."""
         rng = np.random.default_rng(1901)
@@ -356,6 +390,31 @@ class TestLapackBindings:
         window = [[0.3, 1.0]] * 6  # a constant warm-up row six times
         with pytest.raises(ValueError, match="rank deficient"):
             least_squares(window, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+
+    @pytest.mark.parametrize("where, name", [(0, "design"), (11, "design"), (12, "target"), (17, "target")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sysid_window_rejected_before_lapack(self, where, name, bad, capfd):
+        window = np.random.default_rng(2701).normal(size=18).tolist()
+        window[where] = bad
+        with recorded_bindings() as calls, pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            sysid_solve(window[:12], window[12:])
+        assert calls == [] and c_output(capfd) == ("", "")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_newest_row_keeps_the_previous_gain(self, bad, capfd):
+        """The default builder: six warm-up rows, a first estimate, then a state whose angle is
+        not finite; that window and the next are rejected before LAPACK and the gain stays."""
+        built = scenarios._SCENARIOS["sip_adaptive_sysid"].build({"dt": 0.001})
+        states = [(0.3 + 0.01 * k, 0.5 + 0.01 * k * k, 0.0, 0.5) for k in range(9)]
+        states[7] = (bad, *states[7][1:])
+        gains = []
+        with recorded_bindings() as calls:
+            for k, x in enumerate(states):
+                built.controller(k * 0.001, x)
+                gains.append([K.tolist() for K in built.gains()])
+        assert len(calls) == 1  # only the first window reached gelsd
+        assert gains[:6] == [[]] * 6 and gains[6] == gains[7] == gains[8] != []
+        assert c_output(capfd) == ("", "")
 
     @pytest.mark.parametrize("which", ["A", "M", "Q"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -345,6 +345,20 @@ class TestCsv:
             lines.append(",".join(f"{v:.12g}" for v in (t, *x, *u)))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
+    @pytest.mark.parametrize("scenario", ["dip_smc", "motorcycle_smc", "point2d_cbf_case1",
+                                          "sip_nonrobust_failure"])
+    def test_bytes_match_the_per_row_formula(self, scenario, tmp_path):
+        """One % over all samples writes what a % per row, joined by LF, writes."""
+        traj, _ = run_cached(scenario)
+        path = tmp_path / "run.csv"
+        emit_csv(traj, path)
+        n, m = len(traj.states[0]), len(traj.inputs[0])
+        row = ",".join(["%.12g"] * (1 + n + m))
+        lines = [",".join(["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{j + 1}" for j in range(m)])]
+        for t, x, u in zip(traj.times, traj.states, traj.inputs):
+            lines.append(row % (t, *x, *u))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_empty_trajectory_writes_bare_header(self, tmp_path):
         traj = Trajectory(times=[], states=[], inputs=[], terminal_event="timeout")
         path = tmp_path / "empty.csv"
