@@ -42,22 +42,23 @@ class MotorcycleGuidance:
     Lines are parametrized by poses (x, y, heading); their intersection is
     the turning point.  The switch to line 2 happens once, when the
     motorcycle comes within the preview distance of the turning point.
+    Both poses must be finite; the turning point is a pair of Python floats.
     """
 
     def __init__(self, pose_I, pose_D, preview=6.0):
         if not preview > 0:  # a nan preview is rejected too
             raise ValueError("preview distance must be positive")
-        xI, yI, phiI = (float(v) for v in pose_I)
-        xD, yD, phiD = (float(v) for v in pose_D)
+        xI, yI, phiI = finite_floats(pose_I, "pose_I")
+        xD, yD, phiD = finite_floats(pose_D, "pose_D")
         det = math.sin(phiI - phiD)
         if abs(det) < 1e-12:
             raise ValueError("guidance lines are parallel; no turning point exists")
         mat = np.array([[math.cos(phiI), -math.cos(phiD)],
                         [math.sin(phiI), -math.sin(phiD)]])
-        tID = lapack.solve1(mat, np.array([xD - xI, yD - yI]))
+        tI = lapack.solve1(mat, np.array([xD - xI, yD - yI])).item(0)
         self.pose_I = (xI, yI, phiI)
         self.pose_D = (xD, yD, phiD)
-        self.turning_point = (xI + math.cos(phiI) * tID[0], yI + math.sin(phiI) * tID[0])
+        self.turning_point = (xI + math.cos(phiI) * tI, yI + math.sin(phiI) * tI)
         self.preview = preview
         self.active_line = 1
 

@@ -54,6 +54,13 @@ class RouthResult:
     degenerate: bool
 
 
+def _routh_result(stable, first_column, degenerate):
+    """RouthResult(stable, first_column, degenerate) without the frozen per-field __setattr__."""
+    r = object.__new__(RouthResult)
+    r.__dict__.update(stable=stable, first_column=first_column, degenerate=degenerate)
+    return r
+
+
 def routh_stable(p):
     """Routh-Hurwitz test on ascending coefficients (a0 ... an).
 
@@ -64,6 +71,13 @@ def routh_stable(p):
     Python floats at a time, each entry (pivot*a - b*c) / pivot rounded as
     numpy rounds it, so the first column, signed zeros and nan included, is
     the numpy array's.
+
+    A cubic (a0, a1, a2, a3) takes the array's two eliminations written out:
+    r2 = (a2*a1 - a3*a0)/a2, then r3 = (r2*a0 - a2*0.0)/r2, where 0.0 is the
+    entry the loop pads its second row with.  These are the loop's float
+    operations in its order, behind the same pivot tests; a2*0.0 stays, since
+    it is -0.0 for a negative a2 and nan for an infinite one, and either can
+    change the difference's sign bit or value.  Every other degree runs the loop.
     """
     c = floats(p)
     while c and c[-1] == 0.0:
@@ -74,6 +88,15 @@ def routh_stable(p):
         raise ValueError("degree must be at least 1")
     if c[-1] < 0:
         c = [-v for v in c]
+    if len(c) == 4:
+        a0, a1, a2, a3 = c
+        if abs(a2) < _ZERO_PIVOT:
+            return _routh_result(False, [a3, a2, 0.0, 0.0], True)
+        r2 = (a2 * a1 - a3 * a0) / a2
+        if abs(r2) < _ZERO_PIVOT:
+            return _routh_result(False, [a3, a2, r2, 0.0], True)
+        r3 = (r2 * a0 - a2 * 0.0) / r2
+        return _routh_result(a3 > 0 and a2 > 0 and r2 > 0 and r3 > 0, [a3, a2, r2, r3], False)
     d = c[::-1]  # descending
     n = len(d) - 1
     width = (n + 2) // 2
@@ -92,12 +115,21 @@ def routh_stable(p):
         first_column.append(row[0])
     first_column += [0.0] * (n + 1 - len(first_column))
     stable = (not degenerate) and all(v > 0 for v in first_column)
-    return RouthResult(stable=stable, first_column=first_column, degenerate=degenerate)
+    return _routh_result(stable, first_column, degenerate)
 
 
 # Kharitonov coefficient patterns: which residues of the index (mod 4) take
 # the lower bound; the rest take the upper bound.
 _KHARITONOV_LOWER = ((0, 1), (0, 3), (1, 2), (2, 3))
+
+
+def _kharitonov(lower, upper):
+    """K1 ... K4 of the bound tuples, each a new list of floats, built as it is asked for."""
+    for lower_at in _KHARITONOV_LOWER:
+        k = list(upper)
+        for r in lower_at:
+            k[r::4] = lower[r::4]
+        yield k
 
 
 def kharitonov_polys(ip):
@@ -107,18 +139,19 @@ def kharitonov_polys(ip):
     K1=(lo,lo,hi,hi,...), K2=(lo,hi,hi,lo,...), K3=(hi,lo,lo,hi,...),
     K4=(hi,hi,lo,lo,...).
     """
-    polys = []
-    for lower_at in _KHARITONOV_LOWER:
-        k = list(ip.upper)
-        for r in lower_at:
-            k[r::4] = ip.lower[r::4]
-        polys.append(k)
-    return polys
+    return list(_kharitonov(ip.lower, ip.upper))
 
 
 def interval_poly_stable(ip):
-    """True iff all four Kharitonov bounding polynomials are Routh stable."""
-    return all(routh_stable(k).stable for k in kharitonov_polys(ip))
+    """True iff all four Kharitonov bounding polynomials are Routh stable.
+
+    Tests K1 ... K4 in order and stops at the first unstable one, building
+    none after it.
+    """
+    for k in _kharitonov(ip.lower, ip.upper):
+        if not routh_stable(k).stable:
+            return False
+    return True
 
 
 def bauer_fike_check(Ac0, deltaAc):

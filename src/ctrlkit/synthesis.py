@@ -409,7 +409,7 @@ def vertex_interval_char_poly(A_family, B_family, K):
 
     Every A* from A_family is paired with every B* from B_family; the
     characteristic polynomial of A* - B* k' is evaluated at each pair and
-    coefficient-wise min/max become the interval polynomial.  With n = len(K),
+    coefficient-wise min/max become the interval polynomial.  With n = len(K) >= 1,
     each A* must be n x n and each B* must have n entries.
 
     The closed loops and the box are worked on Python floats: each entry
@@ -419,16 +419,26 @@ def vertex_interval_char_poly(A_family, B_family, K):
     """
     k = finite_floats(K, "K")
     n = len(k)
+    if not n:
+        raise ValueError("K must not be empty")
     if not len(A_family) or not len(B_family):
         raise ValueError("vertex families must be non-empty")
-    A_arrays = [np.asarray(A_v, dtype=float) for A_v in A_family]
-    B_arrays = [np.asarray(B_v, dtype=float).ravel() for B_v in B_family]
-    if any(A_v.shape != (n, n) for A_v in A_arrays) or any(B_v.size != n for B_v in B_arrays):
-        raise ValueError(f"each A* must be {n}x{n} and each B* must have {n} entries, with n = len(K)")
+    shape_error = f"each A* must be {n}x{n} and each B* must have {n} entries, with n = len(K)"
+    A_rows = []
+    for A_v in A_family:
+        A_v = np.asarray(A_v, dtype=float)
+        if A_v.shape != (n, n):
+            raise ValueError(shape_error)
+        A_rows.append(A_v.ravel().tolist())
+    B_rows = []
+    for B_v in B_family:
+        B_v = np.asarray(B_v, dtype=float).ravel()
+        if B_v.size != n:
+            raise ValueError(shape_error)
+        B_rows.append(B_v.tolist())
     # the closed loops A* - B* k', row by row: one rounding per product, one per difference
-    BK = [[b * k_c for b in B_v.tolist() for k_c in k] for B_v in B_arrays]
-    closed = [list(map(operator.sub, A_v, bk))
-              for A_v in [A_v.ravel().tolist() for A_v in A_arrays] for bk in BK]
+    BK = [[b * k_c for b in B_v for k_c in k] for B_v in B_rows]
+    closed = [list(map(operator.sub, A_v, bk)) for A_v in A_rows for bk in BK]
     if n == 3:
         coeff_rows = list(map(_char_poly_3x3, closed))
     else:

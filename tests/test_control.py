@@ -88,6 +88,23 @@ class TestMotorcycleGuidance:
         with pytest.raises(ValueError, match="^preview distance must be positive$"):
             self.make(preview=math.nan)
 
+    @pytest.mark.parametrize("which", ["pose_I", "pose_D"])
+    @pytest.mark.parametrize("entry, bad", [(0, math.nan), (1, -math.inf), (2, math.inf), (2, math.nan)],
+                             ids=["nan x", "-inf y", "inf heading", "nan heading"])
+    def test_non_finite_pose_rejected(self, which, entry, bad):
+        """A nan x once gave the turning point (nan, nan), so line 2 was never taken;
+        an infinite heading once failed in math.sin with "math domain error"."""
+        poses = {"pose_I": [0.0, 0.0, 0.3], "pose_D": [10.0, 5.0, 1.0]}
+        poses[which][entry] = bad
+        with pytest.raises(ValueError, match=f"^{which} must be finite$"):
+            MotorcycleGuidance(poses["pose_I"], poses["pose_D"])
+
+    def test_turning_point_is_python_floats(self):
+        for g in (self.make(), MotorcycleGuidance(scenarios._MOTO_POSE_I, scenarios._MOTO_POSE_D)):
+            assert all(type(v) is float for v in g.turning_point)
+        assert MotorcycleGuidance(scenarios._MOTO_POSE_I, scenarios._MOTO_POSE_D).turning_point == (
+            18.13616929398843, 7.312247291064488)
+
     def test_switches_inside_preview_distance_and_stays(self):
         g = self.make(preview=2.0)
         K = [1.0, 1.0, 1.0, 1.0]

@@ -17,6 +17,7 @@ from ctrlkit import (
     routh_stable,
     sip_closed_loop_perturbation,
 )
+from ctrlkit import stability
 from ctrlkit.models import sip_factored_model
 
 
@@ -159,6 +160,32 @@ def routh_draws(n_draws):
         yield c
 
 
+def cubic_draws(n_draws):
+    """Cubics only, for routh_stable's written-out eliminations: a leading coefficient of
+    either sign; a2, or r2 = (a2*a1 - a3*a0)/a2 by the choice of a1, set under, on or just
+    over the 1e-12 pivot bound in magnitude, of either sign; signed zeros, nan and
+    infinities mixed in."""
+    rng = np.random.default_rng(2803)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0])
+    near_pivot = np.array([5e-13, 1e-12, 2e-12])
+    for _ in range(n_draws):
+        if rng.random() < 0.3:
+            c = rng.integers(-2, 3, size=4).astype(float)
+        else:
+            c = rng.uniform(-3.0, 3.0, size=4)
+        kind = rng.random()
+        if kind < 0.25:
+            c[2] = rng.choice(near_pivot) * rng.choice([-1.0, 1.0])
+        elif kind < 0.5 and c[2] != 0.0:
+            r2 = rng.choice(near_pivot) * rng.choice([-1.0, 1.0])
+            c[1] = (c[3] * c[0] + c[2] * r2) / c[2]
+        mask = rng.random(4) < 0.1
+        c[mask] = rng.choice(specials, size=mask.sum())
+        if c[3] == 0.0:  # keep it a cubic
+            c[3] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        yield c
+
+
 def packed(first_column):
     return struct.pack(f"<{len(first_column)}d", *first_column)
 
@@ -186,6 +213,33 @@ class TestRouthFloatPath:
                 seen["negative leading"] += bool(c[np.flatnonzero(c)[-1]] < 0)
                 seen["signed zero"] += any(math.copysign(1.0, v) < 0 and v == 0 for v in got.first_column)
         assert min(seen.values()) > 30, seen
+
+    def test_cubic_closed_form_bit_identical_to_the_numpy_routh_array(self):
+        """The written-out cubic eliminations against the numpy array.
+
+        Catches, for example, r3 without its a2*0.0: for a negative a2 and a
+        zero a0 the difference keeps a -0.0 where numpy's has +0.0.
+        """
+        seen = collections.Counter()
+        for c in cubic_draws(1500):
+            with np.errstate(all="ignore"):  # inf - inf and 0 * inf in numpy's rows
+                ref = routh_numpy(c)
+            for arg in (c, c.tolist()):
+                got = routh_stable(arg)
+                assert (got.stable, got.degenerate) == (ref[0], ref[2])
+                assert all(type(v) is float for v in got.first_column)
+                assert packed(got.first_column) == packed(ref[1])
+                seen["stable"] += got.stable
+                seen["degenerate"] += got.degenerate
+                seen["nan"] += any(math.isnan(v) for v in got.first_column)
+                seen["infinite entry"] += bool(np.isinf(c).any())
+                seen["negative leading"] += bool(c[3] < 0)
+                seen["signed zero"] += any(math.copysign(1.0, v) < 0 and v == 0 for v in got.first_column)
+                for name, v in (("a2", got.first_column[1]), ("r2", got.first_column[2])):
+                    if 1e-13 < abs(v) < 1e-11:
+                        side = "under" if abs(v) < 1e-12 else "on or over"
+                        seen[f"{name} {side} the bound, {'+' if v > 0 else '-'}"] += 1
+        assert len(seen) == 14 and min(seen.values()) >= 30, seen
 
     def test_named_cases_match_the_numpy_routh_array(self):
         for c in ([1.0, 2.0, 2.0, 1.0, 1.0], [-6.0, -11.0, -6.0, -1.0], [6.0, 11.0, 6.0, 1.0, 0.0, -0.0],
@@ -227,6 +281,30 @@ class TestKharitonov:
             if interval_poly_stable(ip) != corners:
                 disagreements += 1
         assert disagreements == 0
+
+    @pytest.mark.parametrize("lower, upper, first_unstable", [
+        ([3.0, 5.0, 2.0, 5.0], [5.0, 5.0, 3.0, 7.0], 1),
+        ([-3.0, -5.0, -3.0, -4.0], [-3.0, -3.0, -3.0, -3.0], 2),
+        ([5.0, 4.0, 5.0, 3.0], [6.0, 6.0, 7.0, 4.0], 3),
+        ([2.0, 5.0, 7.0, 3.0, 3.0], [2.0, 5.0, 7.0, 4.0, 4.0], 4),  # a cubic's K4 never fails first
+        ([4.0, 9.0, 5.0, 0.9], [8.0, 13.0, 7.0, 1.1], None),
+    ], ids=["K1", "K2", "K3", "K4", "none"])
+    def test_tests_in_order_and_stops_at_the_first_unstable_vertex(self, monkeypatch, lower, upper,
+                                                                   first_unstable):
+        """Each Routh test goes through the module attribute, which the benchmark's tracer wraps."""
+        ip = IntervalPoly(lower=lower, upper=upper)
+        verdicts = [routh_stable(k).stable for k in kharitonov_polys(ip)]
+        expected = [True] * 4 if first_unstable is None else [True] * (first_unstable - 1) + [False]
+        assert verdicts[:len(expected)] == expected
+        tested = []
+
+        def counted(p):
+            tested.append(list(p))
+            return routh_stable(p)
+
+        monkeypatch.setattr(stability, "routh_stable", counted)
+        assert interval_poly_stable(ip) is (first_unstable is None)
+        assert tested == kharitonov_polys(ip)[:len(expected)]
 
     def test_stable_box_implies_stable_interior_samples(self):
         ip = IntervalPoly(lower=[4.0, 9.0, 5.0, 0.9], upper=[8.0, 13.0, 7.0, 1.1])

@@ -1100,6 +1100,13 @@ class TestNonFiniteInputsFailAtTheBoundary:
         with pytest.raises(ValueError, match="^each A\\* must be 2x2"):
             vertex_interval_char_poly([np.eye(3)], [np.zeros(3)], [1.0, 1.0])
 
+    def test_empty_gain(self):
+        """Once numpy's "input must be 1d or non-empty square 2d array." from np.poly."""
+        with pytest.raises(ValueError, match="^K must not be empty$"):
+            vertex_interval_char_poly([np.zeros((0, 0))], [np.zeros(0)], [])
+        with pytest.raises(ValueError, match="^K must not be empty$"):  # before the families are read
+            vertex_interval_char_poly(None, None, np.zeros(0))
+
 
 class TestCharPolyAndVertexFamilies:
     def test_char_poly_ascending_quadratic(self):
