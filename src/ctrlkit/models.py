@@ -208,9 +208,17 @@ def dip_plant():
     acceleration.  Angular accelerations come from the 2x2 Lagrangian
     mass-matrix solve.
     """
-    M, r = np.array([[2.0, 0.0], [0.0, 1.0]]), np.empty(2)  # refilled per call; solve1 copies them
+    M, r = np.array([[2.0, 0.0], [0.0, 1.0]]), np.empty(2)  # refilled per call; the solve copies them
 
     def deriv(x, u):
+        """The state derivative; the mass-matrix solve is lapack.solve1_unguarded, np.linalg.solve's
+        LAPACK call (dgesv) without its errstate guard, which it cannot trip.
+
+        M = [[2, c], [c, 1]] with c = cos(theta1 - theta2), |c| <= 1 < 2, so dgesv pivots on the
+        2 and its second pivot 1 - c^2/2 >= 1/2 is never zero (det M = 2 - c^2 >= 1). A nan angle
+        makes c nan, which dgesv passes through as a nan result, not an error; step_euler then
+        raises BlowupError.
+        """
         y1, dy1, y2, dy2, _, dpos = x
         a = u[0]
         c12 = math.cos(y1 - y2)
@@ -218,7 +226,7 @@ def dip_plant():
         M[0, 1] = M[1, 0] = c12
         r[0] = 2.0 * (G * math.sin(y1) - a * math.cos(y1)) - dy2 ** 2 * s12
         r[1] = G * math.sin(y2) - a * math.cos(y2) + dy1 ** 2 * s12
-        dd1, dd2 = lapack.solve1(M, r).tolist()  # np.linalg.solve(M, r)'s LAPACK call
+        dd1, dd2 = lapack.solve1_unguarded(M, r).tolist()
         return (dy1, dd1, dy2, dd2, dpos, a)
 
     return PlantModel("dip", deriv)

@@ -28,7 +28,12 @@ def _gufunc(name, signature, message):
 
 
 # numpy.linalg's solve (1-D b), lstsq, svd (no u, v), eigvals (complex), inv, eigvalsh (UPLO="L"),
-# bound once for float64 arrays; none tests for a nan or infinite entry, as numpy.linalg.eigvals does
+# bound once for float64 arrays; none tests for a nan or infinite entry, as numpy.linalg.eigvals does.
+# The two *_unguarded are the bare gufuncs: given float64 arrays they run the same dd->d / ddd->ddid
+# loop without the errstate guard, so a LAPACK failure would not raise LinAlgError but set the
+# invalid flag (a RuntimeWarning and nan under the default error state). A successful call clears
+# the FP status, so it warns and raises nothing under any error state. Only a call site that proves
+# LAPACK cannot fail on its inputs may use them: models.dip_plant's deriv and full_rank_lstsq.
 lapack = types.SimpleNamespace(
     solve1=_gufunc("solve1", "dd->d", "Singular matrix"),
     lstsq=_gufunc("lstsq", "ddd->ddid", "SVD did not converge in Linear Least Squares"),
@@ -36,6 +41,8 @@ lapack = types.SimpleNamespace(
     eigvals=_gufunc("eigvals", "d->D", "Eigenvalues did not converge"),
     inv=_gufunc("inv", "d->d", "Singular matrix"),
     eigvalsh_lo=_gufunc("eigvalsh_lo", "d->d", "Eigenvalues did not converge"),
+    solve1_unguarded=np.linalg._umath_linalg.solve1,
+    lstsq_unguarded=np.linalg._umath_linalg.lstsq,
 )
 
 
@@ -60,17 +67,24 @@ def finite_floats(values, name):
 
 
 def full_rank_lstsq(design, target):
-    """min_z ||design @ z - target||_2 by lapack.lstsq with numpy's default rcond, eps * m.
+    """min_z ||design @ z - target||_2 by gelsd with numpy's default rcond, eps * m.
 
     design is an (m, n) and target an (m, 1) float64 array, both checked finite by the caller.
     Returns z as an (n, 1) array; ValueError if m < n or the design is rank deficient.
+
+    A design of at most two columns (the sysid window is 6 x 2) goes to lapack.lstsq_unguarded,
+    since gelsd cannot fail on it: its only INFO > 0 exit is dbdsqr's iteration cap, and dgelsd
+    reduces such a finite design to a bidiagonal of at most 2 x 2, which dbdsqr deflates by
+    dlasv2 without iterating (an all-zero design returns before, with rank 0). Wider designs
+    keep the guarded lapack.lstsq.
     """
     rows, cols = design.shape
     if rows < cols:
         raise ValueError(f"design must have at least as many rows as columns, got {design.shape}")
     if len(target) != rows:
         raise ValueError("target length must match design row count")
-    z, _, _, sv = lapack.lstsq(design, target, 2.0 ** -52 * rows)
+    solve = lapack.lstsq_unguarded if cols <= 2 else lapack.lstsq
+    z, _, _, sv = solve(design, target, 2.0 ** -52 * rows)
     sv = sv.tolist()
     if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
         raise ValueError("design matrix is rank deficient")

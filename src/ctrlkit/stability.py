@@ -160,11 +160,14 @@ def bauer_fike_check(Ac0, deltaAc):
     Returns (radius, holds) where holds reports whether every eigenvalue of
     Ac0 + deltaAc lies within radius of some eigenvalue of Ac0.  A nearly
     non-diagonalizable Ac0 is reported via a warning and the check proceeds.
+    A nan or infinite entry raises ValueError naming the matrix before LAPACK sees it.
     """
     Ac0 = np.asarray(Ac0, dtype=float)
     deltaAc = np.asarray(deltaAc, dtype=float)
     if Ac0.ndim != 2 or not Ac0.shape == Ac0.shape[::-1] == deltaAc.shape:
         raise ValueError("Ac0 and deltaAc must be square matrices of the same size")
+    finite_floats(Ac0, "Ac0")
+    finite_floats(deltaAc, "deltaAc")
     vals0, S = np.linalg.eig(Ac0)
     sv = np.linalg.svd(S, compute_uv=False)
     kappa = float(sv[0] / sv[-1])
@@ -183,8 +186,13 @@ def sip_closed_loop_perturbation(theta, K):
 
     Exact trigonometric form (no small-angle guard): the sin(theta)/theta
     deviation enters through e2 e1', the cos(theta) deviation through e2 K'.
+    theta must be finite and K four finite entries (ValueError naming them otherwise).
     """
-    K = np.asarray(K, dtype=float).ravel()
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    K = finite_floats(K, "K")
+    if len(K) != 4:
+        raise ValueError(f"K must have 4 entries, got {len(K)}")
     sinc = 1.0 if theta == 0 else math.sin(theta) / theta
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0, 0.0])

@@ -302,6 +302,17 @@ class TestDipPlant:
         assert lhs1 == pytest.approx(rhs1, abs=1e-10)
         assert lhs2 == pytest.approx(rhs2, abs=1e-10)
 
+    @pytest.mark.filterwarnings("error")  # nor may the unguarded mass-matrix solve warn
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_nan_angle_ends_in_blowup(self, where):
+        """A nan angle makes the mass matrix nan off the diagonal; the solve passes it through as
+        a nan result, with no LAPACK error, and the run ends in BlowupError on its first step."""
+        x0 = [0.3, 0.0, -0.2, 0.0, 0.0, 0.0]
+        x0[where] = math.nan
+        with np.errstate(all="raise"), pytest.raises(BlowupError) as ei:
+            simulate(dip_plant(), lambda t, x: 0.0, x0, SimSpec(dt=1e-3, t_end=1.0))
+        assert ei.value.t == 1e-3
+
 
 class TestMotorcyclePlants:
     def test_straight_riding_equilibrium(self):

@@ -1,14 +1,17 @@
+import ast
 import contextlib
 import ctypes
 import functools
 import math
 import pathlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ctrlkit
 from ctrlkit import (MotorcycleGuidance, bauer_fike_check, design_gain_matrix, eig_sweep,
                      run_scenario, scenarios, solve_care, sysid_solve, trajectory_checksum)
 from ctrlkit.models import G, sip_design_pair
@@ -222,8 +225,13 @@ NUMPY_LINALG = {
     "eigvals": np.linalg.eigvals,
     "inv": np.linalg.inv,
     "eigvalsh_lo": np.linalg.eigvalsh,
+    "solve1_unguarded": np.linalg.solve,
+    "lstsq_unguarded": np.linalg.lstsq,
 }
 PER_STEP_RUNS = ("dip_smc", "sip_adaptive_sysid")
+# (module, function, binding) of each call site whose docstring proves LAPACK cannot fail there
+UNGUARDED_CALL_SITES = [("models", "dip_plant.deriv", "solve1_unguarded"),
+                        ("numerics", "full_rank_lstsq", "lstsq_unguarded")]
 
 
 def _copy(value):
@@ -251,12 +259,45 @@ def recorded_bindings():
 def assert_calls_match_numpy(calls):
     for name, args, out in calls:
         ref = NUMPY_LINALG[name](*args)
-        if name == "lstsq":  # x, rank and singular values; numpy trims the residuals
+        if name.startswith("lstsq"):  # x, rank and singular values; numpy trims the residuals
             out, ref = (out[0], out[2], out[3]), (ref[0], ref[2], ref[3])
         if isinstance(out, tuple):
             assert all(np.array_equal(o, r) for o, r in zip(out, ref, strict=True)), name
         else:
             assert np.array_equal(out, ref), name
+
+
+def golden_entry(sid):
+    return workloads.load_golden()["scenarios"][workloads.scenario_key(
+        sid, scenarios.SCENARIO_DEFAULTS[sid]["params"])]
+
+
+def unguarded_references():
+    """(module, enclosing function, binding) of every attribute, name or string constant in
+    src/ctrlkit that names an unguarded lapack binding."""
+    names = {name for name in vars(lapack) if name.endswith("_unguarded")}
+    found = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for field in ("attr", "id", "value"):  # of an Attribute, a Name, a Constant
+            if getattr(node, field, None) in names:
+                found.append((module, scope, getattr(node, field)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(pathlib.Path(ctrlkit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+@contextlib.contextmanager
+def strict_fp():
+    """numpy raising on every floating-point error and every warning raised as an error."""
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -285,14 +326,61 @@ class TestLapackBindings:
     def test_per_step_paths_skip_the_numpy_wrappers(self, per_step_runs, sid):
         """With np.linalg.solve and lstsq raising, both runs finish on their golden checksums."""
         traj, rep, _ = per_step_runs[sid]
-        golden = workloads.load_golden()["scenarios"][workloads.scenario_key(
-            sid, scenarios.SCENARIO_DEFAULTS[sid]["params"])]
+        golden = golden_entry(sid)
         assert rep.terminal_event == golden["event"]
         assert trajectory_checksum(traj) == golden["checksum"]
 
+    @pytest.mark.parametrize("sid", PER_STEP_RUNS)
+    def test_per_step_runs_trip_no_floating_point_error(self, sid):
+        """The unguarded solves cannot fail on their inputs: with numpy raising on every
+        floating-point error and warnings raised as errors, both runs reach their golden checksums."""
+        with strict_fp():
+            traj, rep = run_scenario(sid)
+        golden = golden_entry(sid)
+        assert rep.terminal_event == golden["event"]
+        assert trajectory_checksum(traj) == golden["checksum"]
+
+    def test_unguarded_bindings_have_exactly_the_two_proven_callers(self):
+        """A new caller of an unguarded binding has to bring its own proof that LAPACK cannot
+        fail there, and join UNGUARDED_CALL_SITES; the namespace's own definition is not a use."""
+        assert sorted(unguarded_references()) == UNGUARDED_CALL_SITES
+
+    def test_unguarded_solve_on_a_singular_matrix_warns_instead_of_raising(self):
+        """Why only proven sites may use it: the bare gufunc reports a failure as nan and the
+        invalid flag, which the default error state turns into a RuntimeWarning, not LinAlgError."""
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in solve1"):
+            out = lapack.solve1_unguarded(singular, np.ones(2))
+        assert np.isnan(out).all()
+
+    @pytest.mark.parametrize("cols, binding", [(1, "lstsq_unguarded"), (2, "lstsq_unguarded"), (3, "lstsq")])
+    def test_least_squares_takes_the_unguarded_lstsq_up_to_two_columns(self, cols, binding):
+        """Only designs of at most two columns have gelsd's no-failure argument; a wider one
+        stays on the guarded binding. Either way the estimate is np.linalg.lstsq's, bit for bit."""
+        rng = np.random.default_rng(2901)
+        for rows in (cols, 6, 40):
+            design, target = rng.normal(size=(rows, cols)), rng.normal(size=rows)
+            with recorded_bindings() as calls:
+                z = least_squares(design, target)
+            assert [name for name, _, _ in calls] == [binding]
+            assert np.array_equal(z, np.linalg.lstsq(design, target, rcond=None)[0])
+            assert_calls_match_numpy(calls)
+
+    @pytest.mark.parametrize("window", [
+        [[0.3, 1.0]] * 6,  # a constant warm-up row six times
+        [[0.0, 0.0]] * 6,  # gelsd's all-zero early return
+        [[0.1 * k, 0.0] for k in range(6)],  # a zero input column
+        [[0.1 * k, 0.2 * k] for k in range(6)],  # proportional columns
+    ])
+    def test_rank_deficient_two_column_window_raises_through_the_unguarded_binding(self, window):
+        with strict_fp(), recorded_bindings() as calls, pytest.raises(ValueError, match="rank deficient"):
+            least_squares(window, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert [name for name, _, _ in calls] == ["lstsq_unguarded"]
+
     def test_dip_mass_matrix_solves(self, per_step_runs):
         traj, _, calls = per_step_runs["dip_smc"]
-        steps = [args for name, args, _ in calls if name == "solve1" and args[0].shape == (2, 2)]
+        steps = [args for name, args, _ in calls if name == "solve1_unguarded"]
+        assert {args[0].shape for args in steps} == {(2, 2)}
         assert len(steps) == len(traj.times) - 1  # one deriv per Euler step
         assert len(calls) == len(steps) + 2  # and the builder's 6x6 placement: svd, solve1
         assert_calls_match_numpy(calls)
@@ -300,7 +388,7 @@ class TestLapackBindings:
     def test_sysid_windows(self, per_step_runs):
         """Each six-row window's estimate is np.linalg.lstsq(rcond=None)'s, bit for bit."""
         _, _, calls = per_step_runs["sip_adaptive_sysid"]
-        assert {name for name, _, _ in calls} == {"lstsq"}
+        assert {name for name, _, _ in calls} == {"lstsq_unguarded"}
         assert len(calls) > 2900
         for _, (a, b, rcond), (x, _, rank, sv) in calls:
             assert a.shape == (6, 2) and b.shape == (6, 1) and rcond == np.finfo(float).eps * 6

@@ -361,6 +361,15 @@ class TestBauerFike:
         with pytest.raises(ValueError, match="^Ac0 and deltaAc must be square matrices of the same size$"):
             bauer_fike_check(Ac0, delta)
 
+    @pytest.mark.parametrize("name", ["Ac0", "deltaAc"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected_before_lapack(self, name, bad, monkeypatch):
+        mats = {"Ac0": -np.eye(4), "deltaAc": 1e-3 * np.ones((4, 4))}
+        mats[name][1, 0] = bad
+        monkeypatch.setattr(np.linalg, "eig", lambda a: pytest.fail("LAPACK reached"))
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            bauer_fike_check(mats["Ac0"], mats["deltaAc"])
+
 
 class TestSipPerturbation:
     def test_zero_angle_gives_zero_matrix(self):
@@ -394,3 +403,18 @@ class TestSipPerturbation:
             dA = sip_closed_loop_perturbation(theta, K)
             bound = theta ** 2 * (10.0 / 6.0 + 0.5 * np.linalg.norm(K))
             assert np.linalg.norm(dA, 2) <= bound + 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, bad):
+        with pytest.raises(ValueError, match="^theta must be finite$"):
+            sip_closed_loop_perturbation(bad, [-131.6, -41.6, -25.6, -25.6])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gain_rejected(self, bad):
+        with pytest.raises(ValueError, match="^K must be finite$"):
+            sip_closed_loop_perturbation(0.3, [-131.6, bad, -25.6, -25.6])
+
+    @pytest.mark.parametrize("K", [[-131.6, -41.6, -25.6], [-131.6, -41.6, -25.6, -25.6, 1.0], []])
+    def test_gain_without_four_entries_rejected(self, K):
+        with pytest.raises(ValueError, match=f"^K must have 4 entries, got {len(K)}$"):
+            sip_closed_loop_perturbation(0.3, K)

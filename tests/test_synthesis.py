@@ -919,6 +919,18 @@ class TestRobustCertificate:
         return worst
 
     @staticmethod
+    def scenario_riccati(parametrization, monkeypatch):
+        """The scenario's robust gain and the Riccati solution P behind it, read where
+        solve_care returns it."""
+        solved = []
+        monkeypatch.setattr(synthesis, "solve_care",
+                            lambda *args: solved.append(solve_care(*args)) or solved[-1])
+        K = scenarios.sip_robust_gain(parametrization)
+        monkeypatch.undo()
+        (P,) = solved
+        return K, P
+
+    @staticmethod
     def scenario_design(parametrization, monkeypatch):
         calls = []
         monkeypatch.setattr(scenarios, "robust_riccati_gain",
@@ -945,12 +957,7 @@ class TestRobustCertificate:
         (a, b) in the box while |theta| <= 0.4 pi, so V = z'Pz with z = (theta, theta_dot, x_dot)
         falls along the default run's first phase, which lasts while theta^2 + theta_dot^2 +
         x_dot^2 > 1; the run must also keep |theta| <= 0.4 pi there, the certificate's hypothesis."""
-        solved = []
-        monkeypatch.setattr(synthesis, "solve_care",
-                            lambda *args: solved.append(solve_care(*args)) or solved[-1])
-        K = scenarios.sip_robust_gain(parametrization)
-        monkeypatch.undo()
-        (P,) = solved
+        K, P = self.scenario_riccati(parametrization, monkeypatch)
         traj, report = run_cached(sid)
         assert np.array_equal(report.gain_matrices_used[0], K)
         z = np.array(traj.states)[:, [0, 1, 3]]
@@ -959,6 +966,19 @@ class TestRobustCertificate:
         V = np.einsum("ij,jk,ik->i", z[:steps + 1], P, z[:steps + 1])
         assert (np.diff(V) <= 0).all()
         assert np.abs(z[:steps + 1, 0]).max() <= THETA_MAX
+
+    @pytest.mark.parametrize("parametrization, level, ratio", [("vertex", 74.83, 43.11),
+                                                               ("midpoint", 15.72, 51.35)])
+    def test_start_lies_outside_the_certified_level_set(self, parametrization, level, ratio, monkeypatch):
+        """The README's reading of "covers |theta| <= 0.4 pi": the largest level set {V <= c}
+        inside the box has c = (0.4 pi)^2 / (P^-1)_11, and V(x0) is 43x (vertex) and 51x
+        (midpoint) that level, so the start is not certified."""
+        _, P = self.scenario_riccati(parametrization, monkeypatch)
+        c = THETA_MAX ** 2 / np.linalg.inv(P)[0, 0]
+        theta, theta_dot, _, x_dot = scenarios._SIP_X0
+        z0 = np.array([theta, theta_dot, x_dot])
+        assert c == pytest.approx(level, rel=1e-3)
+        assert z0 @ P @ z0 / c == pytest.approx(ratio, rel=1e-3)
 
     @pytest.mark.parametrize("parametrization", ["vertex", "midpoint"])
     def test_frozen_pendulum_models_lie_in_the_box(self, parametrization, monkeypatch):
