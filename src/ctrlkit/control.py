@@ -20,6 +20,9 @@ from .synthesis import sip_coefficients, sip_pole_gain
 # reference is passed through unchanged and the scenario's guard counts the step.
 CBF_SINGULARITY_THRESHOLD = 1e-4
 
+# lookup_region's bounds on |theta|: region 0 below the first, region 1 below the second
+_REGION_1, _REGION_2 = math.pi / 6, math.pi / 3
+
 
 def fsfc(K, x):
     """Full-state feedback -k'x; a controller tracking a target passes x minus the target.
@@ -58,6 +61,9 @@ class MotorcycleGuidance:
         tI = lapack.solve1(mat, np.array([xD - xI, yD - yI])).item(0)
         self.pose_I = (xI, yI, phiI)
         self.pose_D = (xD, yD, phiD)
+        # each line's pose with its -sin and cos, for step's cross-track offset
+        self._line_I = (xI, yI, phiI, -math.sin(phiI), math.cos(phiI))
+        self._line_D = (xD, yD, phiD, -math.sin(phiD), math.cos(phiD))
         self.turning_point = (xI + math.cos(phiI) * tI, yI + math.sin(phiI) * tI)
         self.preview = preview
         self.active_line = 1
@@ -70,17 +76,18 @@ class MotorcycleGuidance:
             xM, yM = self.turning_point
             if math.hypot(x - xM, y - yM) < self.preview:
                 self.active_line = 2
-        xS, yS, phiS = self.pose_I if self.active_line == 1 else self.pose_D
-        y_bar = -math.sin(phiS) * (x - xS) + math.cos(phiS) * (y - yS)
+        xS, yS, phiS, nsin, cos = self._line_I if self.active_line == 1 else self._line_D
+        y_bar = nsin * (x - xS) + cos * (y - yS)
         phi_bar = phi - phiS
         return -float(np.asarray(K).dot((y_bar, phi_bar, s[4], s[5])))  # fsfc's dot; no array built
 
 
 def lookup_region(theta):
     """Gain-lookup region of a pendulum angle: 0 for |theta| < pi/6, 1 for |theta| < pi/3, else 2."""
-    if abs(theta) < math.pi / 6:
+    size = abs(theta)
+    if size < _REGION_1:
         return 0
-    if abs(theta) < math.pi / 3:
+    if size < _REGION_2:
         return 1
     return 2
 

@@ -20,9 +20,15 @@ MOTO_L = 1.5  # wheelbase
 MOTO_H = 1.0  # center-of-mass height
 MOTO_TAU_BETA = 0.02  # steering lag
 
+# the motorcycle derivatives' constant factors, computed once
+_MOTO_TURN = MOTO_V / MOTO_L  # heading rate per unit tan(beta)
+_MOTO_TOPPLE = G / MOTO_H  # roll acceleration per unit sin(roll)
+_MOTO_LEAN = MOTO_V ** 2 / (MOTO_H * MOTO_L)  # roll acceleration per unit tan(beta) cos(roll)
+
 
 class BlowupError(RuntimeError):
-    """Dynamics produced a non-finite derivative; carries time and state."""
+    """A step left the finite states: its derivative or new state is not finite, or the
+    plant's derivative overflowed. Carries the time (set by simulate) and the step's state."""
 
     def __init__(self, message, t=None, state=None):
         super().__init__(message)
@@ -70,37 +76,61 @@ class Trajectory:
 def step_euler(plant, x, u, dt):
     """One explicit Euler step: the tuple of x + dt * deriv(x, u), entry by entry.
 
-    plant.deriv must return a tuple of floats, as many as x has. Its
-    finiteness is checked through the sum of its entries first, and only when
-    that sum is not finite entry by entry, so finite entries whose sum
-    overflows do not raise.  The plants' state sizes (2, 4 and 6) are spelled
-    out entry by entry, which skips the comprehension's frame; every entry is
-    still xi + dt * di, one rounded product and one rounded sum, so the result
-    is the comprehension's bit for bit.
+    plant.deriv must return a tuple of floats, as many as x has. Every failure of
+    the step is a BlowupError carrying the state, and naming its cause: a new
+    state with a nan or infinite entry (a non-finite derivative when the
+    derivative holds one), or an ArithmeticError or ValueError inside deriv,
+    such as ** overflowing or math.cos of an angle difference that overflowed
+    (chained as the BlowupError's cause). The new state's finiteness is
+    checked through the sum of its entries first, and only when that sum is not
+    finite entry by entry, so finite entries whose sum overflows do not raise.
+    The plants' state sizes (2, 4 and 6) are spelled out entry by entry, which
+    skips the comprehension's frame and sum()'s call; every entry is still
+    xi + dt * di, one rounded product and one rounded sum, so the result is the
+    comprehension's bit for bit.
     """
-    dx = plant.deriv(x, u)
-    if not math.isfinite(sum(dx)) and not all(map(math.isfinite, dx)):
-        state = np.array(x, dtype=float)
-        raise BlowupError(f"non-finite derivative for plant '{plant.name}' at state {state}",
-                          state=state)
+    try:
+        dx = plant.deriv(x, u)
+    except (ArithmeticError, ValueError) as exc:
+        raise _blowup(f"{type(exc).__name__} ({exc}) in the derivative", plant, x) from exc
     n = len(x)
     if len(dx) != n:
         raise ValueError(f"plant '{plant.name}' returned {len(dx)} derivative entries "
                          f"for a state of {n}")
-    if n == 4:
-        x0, x1, x2, x3 = x
-        d0, d1, d2, d3 = dx
-        return (x0 + dt * d0, x1 + dt * d1, x2 + dt * d2, x3 + dt * d3)
-    if n == 6:
-        x0, x1, x2, x3, x4, x5 = x
-        d0, d1, d2, d3, d4, d5 = dx
-        return (x0 + dt * d0, x1 + dt * d1, x2 + dt * d2,
-                x3 + dt * d3, x4 + dt * d4, x5 + dt * d5)
-    if n == 2:
-        x0, x1 = x
-        d0, d1 = dx
-        return (x0 + dt * d0, x1 + dt * d1)
-    return tuple([xi + dt * di for xi, di in zip(x, dx)])
+    new = None
+    try:
+        if n == 4:
+            x0, x1, x2, x3 = x
+            d0, d1, d2, d3 = dx
+            x0, x1, x2, x3 = new = (x0 + dt * d0, x1 + dt * d1, x2 + dt * d2, x3 + dt * d3)
+            total = x0 + x1 + x2 + x3
+        elif n == 6:
+            x0, x1, x2, x3, x4, x5 = x
+            d0, d1, d2, d3, d4, d5 = dx
+            x0, x1, x2, x3, x4, x5 = new = (x0 + dt * d0, x1 + dt * d1, x2 + dt * d2,
+                                            x3 + dt * d3, x4 + dt * d4, x5 + dt * d5)
+            total = x0 + x1 + x2 + x3 + x4 + x5
+        elif n == 2:
+            x0, x1 = x
+            d0, d1 = dx
+            x0, x1 = new = (x0 + dt * d0, x1 + dt * d1)
+            total = x0 + x1
+        else:
+            new = tuple([xi + dt * di for xi, di in zip(x, dx)])
+            total = sum(new)
+    except RuntimeWarning:  # numpy-scalar entries (an array x) with warnings as errors
+        if new is None:
+            raise
+        total = math.nan  # the sum met inf - inf or overflowed: test entry by entry
+    if not math.isfinite(total) and not all(map(math.isfinite, new)):
+        what = "non-finite derivative" if not all(map(math.isfinite, dx)) else "non-finite new state"
+        raise _blowup(what, plant, x)
+    return new
+
+
+def _blowup(what, plant, x):
+    state = np.array(x, dtype=float)
+    return BlowupError(f"{what} for plant '{plant.name}' at state {state}", state=state)
 
 
 def simulate(plant, controller, x0, spec):
@@ -124,7 +154,7 @@ def simulate(plant, controller, x0, spec):
         try:
             x = step(plant, x, u, dt)
         except BlowupError as exc:
-            raise BlowupError(f"{exc} (t={t:.6g})", t=t, state=exc.state) from None
+            raise BlowupError(f"{exc} (t={t:.6g})", t=t, state=exc.state) from exc.__cause__
         if stop is not None:
             event = stop(x)
         if event is None and k < n_steps:
@@ -244,10 +274,10 @@ def motorcycle_plant():
         return (
             MOTO_V * math.cos(phi),
             MOTO_V * math.sin(phi),
-            (MOTO_V / MOTO_L) * tb,
+            _MOTO_TURN * tb,
             (u[0] - beta) / MOTO_TAU_BETA,
             droll,
-            (G / MOTO_H) * math.sin(roll) - (MOTO_V ** 2 / (MOTO_H * MOTO_L)) * tb * math.cos(roll),
+            _MOTO_TOPPLE * math.sin(roll) - _MOTO_LEAN * tb * math.cos(roll),
         )
 
     return PlantModel("motorcycle", deriv)
@@ -265,9 +295,9 @@ def motorcycle_lateral_plant():
         tb = math.tan(u[0])
         return (
             MOTO_V * math.sin(phi),
-            (MOTO_V / MOTO_L) * tb,
+            _MOTO_TURN * tb,
             droll,
-            (G / MOTO_H) * math.sin(roll) - (MOTO_V ** 2 / (MOTO_H * MOTO_L)) * tb * math.cos(roll),
+            _MOTO_TOPPLE * math.sin(roll) - _MOTO_LEAN * tb * math.cos(roll),
         )
 
     return PlantModel("motorcycle_lateral", deriv)

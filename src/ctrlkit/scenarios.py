@@ -34,12 +34,15 @@ THETA_MAX = 0.4 * math.pi
 _POLES3 = (-4.0, -4.0, -4.0)
 _SIP_X0 = (THETA_MAX, 0.0, 0.2, 0.0)
 _SIP_CBF_YB, _SIP_CBF_DYB = math.pi / 15, 2.0  # sip_cbf's angle and angular-rate bounds
+_SIP_CBF_YB2, _SIP_CBF_DYB2 = _SIP_CBF_YB ** 2, _SIP_CBF_DYB ** 2
+_FALLEN = math.pi / 2  # a pendulum or the motorcycle's roll at or past this angle has fallen
 
 # two-line motorcycle course: initial pose, destination pose (20 m per leg)
 _MOTO_POSE_I = (0.0, -0.2, math.pi / 8)
 _MOTO_POSE_D = (20.0 * math.cos(math.pi / 8) + 20.0 * math.cos(math.pi / 4),
                 20.0 * math.sin(math.pi / 8) + 20.0 * math.sin(math.pi / 4),
                 math.pi / 4)
+_MOTO_XD, _MOTO_YD = _MOTO_POSE_D[:2]
 _MOTO_ARRIVE_DIST = 0.2
 
 # unsafe disks (center_x, center_y, radius) of the 2-D point studies, and their start
@@ -198,14 +201,17 @@ def _stabilize_then_slide(first_phase_acc, K_slide, s_v, dt):
 
     The switch is one-way: once theta^2 + theta_dot^2 + x_dot^2 drops to 1
     the cart position is frozen as the target and walked to 0 at rate s_v,
-    with the slide gain tracking the moving target.
+    with the slide gain tracking the moving target. The squares are products,
+    not ** (libm pow): the verdict is the same except where the sum lies within
+    a few ulps of 1.
     """
     cx = None  # the sliding target's cart position, set when the first phase ends
 
     def controller(t, x):
         nonlocal cx
         if cx is None:
-            if x[0] ** 2 + x[1] ** 2 + x[3] ** 2 > 1.0:
+            y, dy, v = x[0], x[1], x[3]
+            if y * y + dy * dy + v * v > 1.0:
                 return first_phase_acc(x)
             cx = x[2]
         cx = dip_sliding_target(cx, s_v, dt)
@@ -215,27 +221,34 @@ def _stabilize_then_slide(first_phase_acc, K_slide, s_v, dt):
 
 
 def _sip_fallen(s):
-    return "failure" if abs(s[0]) >= math.pi / 2 else None
+    return "failure" if abs(s[0]) >= _FALLEN else None
 
 
 def _sip_settled_or_fallen(s):
-    return "success" if s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2 < 0.001 else _sip_fallen(s)
+    """Settled when the squared state norm drops below 0.001, else _sip_fallen's test.
+
+    The squares are products, not ** (libm pow): the verdict is the same except
+    where the sum lies within a few ulps of 0.001.
+    """
+    y, dy, p, v = s
+    if y * y + dy * dy + p * p + v * v < 0.001:
+        return "success"
+    return "failure" if abs(y) >= _FALLEN else None
 
 
 def _dip_fallen(s):
-    return "failure" if abs(s[0]) >= math.pi / 2 and abs(s[2]) >= math.pi / 2 else None
+    return "failure" if abs(s[0]) >= _FALLEN and abs(s[2]) >= _FALLEN else None
 
 
 def _moto_arrived_or_fell(s):
-    xD, yD, _ = _MOTO_POSE_D
-    if math.hypot(s[0] - xD, s[1] - yD) < _MOTO_ARRIVE_DIST:
+    if math.hypot(s[0] - _MOTO_XD, s[1] - _MOTO_YD) < _MOTO_ARRIVE_DIST:
         return "destination"
-    return "failure" if abs(s[4]) >= math.pi / 2 else None
+    return "failure" if abs(s[4]) >= _FALLEN else None
 
 
 def _sip_cbf_h(s):
     """sip_cbf's barrier: |theta| <= pi/15 and |theta_dot| <= 2, the angle weighted 25:1."""
-    return (25.0 * (_SIP_CBF_YB ** 2 - s[0] ** 2) + (_SIP_CBF_DYB ** 2 - s[1] ** 2)) / 2.0
+    return (25.0 * (_SIP_CBF_YB2 - s[0] ** 2) + (_SIP_CBF_DYB2 - s[1] ** 2)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +418,10 @@ def _build_point2d_clf_cbf(disk, h):
 def _point2d_row(build, case):
     """A 2-D point study around case's unsafe disk; build(disk, h) wires its controller."""
     cx, cy, cr = disk = _DISKS[case]
+    r2 = cr ** 2
 
     def h(s):
-        return ((s[0] - cx) ** 2 + (s[1] - cy) ** 2 - cr ** 2) / 2.0
+        return ((s[0] - cx) ** 2 + (s[1] - cy) ** 2 - r2) / 2.0
 
     return Scenario(lambda p: build(disk, h), 10.0, "timeout",
                     Plot(circles=((*disk, "red"), (0.0, 0.0, 0.05, "green"))), barrier_h=h)

@@ -99,8 +99,12 @@ class CareNoSolution:
 def _monic_coefficients(desired_eigs, n):
     """Descending real coefficients of the monic polynomial with the n roots desired_eigs.
 
-    np.poly(desired).real bit for bit: the same convolutions, without np.poly's or
-    np.convolve's wrapper; its exact conjugate-pair test only decides a request whose
+    np.poly(desired).real bit for bit, on Python floats. np.poly convolves the
+    coefficients c with (1, -z) once per root, and its correlate kernel forms entry k
+    from a = c[k] and b = c[k-1] with w = -z as re = 0.0 + ((a_r + b_r w_r) - b_i w_i)
+    and im = 0.0 + (b_r w_i + (a_i + b_i w_r)); the last entry has no a, and the first
+    (no b) stays 1 + 0j. The 0.0 + is the kernel's zero start, which turns a -0.0 sum
+    into +0.0. np.poly's exact conjugate-pair test only decides a request whose
     coefficients have an imaginary part above 1e-9.
     """
     desired = np.asarray(desired_eigs, dtype=complex).ravel()
@@ -109,15 +113,21 @@ def _monic_coefficients(desired_eigs, n):
     roots = desired.tolist()
     if not all(map(cmath.isfinite, roots)):
         raise ValueError("desired_eigs must be finite")
-    # np.convolve(c, (1, -z)) correlates c with (-z, 1); np.correlate conjugates its second argument
-    coeffs = np.array([1 + 0j])
+    re, im = [1.0], [0.0]
     for z in roots:
-        coeffs = np.correlate(coeffs, np.array([(-z).conjugate(), complex(1.0, -0.0)]), "full")
-    imag = coeffs.imag.tolist()
-    if (max(map(abs, imag)) > 1e-9 and not any(map(math.isnan, imag))  # np.abs(imag).max() > 1e-9
+        wr, wi = -z.real, -z.imag
+        new_re, new_im = [1.0], [0.0]
+        for ar, ai, br, bi in zip(re[1:], im[1:], re, im):
+            new_re.append(0.0 + ((ar + br * wr) - bi * wi))
+            new_im.append(0.0 + (br * wi + (ai + bi * wr)))
+        br, bi = re[-1], im[-1]
+        new_re.append(0.0 + (br * wr - bi * wi))
+        new_im.append(0.0 + (br * wi + bi * wr))
+        re, im = new_re, new_im
+    if (max(map(abs, im)) > 1e-9 and not any(map(math.isnan, im))  # np.abs(imag).max() > 1e-9
             and not np.array_equal(np.sort(desired), np.sort(desired.conj()))):
         raise ValueError("desired eigenvalues must be closed under conjugation")
-    return coeffs.real
+    return np.array(re)
 
 
 def _check_controllability(s_max, s_min):

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ctrlkit import scenarios
+from ctrlkit import models, scenarios
 from ctrlkit.models import (BlowupError, PlantModel, SimSpec, dip_plant,
                             linearize, motorcycle_lateral_plant,
                             motorcycle_plant, point2d_plant, simulate,
@@ -213,6 +214,92 @@ class TestSimulate:
         settings = {"dt": 0.01, "t_end": 1.0, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             SimSpec(**settings)
+
+
+class TestFailureContract:
+    """Every failure inside a step ends in BlowupError with the time and the state."""
+
+    PLANT_FACTORIES = sorted(name for name in vars(models) if name.endswith("_plant"))
+
+    @staticmethod
+    def draw(rng, n):
+        """n entries: moderate, up to +-1e308, zeros, infinities and nans."""
+        def entry():
+            kind = rng.integers(5)
+            if kind == 0:
+                return float(rng.normal())
+            if kind == 1:
+                return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 308.0))
+            if kind == 2:
+                return float(rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 1.7976931348623157) * 1e308)
+            if kind == 3:
+                return float(rng.choice([0.0, -0.0, 1e154, -2e154]))
+            return float(rng.choice([math.inf, -math.inf, math.nan]))
+        # most draws keep every entry but one moderate, so a single bad entry is tested alone
+        values = [entry() for _ in range(n)]
+        if rng.random() < 0.5:
+            keep = int(rng.integers(n))
+            values = [v if i == keep else float(rng.normal()) for i, v in enumerate(values)]
+        return values
+
+    def test_every_plant_factory_is_covered(self):
+        assert self.PLANT_FACTORIES == ["dip_plant", "motorcycle_lateral_plant", "motorcycle_plant",
+                                        "point2d_plant", "sip_plant"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("factory", PLANT_FACTORIES)
+    def test_simulate_returns_finite_states_or_raises_blowup_with_time_and_state(self, factory):
+        plant = getattr(models, factory)()
+        n = {"sip": 4, "dip": 6, "motorcycle": 6, "motorcycle_lateral": 4, "point2d": 2}[plant.name]
+        rng = np.random.default_rng(self.PLANT_FACTORIES.index(factory) + 1300)
+        outcomes = collections.Counter()
+        for _ in range(400):
+            x0 = self.draw(rng, n)
+            u0 = self.draw(rng, 1)[0] if rng.random() < 0.3 else float(rng.normal())
+            dt = float(rng.choice([1e-3, 0.1, 1.0]))
+            spec = SimSpec(dt=dt, t_end=5 * dt)
+            try:
+                traj = simulate(plant, lambda t, x: u0, x0, spec)
+            except BlowupError as exc:
+                assert type(exc.t) is float and dt <= exc.t <= 5 * dt * (1 + 1e-12), exc.t
+                assert f"(t={exc.t:.6g})" in str(exc)
+                assert isinstance(exc.state, np.ndarray) and exc.state.shape == (n,)
+                outcomes["blowup"] += 1
+            else:
+                assert all(math.isfinite(v) for state in traj.states for v in state)
+                outcomes["finite"] += 1
+        assert outcomes["blowup"] > 100 and outcomes["finite"] > 40, outcomes
+
+    def test_overflowing_euler_step_ends_in_blowup(self):
+        """A finite derivative whose step overflows: the second step from theta_dot = 1.7e308."""
+        with pytest.raises(BlowupError, match="^non-finite new state for plant 'sip'") as ei:
+            simulate(sip_plant(), lambda t, x: 0.0, (0.0, 1.7e308, 0.0, 0.0), SimSpec(dt=1.0, t_end=5.0))
+        assert ei.value.t == 2.0
+        assert ei.value.state.tolist() == [1.7e308, 1.7e308, 0.0, 0.0]
+
+    def test_overflow_inside_a_derivative_ends_in_blowup(self):
+        """The dip plant squares its rates with **, which raises OverflowError past 1.34e154."""
+        with pytest.raises(BlowupError, match="^OverflowError .* in the derivative for plant 'dip'") as ei:
+            simulate(dip_plant(), lambda t, x: 0.0, (0.0, 0.0, 0.0, 2e154, 0.0, 0.0),
+                     SimSpec(dt=1e-3, t_end=1.0))
+        assert ei.value.t == 1e-3
+        assert type(ei.value.__cause__) is OverflowError
+
+    def test_infinite_angle_ends_in_blowup(self):
+        with pytest.raises(BlowupError, match="^ValueError \\(math domain error\\) in the derivative") as ei:
+            simulate(sip_plant(), lambda t, x: 0.0, (math.inf, 0.0, 0.0, 0.0), SimSpec(dt=1e-3, t_end=1.0))
+        assert ei.value.t == 1e-3
+
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+    def test_an_error_inside_a_derivative_is_the_blowups_cause(self, error):
+        def deriv(x, u):
+            raise error("a deriv defect")
+
+        plant = PlantModel("defect", deriv)
+        with pytest.raises(BlowupError, match=f"^{error.__name__} \\(a deriv defect\\) in the "
+                                              "derivative for plant 'defect'") as ei:
+            simulate(plant, lambda t, x: 0.0, (0.0, 1.0), SimSpec(dt=0.01, t_end=1.0))
+        assert type(ei.value.__cause__) is error and ei.value.t == 0.01
 
 
 class TestSipFactoredModel:

@@ -318,6 +318,110 @@ class TestRunScenario:
         assert report.gain_matrices_used == []  # pure filter, no linear gain
 
 
+SLIDING_SIP_IDS = ("sip_robust_riccati", "sip_robust_riccati_midpoint", "sip_interval_polynomial",
+                   "sip_adaptive_lookup")
+
+
+class TestProductFormPredicates:
+    """The settle and slide-switch tests square by product; ** (libm pow) is their oracle."""
+
+    @staticmethod
+    def within_4_ulps(product_sum, pow_sum):
+        return abs(product_sum - pow_sum) <= 4 * math.ulp(pow_sum)
+
+    @pytest.mark.parametrize("scenario", SLIDING_SIP_IDS)
+    def test_settle_verdict_is_the_pow_forms_on_every_state(self, scenario):
+        traj, _ = run_cached(scenario)
+        for s in traj.states:
+            pow_sum = s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2
+            assert self.within_4_ulps(s[0] * s[0] + s[1] * s[1] + s[2] * s[2] + s[3] * s[3], pow_sum), s
+            expected = ("success" if pow_sum < 0.001
+                        else "failure" if abs(s[0]) >= math.pi / 2 else None)
+            assert scenarios._sip_settled_or_fallen(s) == expected, s
+        assert expected == "success" == traj.terminal_event
+
+    @pytest.mark.parametrize("scenario", SLIDING_SIP_IDS)
+    def test_switch_verdict_is_the_pow_forms_on_every_state(self, scenario):
+        """A fresh controller per state: its first call holds the first phase or switches."""
+        traj, _ = run_cached(scenario)
+        switches = 0
+        for s in traj.states:
+            pow_sum = s[0] ** 2 + s[1] ** 2 + s[3] ** 2
+            assert self.within_4_ulps(s[0] * s[0] + s[1] * s[1] + s[3] * s[3], pow_sum), s
+            controller = scenarios._stabilize_then_slide(lambda x: "first phase", (0.0,) * 4, 8.0, 1e-3)
+            held = controller(0.0, s) == "first phase"
+            assert held == (pow_sum > 1.0), s
+            switches += not held
+        assert 0 < switches < len(traj.states)
+
+
+class TestHoistedConstants:
+    """Each constant taken out of a per-step function equals the expression it replaced."""
+
+    @pytest.mark.parametrize("value, expression", [
+        (scenarios._FALLEN, math.pi / 2),
+        (scenarios._SIP_CBF_YB2, scenarios._SIP_CBF_YB ** 2),
+        (scenarios._SIP_CBF_DYB2, scenarios._SIP_CBF_DYB ** 2),
+        ((scenarios._MOTO_XD, scenarios._MOTO_YD), scenarios._MOTO_POSE_D[:2]),
+        (models._MOTO_TURN, models.MOTO_V / models.MOTO_L),
+        (models._MOTO_TOPPLE, models.G / models.MOTO_H),
+        (models._MOTO_LEAN, models.MOTO_V ** 2 / (models.MOTO_H * models.MOTO_L)),
+        (control._REGION_1, math.pi / 6),
+        (control._REGION_2, math.pi / 3),
+    ], ids=["fallen", "sip_cbf_yb2", "sip_cbf_dyb2", "moto_destination", "moto_turn", "moto_topple",
+            "moto_lean", "region_1", "region_2"])
+    def test_constant_equals_its_expression(self, value, expression):
+        assert value == expression
+
+    def test_guidance_lines_carry_their_sin_and_cos(self):
+        guide = control.MotorcycleGuidance(scenarios._MOTO_POSE_I, scenarios._MOTO_POSE_D)
+        for line, pose in ((guide._line_I, guide.pose_I), (guide._line_D, guide.pose_D)):
+            assert line == (*pose, -math.sin(pose[2]), math.cos(pose[2]))
+
+    @pytest.mark.parametrize("scenario", ["point2d_cbf_case1", "point2d_cbf_case2", "sip_cbf"])
+    def test_barriers_equal_their_in_function_form_on_every_state(self, scenario):
+        traj, _ = run_cached(scenario)
+        h = _SCENARIOS[scenario].barrier_h
+        if scenario == "sip_cbf":
+            yb, dyb = scenarios._SIP_CBF_YB, scenarios._SIP_CBF_DYB
+
+            def old(s):
+                return (25.0 * (yb ** 2 - s[0] ** 2) + (dyb ** 2 - s[1] ** 2)) / 2.0
+        else:
+            cx, cy, cr = scenarios._DISKS[scenario.rsplit("_", 1)[1]]
+
+            def old(s):
+                return ((s[0] - cx) ** 2 + (s[1] - cy) ** 2 - cr ** 2) / 2.0
+        assert [h(s).hex() for s in traj.states] == [old(s).hex() for s in traj.states]
+
+    @staticmethod
+    def old_motorcycle_deriv(s, u):
+        """motorcycle_plant's deriv with its constants in the function, kept as its oracle."""
+        V, L, H, G = models.MOTO_V, models.MOTO_L, models.MOTO_H, models.G
+        _, _, phi, beta, roll, droll = s
+        tb = math.tan(beta)
+        return (V * math.cos(phi), V * math.sin(phi), (V / L) * tb, (u[0] - beta) / models.MOTO_TAU_BETA,
+                droll, (G / H) * math.sin(roll) - (V ** 2 / (H * L)) * tb * math.cos(roll))
+
+    @staticmethod
+    def old_lateral_deriv(s, u):
+        """motorcycle_lateral_plant's deriv with its constants in the function, kept as its oracle."""
+        V, L, H, G = models.MOTO_V, models.MOTO_L, models.MOTO_H, models.G
+        _, phi, roll, droll = s
+        tb = math.tan(u[0])
+        return (V * math.sin(phi), (V / L) * tb, droll,
+                (G / H) * math.sin(roll) - (V ** 2 / (H * L)) * tb * math.cos(roll))
+
+    def test_motorcycle_derivatives_equal_their_in_function_form(self):
+        """Along the default motorcycle_smc run; the lateral model at its (y, phi, roll, rate)."""
+        traj, _ = run_cached("motorcycle_smc")
+        full, lateral = models.motorcycle_plant().deriv, models.motorcycle_lateral_plant().deriv
+        for s, u in zip(traj.states, traj.inputs):
+            assert full(s, u) == self.old_motorcycle_deriv(s, u)
+            s4 = (s[1], s[2], s[4], s[5])
+            assert lateral(s4, u) == self.old_lateral_deriv(s4, u)
+
+
 class TestCsv:
     def test_header_rows_and_formatting(self, tmp_path):
         traj, report = quick_run()

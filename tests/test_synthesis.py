@@ -260,6 +260,37 @@ class TestMonicCoefficients:
             assert outcomes["small-imag"] > 250
 
 
+    @staticmethod
+    def signed_zero_draw(rng, kind, n):
+        """n roots, real or in exact conjugate pairs, whose parts are often +-0.0."""
+        scale = 10.0 ** rng.integers(-2, 4)
+
+        def part():
+            return float(rng.choice([0.0, -0.0])) if rng.random() < 0.4 else float(rng.normal() * scale)
+
+        roots = []
+        if kind == "pairs":
+            for _ in range(n // 2):
+                r, w = part(), float(rng.uniform(0.1, 1.0) * scale)
+                roots += [complex(r, w), complex(r, -w)]
+        roots += [complex(part(), float(rng.choice([0.0, -0.0]))) for _ in range(n - len(roots))]
+        return [roots[i] for i in rng.permutation(n)]
+
+    @pytest.mark.parametrize("kind", ["real", "pairs"])
+    def test_signed_zero_parts_bit_identical_to_np_poly(self, kind):
+        """Compared by bytes, so the sign of every zero coefficient counts."""
+        rng = np.random.default_rng(["real", "pairs"].index(kind) + 10)
+        zeros = 0
+        for _ in range(1000):
+            n = int(rng.integers(1, 8))
+            roots = self.signed_zero_draw(rng, kind, n)
+            ref = self.np_poly_reference(roots)
+            got = synthesis._monic_coefficients(roots, n)
+            assert got.tobytes() == ref.tobytes(), roots
+            zeros += ref.tolist().count(0.0)
+        assert zeros > 300  # all +0.0: np.poly's kernel sums from a zero start
+
+
 class TestSipPoleGain:
     """The closed form against its oracle, Ackermann on sip_design_pair, compared with ==."""
 
