@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import lapack
+from .numerics import fma
 
 # the plants' physics, read by every design model built on them
 G = 10.0  # gravity
@@ -128,9 +128,10 @@ def step_euler(plant, x, u, dt):
     return new
 
 
-def _blowup(what, plant, x):
+def _blowup(what, plant, x, t=None):
     state = np.array(x, dtype=float)
-    return BlowupError(f"{what} for plant '{plant.name}' at state {state}", state=state)
+    at = "" if t is None else f" (t={t:.6g})"
+    return BlowupError(f"{what} for plant '{plant.name}' at state {state}{at}", t=t, state=state)
 
 
 def simulate(plant, controller, x0, spec):
@@ -140,12 +141,17 @@ def simulate(plant, controller, x0, spec):
     and returns a float; stop(state), when set, once after each step: None
     goes on, a string ends the run with that event.  Each state is the tuple
     of floats step_euler returns, each input the 1-tuple of the controller's
-    float; the last sample repeats the input before it.
+    float; the last sample repeats the input before it. An ArithmeticError or
+    ValueError raised by the controller ends the run as a step failure does: in
+    a BlowupError with t (0.0 for the call on x0) and the state, chained to it.
     """
     dt, stop = spec.dt, spec.stop
     step = step_euler  # looked up once per run, so perfbench/spans.py can still replace it
     x = tuple(map(float, x0))
-    u = (float(controller(0.0, x)),)
+    try:
+        u = (float(controller(0.0, x)),)
+    except (ArithmeticError, ValueError) as exc:
+        raise _blowup(f"{type(exc).__name__} ({exc}) in the controller", plant, x, 0.0) from exc
     times, states, inputs = [0.0], [x], [u]
     event = None
     n_steps = round(spec.t_end / dt)
@@ -158,7 +164,10 @@ def simulate(plant, controller, x0, spec):
         if stop is not None:
             event = stop(x)
         if event is None and k < n_steps:
-            u = (float(controller(t, x)),)
+            try:
+                u = (float(controller(t, x)),)
+            except (ArithmeticError, ValueError) as exc:
+                raise _blowup(f"{type(exc).__name__} ({exc}) in the controller", plant, x, t) from exc
         times.append(t)
         states.append(x)
         inputs.append(u)
@@ -233,31 +242,21 @@ def sip_plant():
 def dip_plant():
     """Serial double inverted pendulum on an acceleration-driven cart.
 
-    Unit point masses at the tips of massless unit links; state
-    (theta1, theta1_dot, theta2, theta2_dot, x, x_dot), input cart
-    acceleration.  Angular accelerations come from the 2x2 Lagrangian
-    mass-matrix solve.
+    Unit point masses at the tips of massless unit links; state (theta1, theta1_dot, theta2,
+    theta2_dot, x, x_dot), input cart acceleration. The angular accelerations solve the
+    Lagrangian M (dd1, dd2) = r, M = [[2, c], [c, 1]], by LAPACK dgesv's operations (OpenBLAS):
+    l = c/2 and u22 = 1 - l c (>= 1/2) unfused, then dd2 = fma(-r0, l, r1)/u22, dd1 = fma(-dd2, c, r0)/2.
     """
-    M, r = np.array([[2.0, 0.0], [0.0, 1.0]]), np.empty(2)  # refilled per call; the solve copies them
-
     def deriv(x, u):
-        """The state derivative; the mass-matrix solve is lapack.solve1_unguarded, np.linalg.solve's
-        LAPACK call (dgesv) without its errstate guard, which it cannot trip.
-
-        M = [[2, c], [c, 1]] with c = cos(theta1 - theta2), |c| <= 1 < 2, so dgesv pivots on the
-        2 and its second pivot 1 - c^2/2 >= 1/2 is never zero (det M = 2 - c^2 >= 1). A nan angle
-        makes c nan, which dgesv passes through as a nan result, not an error; step_euler then
-        raises BlowupError.
-        """
         y1, dy1, y2, dy2, _, dpos = x
         a = u[0]
-        c12 = math.cos(y1 - y2)
+        c = math.cos(y1 - y2)
         s12 = math.sin(y1 - y2)
-        M[0, 1] = M[1, 0] = c12
-        r[0] = 2.0 * (G * math.sin(y1) - a * math.cos(y1)) - dy2 ** 2 * s12
-        r[1] = G * math.sin(y2) - a * math.cos(y2) + dy1 ** 2 * s12
-        dd1, dd2 = lapack.solve1_unguarded(M, r).tolist()
-        return (dy1, dd1, dy2, dd2, dpos, a)
+        r0 = 2.0 * (G * math.sin(y1) - a * math.cos(y1)) - dy2 ** 2 * s12
+        r1 = G * math.sin(y2) - a * math.cos(y2) + dy1 ** 2 * s12
+        l = c * 0.5
+        dd2 = fma(-r0, l, r1) / (1.0 - l * c)
+        return (dy1, fma(-dd2, c, r0) / 2.0, dy2, dd2, dpos, a)
 
     return PlantModel("dip", deriv)
 

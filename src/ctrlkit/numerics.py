@@ -1,5 +1,5 @@
-"""Small dense linear-algebra helpers, the finite-float input check and a
-tiny quadratic-program solver.
+"""Small dense linear-algebra helpers, an exact fused multiply-add, the
+finite-float input check and a tiny quadratic-program solver.
 
 Everything is deterministic: the rank-one factorization is closed form,
 worked on Python floats (each entry rounded once, as numpy rounds it), and
@@ -29,11 +29,9 @@ def _gufunc(name, signature, message):
 
 # numpy.linalg's solve (1-D b), lstsq, svd (no u, v), eigvals (complex), inv, eigvalsh (UPLO="L"),
 # bound once for float64 arrays; none tests for a nan or infinite entry, as numpy.linalg.eigvals does.
-# The two *_unguarded are the bare gufuncs: given float64 arrays they run the same dd->d / ddd->ddid
-# loop without the errstate guard, so a LAPACK failure would not raise LinAlgError but set the
-# invalid flag (a RuntimeWarning and nan under the default error state). A successful call clears
-# the FP status, so it warns and raises nothing under any error state. Only a call site that proves
-# LAPACK cannot fail on its inputs may use them: models.dip_plant's deriv and full_rank_lstsq.
+# lstsq_unguarded is the bare ddd->ddid gufunc without the errstate guard: a LAPACK failure would give
+# nan and the invalid flag (a RuntimeWarning by default), not LinAlgError; a success clears the FP
+# status. Only full_rank_lstsq, which proves LAPACK cannot fail on its inputs, may use it.
 lapack = types.SimpleNamespace(
     solve1=_gufunc("solve1", "dd->d", "Singular matrix"),
     lstsq=_gufunc("lstsq", "ddd->ddid", "SVD did not converge in Linear Least Squares"),
@@ -41,9 +39,21 @@ lapack = types.SimpleNamespace(
     eigvals=_gufunc("eigvals", "d->D", "Eigenvalues did not converge"),
     inv=_gufunc("inv", "d->d", "Singular matrix"),
     eigvalsh_lo=_gufunc("eigvalsh_lo", "d->d", "Eigenvalues did not converge"),
-    solve1_unguarded=np.linalg._umath_linalg.solve1,
     lstsq_unguarded=np.linalg._umath_linalg.lstsq,
 )
+
+
+def fma(a, b, c):
+    """a * b + c rounded once, as C's fma: Dekker's TwoProduct p + e == a * b, summed with c by math.fsum;
+    a zero sum (fsum's +0.0) takes the sign of p + c, IEEE's. Exact for finite floats, except that the
+    splits overflow for |a| or |b| above about 1.34e300 (ah * bh for |a * b| within 2**-26 of the top),
+    and e is inexact once a * b underflows (fma(1e-200, -1e-200, 0.0) is +0.0, C's -0.0). fsum raises
+    ValueError on inf - inf and OverflowError on an overflowing sum; step_euler makes either a BlowupError."""
+    p = a * b
+    ta, tb = 134217729.0 * a, 134217729.0 * b  # Veltkamp's splitter 2**27 + 1
+    ah, bh = ta - (ta - a), tb - (tb - b)
+    al, bl = a - ah, b - bh
+    return math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, c)) or p + c
 
 
 def floats(values):

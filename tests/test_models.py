@@ -3,12 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ctrlkit import models, scenarios
-from ctrlkit.models import (BlowupError, PlantModel, SimSpec, dip_plant,
+from ctrlkit.control import adaptive_gain, fsfc
+from ctrlkit.models import (G, BlowupError, PlantModel, SimSpec, dip_plant,
                             linearize, motorcycle_lateral_plant,
                             motorcycle_plant, point2d_plant, simulate,
                             sip_factored_model, sip_plant, step_euler)
@@ -301,6 +300,49 @@ class TestFailureContract:
             simulate(plant, lambda t, x: 0.0, (0.0, 1.0), SimSpec(dt=0.01, t_end=1.0))
         assert type(ei.value.__cause__) is error and ei.value.t == 0.01
 
+    @staticmethod
+    def adaptive_controller(t, x):
+        """sip_adaptive_online's law: the gain placed at the current angle, then fsfc."""
+        return fsfc(adaptive_gain(x[0], scenarios._POLES3), (x[0], x[1], x[3]))
+
+    def test_controller_error_on_the_first_state_ends_in_blowup_at_time_zero(self):
+        """From theta = nan the adaptive gain has no controllable pair to place poles on."""
+        x0 = (math.nan, 0.0, 0.0, 0.0)
+        with pytest.raises(BlowupError, match="^ValueError \\(\\(A, B\\) is not controllable\\) in the "
+                                              "controller for plant 'sip' at state .*\\(t=0\\)$") as ei:
+            simulate(sip_plant(), self.adaptive_controller, x0, SimSpec(dt=1e-3, t_end=1.0))
+        assert ei.value.t == 0.0 and type(ei.value.__cause__) is ValueError
+        assert np.array_equal(ei.value.state, x0, equal_nan=True)
+
+    def test_overflowing_gain_product_ends_in_blowup_under_a_raising_error_state(self):
+        """From theta_dot = 1e308 fsfc's dot overflows; numpy raising makes it a
+        FloatingPointError, an ArithmeticError, which becomes the BlowupError's cause."""
+        x0 = (0.1, 1e308, 0.0, 0.0)
+        with np.errstate(all="raise"), pytest.raises(
+                BlowupError, match="^FloatingPointError \\(overflow encountered in dot\\) in the "
+                                   "controller for plant 'sip'") as ei:
+            simulate(sip_plant(), self.adaptive_controller, x0, SimSpec(dt=1e-3, t_end=1.0))
+        assert ei.value.t == 0.0 and type(ei.value.__cause__) is FloatingPointError
+        assert ei.value.state.tolist() == list(x0)
+
+    @pytest.mark.parametrize("when", [0.0, 0.03])
+    def test_a_controller_error_is_the_blowups_cause(self, when):
+        """A ZeroDivisionError raised by the controller at t carries t and the state it was given."""
+        seen = []
+
+        def controller(t, x):
+            seen.append(x)
+            if t >= when:
+                return 1.0 / 0.0
+            return 0.0
+
+        with pytest.raises(BlowupError, match=f"^ZeroDivisionError \\(float division by zero\\) in "
+                                              f"the controller for plant 'sip' .*\\(t={when:.6g}\\)$") as ei:
+            simulate(sip_plant(), controller, (0.1, 0.0, 0.0, 0.0), SimSpec(dt=0.01, t_end=1.0))
+        assert type(ei.value.__cause__) is ZeroDivisionError
+        assert ei.value.t == pytest.approx(when, abs=1e-15) and len(seen) == round(when / 0.01) + 1
+        assert ei.value.state.tolist() == list(seen[-1])
+
 
 class TestSipFactoredModel:
     def test_upright_matrices(self):
@@ -309,16 +351,33 @@ class TestSipFactoredModel:
                         atol=1e-15)
         assert_allclose(B, [0, -1, 0, 1], atol=1e-15)
 
-    @given(st.floats(-1.5, 1.5), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0),
-           st.floats(-5.0, 5.0))
-    @settings(max_examples=100, deadline=None)
-    def test_factorization_exact_on_trig_branch(self, theta, dtheta, dx, u):
+    RANGES = ((-1.5, 1.5), (-1.0, 1.0), (-2.0, 2.0), (-5.0, 5.0))  # theta, theta_dot, x_dot, u
+
+    def factorization_draws(self):
+        """100 seeded (theta, theta_dot, x_dot, u): every range's ends together, all zeros,
+        the angle at its ends, +-0.0, +-1e-8 and +-5e-324 with the rest drawn, then uniform draws."""
+        rng = np.random.default_rng(3202)
+
+        def drawn():
+            return [float(rng.uniform(lo, hi)) for lo, hi in self.RANGES]
+
+        draws = [[lo for lo, _ in self.RANGES], [hi for _, hi in self.RANGES], [0.0] * 4]
+        for theta in (-1.5, 1.5, 0.0, -0.0, 1e-8, -1e-8, 5e-324, -5e-324):
+            draws.append([theta] + drawn()[1:])
+        while len(draws) < 100:
+            draws.append(drawn())
+        return draws
+
+    def test_factorization_exact_on_trig_branch(self):
         """deriv == A(x) x + B(x) u at every angle, near upright included."""
         plant = sip_plant()
-        x = np.array([theta, dtheta, 0.7, dx])
-        A, B = sip_factored_model(theta)
-        assert_allclose(plant.deriv(x, np.array([u])), A @ x + B * u,
-                        rtol=0, atol=1e-12)
+        draws = self.factorization_draws()
+        assert len(draws) == 100
+        for theta, dtheta, dx, u in draws:
+            x = np.array([theta, dtheta, 0.7, dx])
+            A, B = sip_factored_model(theta)
+            assert_allclose(plant.deriv(x, np.array([u])), A @ x + B * u,
+                            rtol=0, atol=1e-12)
 
     def test_factorization_exact_at_zero(self):
         plant = sip_plant()
@@ -389,16 +448,83 @@ class TestDipPlant:
         assert lhs1 == pytest.approx(rhs1, abs=1e-10)
         assert lhs2 == pytest.approx(rhs2, abs=1e-10)
 
-    @pytest.mark.filterwarnings("error")  # nor may the unguarded mass-matrix solve warn
+    @pytest.mark.filterwarnings("error")  # nor may the mass-matrix solve warn
     @pytest.mark.parametrize("where", [0, 2])
     def test_nan_angle_ends_in_blowup(self, where):
-        """A nan angle makes the mass matrix nan off the diagonal; the solve passes it through as
-        a nan result, with no LAPACK error, and the run ends in BlowupError on its first step."""
+        """A nan angle makes c and r nan; the float solve passes them through as a nan result,
+        with no error, and the run ends in BlowupError on its first step."""
         x0 = [0.3, 0.0, -0.2, 0.0, 0.0, 0.0]
         x0[where] = math.nan
         with np.errstate(all="raise"), pytest.raises(BlowupError) as ei:
             simulate(dip_plant(), lambda t, x: 0.0, x0, SimSpec(dt=1e-3, t_end=1.0))
         assert ei.value.t == 1e-3
+
+    @staticmethod
+    def numpy_deriv(states, inputs):
+        """The dip derivative of each (state, input) with the mass-matrix solve done by
+        np.linalg.solve (LAPACK dgesv on each 2x2 system, batched), as an (n, 6) array."""
+        sin, cos = math.sin, math.cos
+        rows = [(dy1, dy2, dpos, a, cos(y1 - y2),
+                 2.0 * (G * sin(y1) - a * cos(y1)) - dy2 ** 2 * sin(y1 - y2),
+                 G * sin(y2) - a * cos(y2) + dy1 ** 2 * sin(y1 - y2))
+                for (y1, dy1, y2, dy2, _, dpos), (a,) in zip(states, inputs)]
+        dy1, dy2, dpos, a, c, r0, r1 = np.array(rows).T
+        M = np.stack([np.full_like(c, 2.0), c, c, np.ones_like(c)], axis=1).reshape(-1, 2, 2)
+        dd1, dd2 = np.linalg.solve(M, np.stack([r0, r1], axis=1)[..., None])[..., 0].T
+        return np.stack([dy1, dd1, dy2, dd2, dpos, a], axis=1), np.stack([r0, r1], axis=1)
+
+    @staticmethod
+    def solve_draws(rng, n):
+        """n dip states and 1-entry inputs, as lists, with c = cos of U(-4, 4) and |r| up to about
+        500; one in four makes r0, r1 or both a signed zero, through signed-zero angles, rates and input."""
+        y2 = rng.uniform(-4.0, 4.0, n)
+        y1 = y2 + rng.uniform(-4.0, 4.0, n)
+        dy1, dy2 = rng.uniform(-7.0, 7.0, (2, n))
+        a = rng.uniform(-200.0, 200.0, n)
+        states = np.stack([y1, dy1, y2, dy2, rng.normal(size=n), rng.normal(size=n)], axis=1)
+        zeros = rng.choice([0.0, -0.0], (n, 5))
+        zero = rng.random(n) < 0.25
+        which = rng.integers(3, size=n)  # r0, r1 or both
+        for cols, rows in (([0, 3], zero & (which != 1)), ([1, 2], zero & (which != 0))):
+            states[np.ix_(rows, cols)] = zeros[np.ix_(rows, cols)]  # y1, dy2 zero r0; dy1, y2 r1
+        a[zero] = zeros[zero, 4]
+        return states.tolist(), a[:, None].tolist()
+
+    def test_mass_matrix_solve_is_numpys_by_bytes(self):
+        """deriv's float solve equals np.linalg.solve's dgesv by bytes on 50,000 draws."""
+        deriv = dip_plant().deriv
+        states, inputs = self.solve_draws(np.random.default_rng(3203), 50_000)
+        ref, r = self.numpy_deriv(states, inputs)
+        out = np.array([deriv(x, u) for x, u in zip(states, inputs)])
+        assert out.tobytes() == ref.tobytes()
+        zero = r == 0.0
+        assert 500 > np.abs(r).max() > 400
+        for j in (0, 1):  # each entry of r meets both signed zeros, alone and with the other
+            assert {np.signbit(v) for v in r[zero[:, j], j]} == {False, True}
+            assert (zero[:, j] & ~zero[:, 1 - j]).sum() > 1000
+        assert (zero[:, 0] & zero[:, 1]).sum() > 1000
+
+    def test_default_run_solves_are_numpys_by_bytes(self):
+        """At every state of the default dip_smc run, with its input, deriv equals the
+        np.linalg.solve derivative by bytes."""
+        traj, _ = scenarios.run_scenario("dip_smc")
+        deriv = dip_plant().deriv
+        out = np.array([deriv(x, u) for x, u in zip(traj.states, traj.inputs)])
+        assert len(out) > 5000
+        assert out.tobytes() == self.numpy_deriv(traj.states, traj.inputs)[0].tobytes()
+
+    def test_array_inputs_give_the_tuple_values(self):
+        """On float64 arrays, as linearize passes x0 +- h e_j and u0 +- h, deriv returns the
+        values it returns on tuples of the same floats."""
+        deriv = dip_plant().deriv
+        states, inputs = self.solve_draws(np.random.default_rng(3204), 100)
+        for x, (u,) in zip(states + [(0.0,) * 6], inputs + [(0.0,)]):
+            x0, u0 = np.array(x), np.atleast_1d(np.asarray(u, dtype=float))
+            points = [(x0, u0), (x0, u0 + 1e-6), (x0, u0 - 1e-6)]
+            points += [(x0 + sign * 1e-6 * e, u0) for e in np.eye(6) for sign in (1.0, -1.0)]
+            for xa, ua in points:
+                ref = deriv(tuple(xa.tolist()), tuple(ua.tolist()))
+                assert np.array(deriv(xa, ua)).tobytes() == np.array(ref).tobytes()
 
 
 class TestMotorcyclePlants:

@@ -1,11 +1,14 @@
 import ast
 import contextlib
 import ctypes
+import ctypes.util
 import functools
+import itertools
 import math
 import pathlib
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ import ctrlkit
 from ctrlkit import (MotorcycleGuidance, bauer_fike_check, design_gain_matrix, eig_sweep,
                      run_scenario, scenarios, solve_care, sysid_solve, trajectory_checksum)
 from ctrlkit.models import G, sip_design_pair
-from ctrlkit.numerics import lapack, least_squares, nnmf_rank1, qp_small
+from ctrlkit.numerics import fma, lapack, least_squares, nnmf_rank1, qp_small
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -216,6 +219,86 @@ class TestQpSmall:
 
 
 # ---------------------------------------------------------------------------
+# the exact fused multiply-add
+
+def c_fma():
+    """The C library's fma through ctypes, or None where it cannot be loaded."""
+    try:
+        fn = ctypes.CDLL(ctypes.util.find_library("m")).fma
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = (ctypes.c_double,) * 3, ctypes.c_double
+    return fn
+
+
+class TestFma:
+    @staticmethod
+    def value_draws(rng, n):
+        """n (a, b, c) with a and b of magnitude 2**-480 to 2**480, so a * b is normal and the
+        splits cannot overflow; c of a * b's scale, both signs (cancellation), its rounded
+        negation (the result is TwoProduct's error), far larger or smaller, or zero."""
+        def mags(k, lo, hi):
+            return rng.choice([-1.0, 1.0], k) * rng.uniform(1.0, 2.0, k) * 2.0 ** rng.integers(lo, hi, k)
+
+        a, b = mags(n, -480, 480), mags(n, -480, 480)
+        p = a * b
+        kind = rng.integers(5, size=n)
+        c = np.select([kind == 0, kind == 1, kind == 2, kind == 3],
+                      [p * rng.uniform(-2.0, 2.0, n), -p, p * mags(n, -60, 60), -p * (1.0 + 2.0 ** -52)],
+                      0.0)
+        return list(zip(a.tolist(), b.tolist(), c.tolist()))
+
+    def test_value_is_the_exact_sum_rounded_once(self):
+        """fma(a, b, c) == float(a*b + c in exact rationals) on 20,000 normal-range draws."""
+        draws = self.value_draws(np.random.default_rng(3206), 20_000)
+        misses = [(a, b, c) for a, b, c in draws
+                  if fma(a, b, c) != float(Fraction(a) * Fraction(b) + Fraction(c))]
+        assert misses == []
+        assert sum(a * b + c != fma(a, b, c) for a, b, c in draws) > 2000  # unfused is not enough
+
+    ZERO_PRODUCTS = [(a, b) for a, b in itertools.product([0.0, -0.0, 1.5, -3.0], repeat=2) if 0.0 in (a, b)]
+
+    def test_zero_sums_take_ieees_sign(self):
+        """An exact zero sum is -0.0 iff a * b and c are both -0.0, and +0.0 otherwise, as
+        IEEE 754 rounds to nearest; fsum alone returns +0.0 for each."""
+        cases = [(a, b, c) for a, b in self.ZERO_PRODUCTS for c in (0.0, -0.0)]
+        exact = [1.5, -3.0, 0.25, -2.0 ** -500, 2.0 ** 500]  # every product of two is a float
+        cases += [(a, b, -(a * b)) for a, b in itertools.product(exact, repeat=2)]
+        assert len(cases) > 30
+        for a, b, c in cases:
+            out = fma(a, b, c)
+            negative = math.copysign(1.0, a * b) < 0 and math.copysign(1.0, c) < 0 and a * b == 0.0
+            assert out == 0.0 and math.copysign(1.0, out) == (-1.0 if negative else 1.0), (a, b, c)
+
+    def test_domain_edges(self):
+        """The docstring's limits: exact up to the split's overflow near 1.34e300 and ah * bh's near
+        the top, inexact sign once a * b underflows, and fsum's errors on inf - inf and an overflowing sum."""
+        for big in (1.3e300, -1.339e300):
+            assert fma(big, 1.0, 0.0) == big and fma(1.0, big, 1.0) == big
+        for big in (1.35e300, -1e305):
+            assert math.isnan(fma(big, 1.0, 0.0)) and math.isnan(fma(1.0, big, 0.0))
+        a, b = 5.313064383821848e299, 338353349.1537822  # a * b within 2**-26 of the largest float
+        assert math.isfinite(a * b) and fma(a, b, 0.0) == math.inf
+        out = fma(1e-200, -1e-200, 0.0)  # C's is -0.0; here p underflows to -0.0, and -0.0 + 0.0 is +0.0
+        assert out == 0.0 and math.copysign(1.0, out) == 1.0
+        with pytest.raises(ValueError, match="inf"):
+            fma(math.inf, 1.0, -math.inf)
+        with pytest.raises(OverflowError):
+            fma(1e300, 1e8, 1.7e308)
+
+    def test_agrees_with_the_c_librarys_fma(self):
+        """A cross-check where ctypes reaches C's fma: the value draws and the signed zeros by
+        bytes; the underflowing case is the one documented difference."""
+        c_fn = c_fma()
+        if c_fn is None:
+            pytest.skip("the C library's fma cannot be loaded through ctypes")
+        draws = self.value_draws(np.random.default_rng(3207), 5_000)
+        draws += [(a, b, c) for a, b in self.ZERO_PRODUCTS for c in (0.0, -0.0)]
+        assert [float.hex(fma(*abc)) for abc in draws] == [float.hex(c_fn(*abc)) for abc in draws]
+        assert float.hex(c_fn(1e-200, -1e-200, 0.0)) == "-0x0.0p+0"
+
+
+# ---------------------------------------------------------------------------
 # the LAPACK bindings of numerics.lapack against numpy.linalg, on their callers' inputs
 
 NUMPY_LINALG = {
@@ -225,13 +308,11 @@ NUMPY_LINALG = {
     "eigvals": np.linalg.eigvals,
     "inv": np.linalg.inv,
     "eigvalsh_lo": np.linalg.eigvalsh,
-    "solve1_unguarded": np.linalg.solve,
     "lstsq_unguarded": np.linalg.lstsq,
 }
 PER_STEP_RUNS = ("dip_smc", "sip_adaptive_sysid")
 # (module, function, binding) of each call site whose docstring proves LAPACK cannot fail there
-UNGUARDED_CALL_SITES = [("models", "dip_plant.deriv", "solve1_unguarded"),
-                        ("numerics", "full_rank_lstsq", "lstsq_unguarded")]
+UNGUARDED_CALL_SITES = [("numerics", "full_rank_lstsq", "lstsq_unguarded")]
 
 
 def _copy(value):
@@ -332,26 +413,19 @@ class TestLapackBindings:
 
     @pytest.mark.parametrize("sid", PER_STEP_RUNS)
     def test_per_step_runs_trip_no_floating_point_error(self, sid):
-        """The unguarded solves cannot fail on their inputs: with numpy raising on every
-        floating-point error and warnings raised as errors, both runs reach their golden checksums."""
+        """The unguarded lstsq cannot fail on its inputs, and the dip solve is Python floats: with
+        numpy raising on every floating-point error and warnings raised as errors, both runs reach
+        their golden checksums."""
         with strict_fp():
             traj, rep = run_scenario(sid)
         golden = golden_entry(sid)
         assert rep.terminal_event == golden["event"]
         assert trajectory_checksum(traj) == golden["checksum"]
 
-    def test_unguarded_bindings_have_exactly_the_two_proven_callers(self):
+    def test_unguarded_binding_has_exactly_the_one_proven_caller(self):
         """A new caller of an unguarded binding has to bring its own proof that LAPACK cannot
         fail there, and join UNGUARDED_CALL_SITES; the namespace's own definition is not a use."""
         assert sorted(unguarded_references()) == UNGUARDED_CALL_SITES
-
-    def test_unguarded_solve_on_a_singular_matrix_warns_instead_of_raising(self):
-        """Why only proven sites may use it: the bare gufunc reports a failure as nan and the
-        invalid flag, which the default error state turns into a RuntimeWarning, not LinAlgError."""
-        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.warns(RuntimeWarning, match="invalid value encountered in solve1"):
-            out = lapack.solve1_unguarded(singular, np.ones(2))
-        assert np.isnan(out).all()
 
     @pytest.mark.parametrize("cols, binding", [(1, "lstsq_unguarded"), (2, "lstsq_unguarded"), (3, "lstsq")])
     def test_least_squares_takes_the_unguarded_lstsq_up_to_two_columns(self, cols, binding):
@@ -378,11 +452,11 @@ class TestLapackBindings:
         assert [name for name, _, _ in calls] == ["lstsq_unguarded"]
 
     def test_dip_mass_matrix_solves(self, per_step_runs):
-        traj, _, calls = per_step_runs["dip_smc"]
-        steps = [args for name, args, _ in calls if name == "solve1_unguarded"]
-        assert {args[0].shape for args in steps} == {(2, 2)}
-        assert len(steps) == len(traj.times) - 1  # one deriv per Euler step
-        assert len(calls) == len(steps) + 2  # and the builder's 6x6 placement: svd, solve1
+        """The dip steps solve their mass matrix in Python floats (TestDipPlant holds it against
+        np.linalg.solve by bytes): the run's only LAPACK calls are the 6x6 gain placement that sets it up."""
+        _, _, calls = per_step_runs["dip_smc"]
+        assert [name for name, _, _ in calls] == ["svd", "solve1"]
+        assert [args[0].shape for _, args, _ in calls] == [(6, 6), (6, 6)]
         assert_calls_match_numpy(calls)
 
     def test_sysid_windows(self, per_step_runs):
