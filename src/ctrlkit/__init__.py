@@ -2,8 +2,9 @@
 a planar motorcycle, and barrier-filtered point models."""
 
 from .control import (CBF_SINGULARITY_THRESHOLD, MotorcycleGuidance,
-                      adaptive_gain, cbf_filter_scalar, clf_cbf_step,
-                      dip_sliding_target, fsfc, lyapunov_ref_2d, sysid_solve)
+                      SysidWindow, adaptive_gain, cbf_filter_scalar,
+                      clf_cbf_step, dip_sliding_target, fsfc, lyapunov_ref_2d,
+                      sysid_solve)
 from .models import (BlowupError, PlantModel, SimSpec, Trajectory, dip_plant,
                      linearize, motorcycle_lateral_plant, motorcycle_plant,
                      point2d_plant, simulate, sip_factored_model, sip_plant,

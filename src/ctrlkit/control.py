@@ -102,23 +102,57 @@ def adaptive_gain(theta, desired_eigs):
     return sip_pole_gain(a, -math.cos(theta), sip_coefficients(tuple(desired_eigs)))
 
 
-def sysid_solve(regressors, responses):
-    """Least-squares estimate [a, b] of rate = a*theta + b*u over a window of rows.
+class SysidWindow:
+    """The six newest identification rows (theta, u, rate), newest first, for sysid_solve.
 
-    regressors holds the rows' (theta, u) pairs back to back and responses one
-    rate per row, all Python floats. They become the (m, 2) design and (m, 1)
-    target gelsd reads: the floats and order of an array of the rows, so the
-    estimate is least_squares' bit for bit. A nan or infinite entry raises
-    ValueError naming the design or the target before LAPACK sees it; their
-    sum is tested first, and entry by entry only when it is not finite, as in
-    step_euler. Raises ValueError too if the rows are rank deficient
+    The rows live in one (6, 3) float64 array, zero until pushed; its (6, 2) view design
+    [theta, u] and (6, 1) view target [rate] are the arrays gelsd reads. pushes counts the
+    rows pushed so far; design_bad_at is the push that last brought a nan or infinite theta
+    or u in, and target_bad_at the one that last brought such a rate in.
+    """
+
+    def __init__(self):
+        self.rows = np.zeros((6, 3))
+        self.design, self.target = self.rows[:, :2], self.rows[:, 2:]
+        self._flat = self.rows.reshape(-1)
+        self.pushes = 0
+        self.design_bad_at = self.target_bad_at = -6  # out of the window since before the first push
+
+    def push(self, theta, u, rate):
+        """Shift the rows down one in place, dropping the oldest, and write this row on top.
+
+        The row is tested finite on the floats: their sum first, and entry by entry only when
+        it is not finite, as in step_euler; so finite entries whose sum overflows pass.
+        """
+        flat = self._flat
+        flat[3:] = flat[:-3]
+        flat[0] = theta
+        flat[1] = u
+        flat[2] = rate
+        self.pushes += 1
+        if not math.isfinite(theta + u + rate):
+            if not (math.isfinite(theta) and math.isfinite(u)):
+                self.design_bad_at = self.pushes
+            if not math.isfinite(rate):
+                self.target_bad_at = self.pushes
+
+
+def sysid_solve(window):
+    """Least-squares estimate (a, b) of rate = a*theta + b*u over a SysidWindow's six rows.
+
+    The window's design and target views go to gelsd as they are, so the estimate is
+    least_squares' on the same rows, bit for bit. While a nan or infinite entry is among
+    the six rows this raises ValueError naming the design (checked first) or the target,
+    before LAPACK sees it. Raises ValueError too if the rows are rank deficient
     (unidentifiable); callers keep their previous estimate then.
     """
-    if not math.isfinite(sum(regressors, sum(responses))):
-        finite_floats(regressors, "design")
-        finite_floats(responses, "target")
-    return full_rank_lstsq(np.array(regressors).reshape(-1, 2),
-                           np.array(responses).reshape(-1, 1)).ravel().tolist()
+    pushes = window.pushes
+    if pushes - window.design_bad_at < 6:
+        raise ValueError("design must be finite")
+    if pushes - window.target_bad_at < 6:
+        raise ValueError("target must be finite")
+    z = full_rank_lstsq(window.design, window.target)
+    return z.item(0), z.item(1)
 
 
 def cbf_filter_scalar(u_ref, Lfh, Lgh, alpha_h):

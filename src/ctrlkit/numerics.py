@@ -79,7 +79,7 @@ def finite_floats(values, name):
 def full_rank_lstsq(design, target):
     """min_z ||design @ z - target||_2 by gelsd with numpy's default rcond, eps * m.
 
-    design is an (m, n) and target an (m, 1) float64 array, both checked finite by the caller.
+    design is an (m, n) and target an (m, 1) float64 array, n >= 1, both checked finite by the caller.
     Returns z as an (n, 1) array; ValueError if m < n or the design is rank deficient.
 
     A design of at most two columns (the sysid window is 6 x 2) goes to lapack.lstsq_unguarded,
@@ -107,6 +107,8 @@ def least_squares(design, target):
     target = np.asarray(target, dtype=float).ravel()
     if design.ndim != 2:
         raise ValueError("design must be a 2-D matrix")
+    if not design.shape[1]:
+        raise ValueError(f"design must have at least one column, got {design.shape}")
     finite_floats(design, "design")
     finite_floats(target, "target")
     return full_rank_lstsq(design, target[:, None]).ravel()
@@ -159,6 +161,7 @@ def qp_small(H, c, A_ineq=None, b_ineq=None):
     non-negative multipliers is the unique global minimizer.
 
     Returns the minimizer, or None when the constraints are infeasible.
+    A nan or infinite entry of H, c, A_ineq or b_ineq raises ValueError naming it.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float)).ravel()
@@ -167,6 +170,8 @@ def qp_small(H, c, A_ineq=None, b_ineq=None):
         raise ValueError("H must be square and match len(c)")
     if n > 3:
         raise ValueError("qp_small handles at most 3 variables")
+    finite_floats(H, "H")
+    finite_floats(c, "c")
     if np.max(np.abs(H - H.T)) > 1e-12 * max(1.0, np.max(np.abs(H))):
         raise ValueError("H must be symmetric")
     try:
@@ -185,6 +190,8 @@ def qp_small(H, c, A_ineq=None, b_ineq=None):
         raise ValueError("constraint shapes are inconsistent")
     if m > 4:
         raise ValueError("qp_small handles at most 4 constraints")
+    finite_floats(A, "A_ineq")
+    finite_floats(b, "b_ineq")
 
     tol = 1e-9
     for size in range(m + 1):

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .control import (CBF_SINGULARITY_THRESHOLD, MotorcycleGuidance,
-                      adaptive_gain, cbf_filter_scalar, clf_cbf_step,
-                      dip_sliding_target, fsfc, lookup_region,
+                      SysidWindow, adaptive_gain, cbf_filter_scalar,
+                      clf_cbf_step, dip_sliding_target, fsfc, lookup_region,
                       lyapunov_ref_2d, sysid_solve)
 from .models import (MOTO_H, MOTO_L, MOTO_V, G, PlantModel, SimSpec,
                      dip_plant, motorcycle_plant, point2d_plant, simulate,
@@ -293,22 +293,17 @@ def _build_sip_adaptive_lookup(p):
 
 
 def _build_sip_adaptive_sysid(p):
-    # the six-row window as sysid_solve reads it, newest first: the rows' (theta, input)
-    # pairs back to back, and the theta_dot rates
-    regressors, rates = [], []
+    window = SysidWindow()  # rows (theta, the input before it, theta_dot's first difference)
     dt = p["dt"]
     prev, acc, K = _SIP_X0, 1.0, None  # first difference 0; warm-up input until an estimate
     coeffs = sip_coefficients(_POLES3)
 
     def controller(t, x):
         nonlocal prev, acc, K
-        warm = len(rates) == 6  # read before this insert: 6 warm-up rows, then an estimate per step
-        regressors[:0] = x[0], acc
-        rates.insert(0, (x[1] - prev[1]) / dt)
-        del regressors[12:], rates[6:]
-        if warm:
+        window.push(x[0], acc, (x[1] - prev[1]) / dt)
+        if window.pushes > 6:  # 6 warm-up rows, then an estimate per step
             try:
-                K = sip_pole_gain(*sysid_solve(regressors, rates), coeffs)
+                K = sip_pole_gain(*sysid_solve(window), coeffs)
             except ValueError:
                 pass  # unidentifiable or non-finite this step; keep the previous gain
             if K is not None:

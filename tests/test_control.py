@@ -8,6 +8,7 @@ import pytest
 
 from ctrlkit import (
     MotorcycleGuidance,
+    SysidWindow,
     adaptive_gain,
     cbf_filter_scalar,
     clf_cbf_step,
@@ -227,6 +228,14 @@ class TestAdaptiveGain:
                                                                    rel=1e-6)
 
 
+def window_of(rows, rates):
+    """A SysidWindow whose newest rows, newest first, are rows' (theta, u) with rates: pushed oldest first."""
+    window = SysidWindow()
+    for (theta, u), rate in reversed(list(zip(rows, rates, strict=True))):
+        window.push(theta, u, rate)
+    return window
+
+
 class TestSysIdWindow:
     # after the first, theta_dot rates follow a*theta + b*u exactly under the warm-up
     # input u = 1; the first rate (from the scenario's x0, theta_dot = 0) does not, so
@@ -254,10 +263,10 @@ class TestSysIdWindow:
     def test_newest_row_on_top(self):
         built, states, outputs, _ = self._run_builder(7)
         # the six newest identification rows and rates, newest first, under the warm-up input 1.0
-        rows = [v for k in range(6, 0, -1) for v in (states[k][0], 1.0)]
+        rows = [(states[k][0], 1.0) for k in range(6, 0, -1)]
         rates = [(states[k][1] - states[k - 1][1]) / self.DT for k in range(6, 0, -1)]
-        estimate = sysid_solve(rows, rates)
-        assert estimate == pytest.approx([self.A, self.B], rel=1e-6)
+        estimate = sysid_solve(window_of(rows, rates))
+        assert estimate == pytest.approx((self.A, self.B), rel=1e-6)
         K = design_gain_matrix(*sip_design_pair(*estimate), (-4.0, -4.0, -4.0))
         theta, dtheta, _, dx = states[6]
         assert outputs[6] == fsfc(K, (theta, dtheta, dx))
@@ -268,24 +277,56 @@ class TestSysIdWindow:
         true = np.array([2.5, -1.2])
         rows = [rng.normal(size=2).tolist() for _ in range(6)]
         rates = [float(np.dot(reg, true)) for reg in rows]
-        assert sysid_solve([v for reg in rows for v in reg], rates) == pytest.approx(true, abs=1e-10)
+        assert sysid_solve(window_of(rows, rates)) == pytest.approx(true, abs=1e-10)
 
     def test_rank_deficient_window_rejected(self):
-        rows = [v for k in range(3) for v in (1.0 + k, 2.0 + 2 * k)]  # all on one line
+        rows = [(1.0 + k, 2.0 + 2 * k) for k in range(3)]  # all on one line, over three zero rows
         with pytest.raises(ValueError, match="rank deficient"):
-            sysid_solve(rows, [1.0] * 3)
+            sysid_solve(window_of(rows, [1.0] * 3))
 
     def test_shares_least_squares_core(self):
-        """The flat window gives least_squares' estimate on the same rows, bit for bit."""
+        """The window gives least_squares' estimate on the same rows, bit for bit."""
         rng = np.random.default_rng(22)
         for _ in range(50):
             rows, rates = rng.normal(size=(6, 2)), rng.normal(size=6)
-            assert sysid_solve(rows.ravel().tolist(), rates.tolist()) == least_squares(rows, rates).tolist()
+            window = window_of(rows.tolist(), rates.tolist())
+            assert np.array_equal(window.rows, np.column_stack([rows, rates]))
+            assert list(sysid_solve(window)) == least_squares(rows, rates).tolist()
 
     def test_finite_entries_whose_sum_overflows_pass(self):
-        rows, rates = [1e308, 0.0, 0.0, 1e308, 1e308, 1e308], [1.0, 2.0, 3.0]
-        assert sum(rows) == math.inf
-        assert sysid_solve(rows, rates) == least_squares([rows[0:2], rows[2:4], rows[4:6]], rates).tolist()
+        rows, rates = [(1e308, 0.0), (0.0, 1e308), (1e308, 1e308)], [1.0, 2.0, 3.0]
+        assert sum(rows[2]) == math.inf
+        zeros = [(0.0, 0.0)] * 3  # the rows not yet pushed
+        assert list(sysid_solve(window_of(rows, rates))) == least_squares(rows + zeros, rates + [0.0] * 3).tolist()
+
+    def test_default_run_pins_the_identification_mechanism(self, monkeypatch):
+        """What the default sip_adaptive_sysid run feeds sip_pole_gain, read through its window:
+        a spurious first row (rate 0 at t = 0), a first estimate far from the true pair at theta_0,
+        wrong-signed estimates, and a swing past the 0.4*pi the design models cover. ROADMAP item 2
+        (make the run well-posed) changes these figures and rewrites this test."""
+        pushed, estimates = [], []
+
+        class RecordingWindow(SysidWindow):
+            def push(self, theta, u, rate):
+                pushed.append((theta, u, rate))
+                super().push(theta, u, rate)
+
+        def recording_solve(window):
+            estimates.append(sysid_solve(window))
+            return estimates[-1]
+
+        monkeypatch.setattr(scenarios, "SysidWindow", RecordingWindow)
+        monkeypatch.setattr(scenarios, "sysid_solve", recording_solve)
+        scenarios.run_scenario("sip_adaptive_sysid")
+        theta0 = scenarios._SIP_X0[0]
+        assert len(estimates) == len(pushed) - 6 == 2994
+        assert estimates[0] == pytest.approx((2.7692, 5.7216), abs=5e-5)
+        assert (G * math.sin(theta0) / theta0, -math.cos(theta0)) == pytest.approx((7.568, -0.309), abs=5e-4)
+        assert sum(a < 0 for a, _ in estimates) == 16 and sum(b > 0 for _, b in estimates) == 1
+        assert max(a for a, _ in estimates) == pytest.approx(119.996, abs=5e-4)
+        top = max(abs(theta) for theta, _, _ in pushed)
+        assert top == pytest.approx(1.25691, abs=5e-6) and top > 0.4 * math.pi
+        assert pushed[0] == (theta0, 1.0, 0.0)
 
 
 class TestCbfFilterScalar:

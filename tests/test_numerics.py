@@ -16,7 +16,8 @@ from numpy.testing import assert_allclose
 
 import ctrlkit
 from ctrlkit import (MotorcycleGuidance, bauer_fike_check, design_gain_matrix, eig_sweep,
-                     run_scenario, scenarios, solve_care, sysid_solve, trajectory_checksum)
+                     SysidWindow, run_scenario, scenarios, solve_care, sysid_solve,
+                     trajectory_checksum)
 from ctrlkit.models import G, sip_design_pair
 from ctrlkit.numerics import fma, lapack, least_squares, nnmf_rank1, qp_small
 
@@ -51,6 +52,11 @@ class TestLeastSquares:
     def test_more_columns_than_rows_rejected(self):
         with pytest.raises(ValueError):
             least_squares(np.ones((2, 3)), [1.0, 2.0])
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
+    def test_design_without_columns_rejected(self, shape):
+        with pytest.raises(ValueError, match="^design must have at least one column"):
+            least_squares(np.zeros(shape), np.zeros(shape[0]))
 
     @pytest.mark.parametrize("design, target, name", [
         ([[math.nan, 1.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0], "design"),
@@ -193,6 +199,15 @@ class TestQpSmall:
             qp_small(np.eye(4), np.zeros(4))
         with pytest.raises(ValueError):
             qp_small(np.eye(2), np.zeros(2), np.zeros((5, 2)), np.zeros(5))
+
+    @pytest.mark.parametrize("name", ["H", "c", "A_ineq", "b_ineq"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, name, bad):
+        """Unchecked, a nan H or c gave [nan], and a nan constraint row or bound counted as met."""
+        args = {"H": [[1.0]], "c": [1.0], "A_ineq": [[1.0]], "b_ineq": [-2.0]}
+        args[name] = [[bad]] if name in ("H", "A_ineq") else [bad]
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            qp_small(**args)
 
     def test_beats_grid_on_random_problems(self):
         """Active-set answer is optimal: no feasible grid point does better."""
@@ -556,11 +571,65 @@ class TestLapackBindings:
     @pytest.mark.parametrize("where, name", [(0, "design"), (11, "design"), (12, "target"), (17, "target")])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sysid_window_rejected_before_lapack(self, where, name, bad, capfd):
+        """where indexes the six rows' (theta, u) pairs back to back, newest first, then their rates."""
         window = np.random.default_rng(2701).normal(size=18).tolist()
         window[where] = bad
+        rows = [(*window[2 * k:2 * k + 2], window[12 + k]) for k in range(6)]
+        sysid = SysidWindow()
+        for row in reversed(rows):
+            sysid.push(*row)
         with recorded_bindings() as calls, pytest.raises(ValueError, match=f"^{name} must be finite$"):
-            sysid_solve(window[:12], window[12:])
+            sysid_solve(sysid)
         assert calls == [] and c_output(capfd) == ("", "")
+
+    @pytest.mark.parametrize("col, name", [(0, "design"), (1, "design"), (2, "target")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected_for_exactly_six_pushes(self, col, name, bad, capfd):
+        """A non-finite theta, u or rate is named, and no window holding its row reaches LAPACK: the
+        push that brings it in and the five after. The sixth push after it drops it, and that window
+        is solved as least_squares solves its rows."""
+        rng = np.random.default_rng(3301)
+        window = SysidWindow()
+        for row in rng.normal(size=(6, 3)).tolist():
+            window.push(*row)
+        row = rng.normal(size=3).tolist()
+        row[col] = bad
+        window.push(*row)
+        with recorded_bindings() as calls:
+            for _ in range(6):
+                with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                    sysid_solve(window)
+                window.push(*rng.normal(size=3).tolist())
+            estimate = sysid_solve(window)
+        assert [binding for binding, _, _ in calls] == ["lstsq_unguarded"]
+        assert list(estimate) == least_squares(window.rows[:, :2], window.rows[:, 2]).tolist()
+        assert c_output(capfd) == ("", "")
+
+    def test_design_named_first_while_both_are_in_the_window(self):
+        window = SysidWindow()
+        window.push(math.inf, 2.0, 3.0)
+        window.push(1.0, 2.0, math.nan)
+        for _ in range(5):
+            with pytest.raises(ValueError, match="^design must be finite$"):
+                sysid_solve(window)
+            window.push(1.0, 2.0, 3.0)
+        with pytest.raises(ValueError, match="^target must be finite$"):
+            sysid_solve(window)  # the inf theta's row is out, the nan rate's row, pushed after it, not yet
+        window.push(1.0, 2.0, 3.0)
+        with pytest.raises(ValueError, match="rank deficient"):
+            sysid_solve(window)
+
+    def test_row_whose_sum_overflows_reaches_lapack(self):
+        """theta = u = 1e308 sum to inf, yet every entry is finite: the window goes to gelsd."""
+        window = SysidWindow()
+        for row in (np.random.default_rng(3302).normal(size=(5, 3)) * [1e307, 1e307, 1.0]).tolist():
+            window.push(*row)
+        window.push(1e308, 1e308, 1.0)
+        assert 1e308 + 1e308 + 1.0 == math.inf
+        with strict_fp(), recorded_bindings() as calls:
+            estimate = sysid_solve(window)
+        assert [name for name, _, _ in calls] == ["lstsq_unguarded"]
+        assert list(estimate) == least_squares(window.rows[:, :2], window.rows[:, 2]).tolist()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_newest_row_keeps_the_previous_gain(self, bad, capfd):
