@@ -97,6 +97,9 @@ def full_rank_lstsq(design, target):
     z, _, _, sv = solve(design, target, 2.0 ** -52 * rows)
     sv = sv.tolist()
     if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
+        if sv[0] == math.inf:  # no rank verdict; as sv[0] <= sqrt(m n) max|entry|, this exact scale
+            scale = 2.0 ** -(math.ceil(math.log2(rows * cols) / 2) + 1)  # takes it to half the top
+            return full_rank_lstsq(design * scale, target) * scale
         raise ValueError("design matrix is rank deficient")
     return z
 
@@ -130,25 +133,30 @@ def nnmf_rank1(m):
         raise ValueError("input must be a 2-D matrix")
     if not m.size:
         raise ValueError("matrix must not be empty")
-    rows = m.tolist()
     entries = finite_floats(m, "matrix")
     if min(entries) < 0:
         raise ValueError("matrix must be element-wise non-negative")
-    peak = max(entries)
+    return tuple(map(np.array, _rank_one(m.tolist())))
+
+
+def _rank_one(rows):
+    """nnmf_rank1's (w, h) as lists, for rows of Python floats already checked finite and non-negative."""
+    peak = max(map(max, rows))
     if not peak:
-        h = np.zeros(m.shape[1])
-        h[0] = 1.0
-        return np.zeros(m.shape[0]), h
+        return [0.0] * len(rows), [1.0] + [0.0] * (len(rows[0]) - 1)
+    if len(rows[0]) == 1:  # a column: h = [peak / peak] = [1.0], w the column, residual 0
+        return [row[0] for row in rows], [1.0]
     # The first maximum entry in row-major order (np.argmax's pick) sits at the
     # crossing of the dominant row and column; scaling that row to peak 1 fixes
     # the normalization.
-    i, j = divmod(entries.index(peak), m.shape[1])
-    h = [v / peak for v in rows[i]]
+    top = next(row for row in rows if peak in row)
+    j = top.index(peak)
+    h = [v / peak for v in top]
     w = [row[j] for row in rows]
-    residual = max(abs(w_r * h_c - v) for w_r, row in zip(w, rows) for h_c, v in zip(h, row))
+    residual = max([abs(w_r * h_c - v) for w_r, row in zip(w, rows) for h_c, v in zip(h, row)])
     if residual > 1e-9 * max(1.0, peak):
         raise ValueError("matrix has numerical rank above one; split it into rank-one terms")
-    return np.array(w), np.array(h)
+    return w, h
 
 
 def qp_small(H, c, A_ineq=None, b_ineq=None):

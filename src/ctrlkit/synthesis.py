@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import sip_design_pair, sip_frozen_coefficients
-from .numerics import all_finite, finite_floats, lapack, nnmf_rank1
+from .numerics import _rank_one, all_finite, finite_floats, lapack
 from .stability import IntervalPoly
 
 
@@ -57,11 +57,15 @@ class RobustConfig:
         _require_shape((1, 1), R=R)  # the synthesis is single-input
         if not 0 < R.item() < math.inf:  # a nan fails too; a 1x1 matrix's eigenvalue is its entry
             raise ValueError("R must be positive definite")
-        # robust_riccati_gain reports a Q that is not square by its shape; a nan or infinite
-        # entry fails the finite test, before Q - Q' could meet inf - inf
-        if Q.shape[0] == Q.shape[1]:
-            tol = 1e-12 * np.abs(Q).max()
-            if not (all_finite(Q) and np.abs(Q - Q.T).max() <= tol and lapack.eigvalsh_lo(Q)[0] >= -tol):
+        # robust_riccati_gain reports a Q that is not a square matrix by its shape; a nan or inf entry
+        # fails the finite test first. Then tol is numpy's; the pairs below the diagonal decide max|Q - Q'|.
+        if Q.ndim == 2 and Q.shape[0] == Q.shape[1]:
+            rows = Q.tolist()
+            entries = [v for row in rows for v in row]
+            tol = 1e-12 * max(map(abs, entries))
+            if not (all(map(math.isfinite, entries))
+                    and all([abs(rows[i][j] - rows[j][i]) <= tol for i in range(len(rows)) for j in range(i)])
+                    and lapack.eigvalsh_lo(Q)[0] >= -tol):
                 raise ValueError("Q must be symmetric positive semi-definite")
 
 
@@ -99,13 +103,13 @@ class CareNoSolution:
 def _monic_coefficients(desired_eigs, n):
     """Descending real coefficients of the monic polynomial with the n roots desired_eigs.
 
-    np.poly(desired).real bit for bit, on Python floats. np.poly convolves the
-    coefficients c with (1, -z) once per root, and its correlate kernel forms entry k
-    from a = c[k] and b = c[k-1] with w = -z as re = 0.0 + ((a_r + b_r w_r) - b_i w_i)
-    and im = 0.0 + (b_r w_i + (a_i + b_i w_r)); the last entry has no a, and the first
-    (no b) stays 1 + 0j. The 0.0 + is the kernel's zero start, which turns a -0.0 sum
-    into +0.0. np.poly's exact conjugate-pair test only decides a request whose
-    coefficients have an imaginary part above 1e-9.
+    np.poly(desired).real bit for bit while the coefficients are finite, on Python floats. np.poly
+    convolves the coefficients c with (1, -z) once per root, and its correlate kernel forms entry k from
+    a = c[k] and b = c[k-1] with w = -z as re = 0.0 + ((a_r + b_r w_r) - b_i w_i) and im = 0.0 + (b_r w_i
+    + (a_i + b_i w_r)); the last entry has no a, and the first (no b) stays 1 + 0j. The 0.0 + is the
+    kernel's zero start, which turns a -0.0 sum into +0.0. np.poly's exact conjugate-pair test only decides
+    a request whose coefficients have an imaginary part above 1e-9. When every root's imaginary part is +-0.0,
+    every im entry stays +0.0 and the 0.0 + drops b_i w_i's +-0.0: re alone is updated, in place from the end.
     """
     desired = np.asarray(desired_eigs, dtype=complex).ravel()
     if desired.size != n:
@@ -113,6 +117,13 @@ def _monic_coefficients(desired_eigs, n):
     roots = desired.tolist()
     if not all(map(cmath.isfinite, roots)):
         raise ValueError("desired_eigs must be finite")
+    if not any(desired.imag.tolist()):
+        re = [1.0]
+        for w in [-z.real for z in roots]:
+            re.append(0.0 + re[-1] * w)
+            for k in range(len(re) - 2, 0, -1):
+                re[k] = 0.0 + (re[k] + re[k - 1] * w)
+        return np.array(re)
     re, im = [1.0], [0.0]
     for z in roots:
         wr, wi = -z.real, -z.imag
@@ -148,8 +159,8 @@ def design_gain_matrix(A, B, desired_eigs):
     draws of sizes 3 to 6 with a margin of 6x or more).  The eigenvalues are
     not promised: repeated or clustered poles are ill-conditioned roots of
     that polynomial (dip_smc's six poles at -4 come out 5.6e-3 away).  The
-    request must be closed under conjugation.  A, B and desired_eigs must be
-    finite and A non-empty (ValueError naming the one that is not).
+    request must be closed under conjugation.  A, B and desired_eigs must be finite and A non-empty
+    (ValueError naming the one that is not); a C, of any rank, or a gain that overflows raises one naming it.
     """
     A = np.array(A, dtype=float, copy=None, ndmin=2)
     B = np.asarray(B, dtype=float).ravel()
@@ -166,7 +177,9 @@ def design_gain_matrix(A, B, desired_eigs):
     for _ in range(1, n):
         columns.append(A @ columns[-1])
     C = np.array(columns).T  # [B, AB, ..., A^(n-1) B]
-    sv = lapack.svd(C).tolist()
+    # an entry that overflows spreads to every later column, so the SVD sees only a finite C
+    if not all(map(math.isfinite, columns[-1].tolist())) or (sv := lapack.svd(C).tolist())[0] == math.inf:
+        raise ValueError("the controllability matrix [B, AB, ..., A^(n-1) B] overflows")
     _check_controllability(sv[0], sv[-1])
 
     # Horner's phi(A) = (...(A + c1 I) A + ...) + cn I; its first step, 0 A + 1 I,
@@ -175,7 +188,10 @@ def design_gain_matrix(A, B, desired_eigs):
     phi = eye
     for c_eye in coeffs[1:, None, None] * eye:
         phi = phi @ A + c_eye
-    return lapack.solve1(C.T, eye[-1]) @ phi
+    K = lapack.solve1(C.T, eye[-1]) @ phi
+    if not all(map(math.isfinite, K.tolist())):
+        raise ValueError("the pole-placement gain overflows")
+    return K
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,12 +206,14 @@ def sip_pole_gain(a, b, coeffs):
     On this sparse pair each sum in Ackermann's products has one nonzero term at
     most, so BLAS's order and fused multiply-adds move no bit, and w = C'^-1 e3 repeats
     the pivoting and float operations of LAPACK's LU solve (OpenBLAS 0.3.31, numpy 2.4.6).
-    C's singular values are |b| and s_hi, s_lo with s_hi +- s_lo = hypot(b, 1 +- |ab|); within
-    numpy's SVD rounding of the controllability thresholds the two verdicts may differ.
+    C's singular values are |b| and s_hi, s_lo with s_hi +- s_lo = hypot(b, 1 +- |ab|); within numpy's SVD
+    rounding of the controllability thresholds the verdicts may differ. Overflows raise Ackermann's errors.
     """
     c2, c1, c0 = coeffs
     ab = a * b
-    s_hi = (math.hypot(b, 1.0 + abs(ab)) + math.hypot(b, 1.0 - abs(ab))) / 2.0
+    s_hi = math.hypot(b, 1.0 + abs(ab)) / 2.0 + math.hypot(b, 1.0 - abs(ab)) / 2.0  # halves: no sum overflows
+    if s_hi == math.inf and math.isfinite(a) and math.isfinite(b):
+        raise ValueError("the controllability matrix [B, AB, ..., A^(n-1) B] overflows")
     _check_controllability(s_hi, min(abs(ab) / s_hi, abs(b)))  # min keeps a nan ratio first
     if abs(ab) > abs(b):
         w1 = 1.0 / ab
@@ -203,7 +221,10 @@ def sip_pole_gain(a, b, coeffs):
     else:
         w2 = 1.0 / -(ab * (1.0 / b))
         w1 = -w2 / b
-    return np.array([w1 * ((a + c1) * a), w1 * (c2 * a + c0), w2 * c0])
+    k1, k2, k3 = w1 * ((a + c1) * a), w1 * (c2 * a + c0), w2 * c0
+    if not k1 - k1 == k2 - k2 == k3 - k3 == 0.0:  # x - x is nan for an inf or a nan
+        raise ValueError("the pole-placement gain overflows")
+    return np.array([k1, k2, k3])
 
 
 def _require_shape(shape, **matrices):
@@ -338,17 +359,18 @@ def solve_care(A, M, Q):
 
 
 def _rank_one_factors(bound, bar, bar_name, bound_name):
-    """(v, h) as lists of floats with bound = bar * v h' (nnmf_rank1), or zeros for a zero bound.
+    """(v, h) as lists of floats with bound = bar * v h' (nnmf_rank1's core), or zeros for a zero bound.
 
-    The auxiliary matrices are bar * v v' and bar * h h', each entry bar * (v_i * v_j) as numpy rounds it
-    (a zero bound's bar * (0 * 0) is +0.0, numpy's zero matrix).
+    UncertaintyBounds checked bound as finite and non-negative. The auxiliary matrices are bar * v v' and
+    bar * h h', each entry bar * (v_i * v_j) as numpy rounds it (a zero bound's bar * (0 * 0) is +0.0).
     """
-    if not any(bound.ravel().tolist()):
+    rows = bound.tolist()
+    if not any(map(any, rows)):
         return [0.0] * bound.shape[0], [0.0] * bound.shape[1]
     if bar == 0:
         raise ValueError(f"{bar_name} must be positive when {bound_name} is non-zero")
-    w, h = nnmf_rank1(bound)
-    return [w_i / bar for w_i in w.tolist()], h.tolist()
+    w, h = _rank_one(rows)
+    return [w_i / bar for w_i in w], h
 
 
 def robust_riccati_gain(A, B, bounds, cfg):

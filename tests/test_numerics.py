@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import ctypes
 import ctypes.util
@@ -16,8 +17,8 @@ from numpy.testing import assert_allclose
 
 import ctrlkit
 from ctrlkit import (MotorcycleGuidance, bauer_fike_check, design_gain_matrix, eig_sweep,
-                     SysidWindow, run_scenario, scenarios, solve_care, sysid_solve,
-                     trajectory_checksum)
+                     SysidWindow, UncertaintyBounds, run_scenario, scenarios, solve_care, synthesis,
+                     sysid_solve, trajectory_checksum)
 from ctrlkit.models import G, sip_design_pair
 from ctrlkit.numerics import fma, lapack, least_squares, nnmf_rank1, qp_small
 
@@ -57,6 +58,18 @@ class TestLeastSquares:
     def test_design_without_columns_rejected(self, shape):
         with pytest.raises(ValueError, match="^design must have at least one column"):
             least_squares(np.zeros(shape), np.zeros(shape[0]))
+
+    def test_full_rank_design_whose_largest_singular_value_overflows(self):
+        """gelsd's singular values are (inf, 1.414e308) here: the rank test runs again at 2**-3 scale."""
+        design = [[1e308, 0.0], [0.0, 1e308], [1e308, 1e308]] * 2
+        target = [1.0, 2.0, 3.0] * 2
+        ref, *_ = np.linalg.lstsq(np.array(design), np.array(target), rcond=None)
+        assert_allclose(least_squares(design, target), ref, rtol=1e-12, atol=0.0)
+        assert_allclose(ref, [1e-308, 2e-308], rtol=1e-12, atol=0.0)
+
+    def test_rank_deficient_design_that_overflows_still_rejected(self):
+        with pytest.raises(ValueError, match="^design matrix is rank deficient$"):
+            least_squares([[1e308, 1e308]] * 6, [1.0, 2.0, 3.0] * 2)
 
     @pytest.mark.parametrize("design, target, name", [
         ([[math.nan, 1.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0], "design"),
@@ -161,6 +174,55 @@ class TestNnmfRank1:
             assert w.tobytes() == ref[0].tobytes() and h.tobytes() == ref[1].tobytes()
             seen.add("tie" if (m == m.max()).sum() > 1 and m.max() > 0 else "zero" if not m.any() else "one")
         assert len(seen) == 5
+
+    @staticmethod
+    def draws():
+        """test_bit_identical_to_the_numpy_factorization's 400 matrices, drawn the same way."""
+        rng = np.random.default_rng(1702)
+        levels = np.array([0.0, -0.0, 0.5, 1.0, 3.0])
+        for _ in range(400):
+            shape = tuple(rng.integers(1, 5, size=2))
+            kind = int(rng.integers(5))
+            if kind == 0:
+                m = np.zeros(shape) * rng.choice([1.0, -1.0])
+            elif kind == 1:
+                m = rng.uniform(0.0, 2.0, size=shape)
+            elif kind == 2:
+                m = np.outer(rng.choice(levels, shape[0]), rng.choice(levels, shape[1]))
+                m[tuple(rng.integers(0, shape))] += rng.choice([1e-12, 1e-6])
+            elif kind == 3:
+                m = rng.uniform(0.0, 2.0, size=shape)
+                m[tuple(rng.integers(0, shape))] = -0.5
+            else:
+                scale = rng.uniform(0.5, 2.0)
+                m = np.outer(rng.choice(levels, shape[0]), rng.choice(levels, shape[1]) * scale)
+            yield m
+
+    @pytest.mark.parametrize("bar", [1.0, 0.7, 300.0])
+    def test_robust_rank_one_factors_are_nnmf_rank1s_divided_by_bar(self, bar):
+        """synthesis._rank_one_factors takes nnmf_rank1's float core on bounds that UncertaintyBounds
+        accepted; a zero bound gives zeros for both factors. Compared by float.hex."""
+        outcomes = collections.Counter()
+        for m in self.draws():
+            if (m < 0).any():
+                with pytest.raises(ValueError, match="^uncertainty bounds must be non-negative$"):
+                    UncertaintyBounds(dA_max=m, dB_max=np.zeros(1))
+                continue
+            bound = UncertaintyBounds(dA_max=m, dB_max=np.zeros(1)).dA_max
+            try:
+                w, h = nnmf_rank1(m)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    synthesis._rank_one_factors(bound, bar, "a_bar", "dA_max")
+                outcomes["rank"] += 1
+                continue
+            if not m.any():
+                w, h = np.zeros(m.shape[0]), np.zeros(m.shape[1])
+            v_got, h_got = synthesis._rank_one_factors(bound, bar, "a_bar", "dA_max")
+            assert list(map(float.hex, v_got)) == [(w_i / bar).hex() for w_i in w.tolist()]
+            assert list(map(float.hex, h_got)) == list(map(float.hex, h.tolist()))
+            outcomes["zero" if not m.any() else "column" if m.shape[1] == 1 else "factored"] += 1
+        assert min(outcomes.values()) >= 20 and len(outcomes) == 4
 
 
 class TestQpSmall:

@@ -95,6 +95,20 @@ class TestDesignGainMatrix:
         with pytest.raises(ValueError):
             design_gain_matrix(A, B, [-3.0, -4.0])
 
+    @pytest.mark.parametrize("A, B, message", [
+        ([[0.0, 1.0], [1e308, 0.0]], [0.0, 1e10], "the pole-placement gain overflows"),  # phi(A)
+        ([[1e200, 1.0], [0.0, 2e200]], [1e200, 1.0], "the controllability matrix .* overflows"),  # A B
+        ([[1e200, -1e200], [1.0, 1.0]], [1e200, 1e200], "the controllability matrix .* overflows"),  # inf - inf
+        ([[1.0, 1.0], [0.0, 1.0]], [0.0, 1.5e308], "the controllability matrix .* overflows"),  # its norm
+    ])
+    def test_finite_inputs_that_overflow_name_the_overflow(self, A, B, message, capfd):
+        """Each pair is controllable (the last C is finite with singular values inf and 9.3e307);
+        before, the first returned a nan gain and the others were reported uncontrollable.
+        LAPACK sees no inf: its error handler prints nothing."""
+        with pytest.raises(ValueError, match=f"^{message}$"), np.errstate(over="ignore", invalid="ignore"):
+            design_gain_matrix(A, B, [-1.0, -2.0])
+        assert capfd.readouterr() == ("", "")
+
     @staticmethod
     def assert_coefficients_as_promised(A, B, poles):
         """The docstring's promise, with the closed loop's coefficients computed exactly."""
@@ -177,6 +191,8 @@ def exact_char_poly(m):
 
 
 POLES3 = (-4.0, -4.0, -4.0)
+C_OVERFLOWS = "the controllability matrix [B, AB, ..., A^(n-1) B] overflows"
+K_OVERFLOWS = "the pole-placement gain overflows"
 POLE_SETS = {"triple": POLES3, "conjugate": (-1 + 2j, -1 - 2j, -3.0)}
 
 
@@ -290,6 +306,38 @@ class TestMonicCoefficients:
             zeros += ref.tolist().count(0.0)
         assert zeros > 300  # all +0.0: np.poly's kernel sums from a zero start
 
+    @staticmethod
+    def complex_recurrence(roots):
+        """The docstring's recurrence on (re, im) for every root, the form a real request skips."""
+        re, im = [1.0], [0.0]
+        for z in roots:
+            wr, wi = -z.real, -z.imag
+            new_re = [1.0] + [0.0 + ((ar + br * wr) - bi * wi) for ar, br, bi in zip(re[1:], re, im)]
+            new_im = [0.0] + [0.0 + (br * wi + (ai + bi * wr)) for ai, br, bi in zip(im[1:], re, im)]
+            new_re.append(0.0 + (re[-1] * wr - im[-1] * wi))
+            new_im.append(0.0 + (re[-1] * wi + im[-1] * wr))
+            re, im = new_re, new_im
+        return np.array(re)
+
+    def test_real_roots_bit_identical_to_np_poly_and_the_complex_recurrence(self):
+        """Real requests with +0.0 and -0.0 imaginary parts, +-0.0 roots, and pairs r, -r whose
+        coefficients cancel to zero; by bytes, so the sign of each zero counts."""
+        rng = np.random.default_rng(34)
+        zeros = 0
+        for _ in range(2000):
+            n = int(rng.integers(1, 8))
+            pool = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, float(rng.normal() * 10.0 ** rng.integers(-3, 4))]
+            real = [pool[i] for i in rng.integers(len(pool), size=n)]
+            for i in range(0, n - 1, 2):
+                if rng.random() < 0.4:
+                    real[i + 1] = -real[i]
+            roots = [complex(r, float(rng.choice([0.0, -0.0]))) for r in real]
+            ref = self.np_poly_reference(roots)
+            got = synthesis._monic_coefficients(roots, n)
+            assert got.tobytes() == ref.tobytes() == self.complex_recurrence(roots).tobytes(), roots
+            zeros += ref.tolist().count(0.0)
+        assert zeros > 1000
+
 
 class TestSipPoleGain:
     """The closed form against its oracle, Ackermann on sip_design_pair, compared with ==."""
@@ -338,6 +386,19 @@ class TestSipPoleGain:
         got = _outcome(lambda: sip_pole_gain(a, b, sip_coefficients(POLES3)))
         assert got == _outcome(lambda: design_gain_matrix(*sip_design_pair(a, b), POLES3))
         assert verdict == ("raise" if got[0] == "raise" else "warn" if got[1] else "quiet")
+
+    @pytest.mark.parametrize("a, b, poles, message", [
+        (1e200, 1e200, POLES3, C_OVERFLOWS),  # a b
+        (1.0, 1.5e308, POLES3, C_OVERFLOWS),  # s_hi
+        (1e154, 1e154, POLES3, "(A, B) is not controllable"),  # s_hi +- s_lo overflow, s_hi does not
+        (10.0, 1.0, (-1e110,) * 3, K_OVERFLOWS),  # c0
+        (1e5, 1e-3, (-1e110,) * 3, K_OVERFLOWS),
+    ])
+    def test_overflows_match_ackermann(self, a, b, poles, message):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _outcome(lambda: sip_pole_gain(a, b, sip_coefficients(poles)))
+            assert got == _outcome(lambda: design_gain_matrix(*sip_design_pair(a, b), poles))
+        assert got == ("raise", message)
 
     @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf),
                                       (1.0, math.nan), (0.0, math.inf)])
@@ -664,9 +725,10 @@ class TestRobustRiccatiGain:
         ("dA_max", [[2.4]], "dA_max must be 3x3, got shape (1, 1)"),
         ("dB_max", [0.7], "dB_max must be 3x1, got shape (1, 1)"),
         ("Q", [[0.1]], "Q must be 3x3, got shape (1, 1)"),
+        ("Q", np.ones((3, 3, 3)), "Q must be 3x3, got shape (3, 3, 3)"),
         ("R", np.diag([0.01, 0.01]), "R must be 1x1, got shape (2, 2)"),
         ("R", [[0.01, 0.0]], "R must be 1x1, got shape (1, 2)"),
-    ], ids=["A", "B", "dA_max", "dB_max", "Q", "R", "R-not-square"])
+    ], ids=["A", "B", "dA_max", "dB_max", "Q", "Q-3d", "R", "R-not-square"])
     def test_rejects_a_matrix_of_the_wrong_shape(self, field, value, message):
         """numpy would broadcast each of these into a gain for some other problem."""
         A, B = sip_design_pair(*sip_frozen_coefficients(0.0))
