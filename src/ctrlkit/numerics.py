@@ -99,7 +99,8 @@ def full_rank_lstsq(design, target):
     if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
         if sv[0] == math.inf:  # no rank verdict; as sv[0] <= sqrt(m n) max|entry|, this exact scale
             scale = 2.0 ** -(math.ceil(math.log2(rows * cols) / 2) + 1)  # takes it to half the top
-            return full_rank_lstsq(design * scale, target) * scale
+            with np.errstate(under="ignore"):  # a subnormal scaled entry or answer is no error
+                return full_rank_lstsq(design * scale, target) * scale
         raise ValueError("design matrix is rank deficient")
     return z
 

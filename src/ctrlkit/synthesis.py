@@ -173,25 +173,36 @@ def design_gain_matrix(A, B, desired_eigs):
     finite_floats(B, "B")
     coeffs = _monic_coefficients(desired_eigs, n)
 
-    columns = [B]
-    for _ in range(1, n):
-        columns.append(A @ columns[-1])
-    C = np.array(columns).T  # [B, AB, ..., A^(n-1) B]
+    Ct = np.empty((n, n))  # C' = [B, AB, ..., A^(n-1) B]', each row written by one A @ product
+    Ct[0] = B
+    for i in range(1, n):
+        np.matmul(A, Ct[i - 1], out=Ct[i])
     # an entry that overflows spreads to every later column, so the SVD sees only a finite C
-    if not all(map(math.isfinite, columns[-1].tolist())) or (sv := lapack.svd(C).tolist())[0] == math.inf:
+    if not all(map(math.isfinite, Ct[-1].tolist())) or (sv := lapack.svd(Ct.T).tolist())[0] == math.inf:
         raise ValueError("the controllability matrix [B, AB, ..., A^(n-1) B] overflows")
     _check_controllability(sv[0], sv[-1])
 
     # Horner's phi(A) = (...(A + c1 I) A + ...) + cn I; its first step, 0 A + 1 I,
-    # is I exactly for a finite A, so the loop starts there.
-    eye = np.eye(n)
+    # is I exactly for a finite A, so the loop starts there. Each step adds the whole
+    # c I in place: its off-diagonal c * 0.0 turns a -0.0 of the product into +0.0 for c > 0.
+    eye = _identity(n)
+    c_eye = coeffs[1:, None, None] * eye
     phi = eye
-    for c_eye in coeffs[1:, None, None] * eye:
-        phi = phi @ A + c_eye
-    K = lapack.solve1(C.T, eye[-1]) @ phi
+    for i in range(n):
+        phi = phi @ A
+        phi += c_eye[i]
+    K = lapack.solve1(Ct, eye[-1]) @ phi
     if not all(map(math.isfinite, K.tolist())):
         raise ValueError("the pole-placement gain overflows")
     return K
+
+
+@functools.cache
+def _identity(n):
+    """np.eye(n), read-only, one per size."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 @functools.lru_cache(maxsize=None)
@@ -416,7 +427,7 @@ def robust_riccati_gain(A, B, bounds, cfg):
 
 
 def _char_poly_3x3(m):
-    """[-det, sum of principal 2x2 minors, -trace, 1] of a 3x3 matrix given as 9 floats, row by row."""
+    """[-det, sum of principal 2x2 minors, -trace, 1] of a 3x3 matrix given as 9 floats row by row, in any iterable."""
     a, b, c, d, e, f, g, h, i = m
     minor_ei = e * i - f * h
     det = a * minor_ei - b * (d * i - f * g) + c * (d * h - e * g)
@@ -470,14 +481,15 @@ def vertex_interval_char_poly(A_family, B_family, K):
         B_rows.append(B_v.tolist())
     # the closed loops A* - B* k', row by row: one rounding per product, one per difference
     BK = [[b * k_c for b in B_v for k_c in k] for B_v in B_rows]
-    closed = [list(map(operator.sub, A_v, bk)) for A_v in A_rows for bk in BK]
+    closed = (map(operator.sub, A_v, bk) for A_v in A_rows for bk in BK)
     if n == 3:
         coeff_rows = list(map(_char_poly_3x3, closed))
     else:
-        coeff_rows = [char_poly_ascending(np.reshape(m, (n, n))).tolist() for m in closed]
+        coeff_rows = [char_poly_ascending(np.reshape(list(m), (n, n))).tolist() for m in closed]
     if not all(map(math.isfinite, itertools.chain.from_iterable(coeff_rows))):
         raise ValueError("the vertex families give a non-finite characteristic coefficient")
-    columns = list(zip(*reversed(coeff_rows)))  # last pair first: min and max keep the first of equals
+    coeff_rows.reverse()  # last pair first: min and max keep the first of equals
+    columns = list(zip(*coeff_rows))
     # finite, min <= max, leading coefficients exactly 1.0: the box passes IntervalPoly's checks
     return IntervalPoly._checked(tuple(map(min, columns)), tuple(map(max, columns)))
 

@@ -67,6 +67,20 @@ class TestLeastSquares:
         assert_allclose(least_squares(design, target), ref, rtol=1e-12, atol=0.0)
         assert_allclose(ref, [1e-308, 2e-308], rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("design", [
+        [[1e308, 0.0], [0.0, 1e308], [1e308, 1e308]] * 2,  # the answer (1e-308, 2e-308) is subnormal
+        [[1e308, 0.0], [0.0, 1e308], [1e308, 1e308], [1e308, 3e-310], [2e-310, 1e308], [1e308, 1e308]],
+    ], ids=["subnormal-answer", "subnormal-scaled-design"])
+    def test_rescaled_design_under_a_raising_error_state(self, design):
+        """The 2**-3 rescale underflows here, where numpy's lstsq does not: under a raising error state
+        the answer is still lstsq's, with no FloatingPointError."""
+        target = [1.0, 2.0, 3.0] * 2
+        with np.errstate(all="raise"):
+            ref, _, _, sv = np.linalg.lstsq(np.array(design), np.array(target), rcond=None)
+            assert sv[0] == math.inf  # gelsd's verdict that sends the design to the rescale
+            got = least_squares(design, target)
+        assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
     def test_rank_deficient_design_that_overflows_still_rejected(self):
         with pytest.raises(ValueError, match="^design matrix is rank deficient$"):
             least_squares([[1e308, 1e308]] * 6, [1.0, 2.0, 3.0] * 2)

@@ -156,9 +156,48 @@ class TestDesignGainMatrix:
             for conjugate in (False, True):
                 cases += [(*workloads._controllable_pair(rng, n), workloads._pole_set(rng, n, conjugate))
                           for _ in range(25)]
+        cases += self.sparse_draws(np.random.default_rng(2131))
         for A, B, poles in cases:
             B = np.ravel(B)
             assert design_gain_matrix(A, B, poles).tobytes() == self.textbook_ackermann(A, B, poles).tobytes()
+
+    @staticmethod
+    def sparse_draws(rng):
+        """Controllable pairs of small entries with signed zeros, where BLAS sums meet +-0.0: 60 dense
+        draws per size 2 to 6, and 60 each on the zero patterns of sip_design_pair and the dip and
+        motorcycle design models, their non-zero entries redrawn. Every other pair of pole sets is
+        mirrored into the right half-plane, so c I adds -0.0 as well as +0.0 off the diagonal."""
+        levels, nonzero = [0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5], [1.0, -1.0, 2.0, -3.0, 0.5]
+        patterns = [(np.ones((n, n)), np.ones(n)) for n in range(2, 7)]
+        patterns += [tuple(np.asarray(m) != 0 for m in pair) for pair in (
+            sip_design_pair(1.0, 1.0), scenarios._dip_design_matrices(), scenarios._motorcycle_design_matrices())]
+        draws = []
+        for A_mask, B_mask in patterns:
+            n, kept = len(B_mask), 0
+            while kept < 60:
+                A, B = (np.where(mask, rng.choice(levels if mask.all() else nonzero, size=mask.shape),
+                                 rng.choice([0.0, -0.0], size=mask.shape)) for mask in (A_mask, B_mask))
+                C = np.column_stack([np.linalg.matrix_power(A, i) @ B for i in range(n)])
+                if np.linalg.cond(C) < 1e6:  # controllable, and no conditioning warning
+                    poles = workloads._pole_set(rng, n, kept % 2 == 1) * (-1.0) ** (kept // 2)
+                    draws.append((A, B, poles))
+                    kept += 1
+        return draws
+
+    def test_identity_is_cached_read_only_per_size(self):
+        """The identity Horner's phi(A) starts from is one read-only np.eye(n) per size, and a gain is
+        the caller's own array: writing into it leaves the next call's bytes unchanged."""
+        eye3, eye4 = synthesis._identity(3), synthesis._identity(4)
+        assert synthesis._identity(3) is eye3 and synthesis._identity(4) is eye4
+        assert eye3.tobytes() == np.eye(3).tobytes() and eye4.tobytes() == np.eye(4).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            eye3[0, 1] = 1.0
+        A, B = scenarios._motorcycle_design_matrices()
+        K = design_gain_matrix(A, B, [-2.5] * 4)
+        first = K.tobytes()
+        K[:] = np.nan
+        assert design_gain_matrix(A, B, [-2.5] * 4).tobytes() == first
+        assert synthesis._identity(4) is eye4 and eye4.tobytes() == np.eye(4).tobytes()
 
     def test_characteristic_coefficients_of_the_repeated_scenario_poles(self):
         """dip_smc's six poles at -4 are ill-conditioned roots, but their coefficients are not."""
