@@ -15,7 +15,7 @@ from .scenarios import (SCENARIO_DEFAULTS, SCENARIO_IDS, RunReport, emit,
                         sip_full_gain, sip_interval_gain, sip_robust_gain,
                         sip_stabilizing_gain, trajectory_checksum)
 from .stability import (IntervalPoly, RouthResult, bauer_fike_check,
-                        interval_poly_stable, kharitonov_polys, routh_stable,
+                        interval_poly_stable, routh_stable,
                         sip_closed_loop_perturbation)
 from .synthesis import (CareNoSolution, RobustConfig, UncertaintyBounds,
                         char_poly_ascending, design_gain_matrix, eig_sweep,

@@ -54,13 +54,6 @@ class RouthResult:
     degenerate: bool
 
 
-def _routh_result(stable, first_column, degenerate):
-    """RouthResult(stable, first_column, degenerate) without the frozen per-field __setattr__."""
-    r = object.__new__(RouthResult)
-    r.__dict__.update(stable=stable, first_column=first_column, degenerate=degenerate)
-    return r
-
-
 def routh_stable(p):
     """Routh-Hurwitz test on ascending coefficients (a0 ... an).
 
@@ -91,12 +84,12 @@ def routh_stable(p):
     if len(c) == 4:
         a0, a1, a2, a3 = c
         if abs(a2) < _ZERO_PIVOT:
-            return _routh_result(False, [a3, a2, 0.0, 0.0], True)
+            return RouthResult(False, [a3, a2, 0.0, 0.0], True)
         r2 = (a2 * a1 - a3 * a0) / a2
         if abs(r2) < _ZERO_PIVOT:
-            return _routh_result(False, [a3, a2, r2, 0.0], True)
+            return RouthResult(False, [a3, a2, r2, 0.0], True)
         r3 = (r2 * a0 - a2 * 0.0) / r2
-        return _routh_result(a3 > 0 and a2 > 0 and r2 > 0 and r3 > 0, [a3, a2, r2, r3], False)
+        return RouthResult(a3 > 0 and a2 > 0 and r2 > 0 and r3 > 0, [a3, a2, r2, r3], False)
     d = c[::-1]  # descending
     n = len(d) - 1
     width = (n + 2) // 2
@@ -115,7 +108,7 @@ def routh_stable(p):
         first_column.append(row[0])
     first_column += [0.0] * (n + 1 - len(first_column))
     stable = (not degenerate) and all(v > 0 for v in first_column)
-    return _routh_result(stable, first_column, degenerate)
+    return RouthResult(stable, first_column, degenerate)
 
 
 # Kharitonov coefficient patterns: which residues of the index (mod 4) take
@@ -124,22 +117,17 @@ _KHARITONOV_LOWER = ((0, 1), (0, 3), (1, 2), (2, 3))
 
 
 def _kharitonov(lower, upper):
-    """K1 ... K4 of the bound tuples, each a new list of floats, built as it is asked for."""
-    for lower_at in _KHARITONOV_LOWER:
-        k = list(upper)
-        for r in lower_at:
-            k[r::4] = lower[r::4]
-        yield k
-
-
-def kharitonov_polys(ip):
-    """The four bounding polynomials of an interval polynomial, as lists of floats.
+    """K1 ... K4 of the bound tuples, each a new list of floats, built as it is asked for.
 
     Ascending coefficients; the patterns repeat with period 4:
     K1=(lo,lo,hi,hi,...), K2=(lo,hi,hi,lo,...), K3=(hi,lo,lo,hi,...),
     K4=(hi,hi,lo,lo,...).
     """
-    return list(_kharitonov(ip.lower, ip.upper))
+    for lower_at in _KHARITONOV_LOWER:
+        k = list(upper)
+        for r in lower_at:
+            k[r::4] = lower[r::4]
+        yield k
 
 
 def interval_poly_stable(ip):

@@ -108,8 +108,7 @@ def _monic_coefficients(desired_eigs, n):
     a = c[k] and b = c[k-1] with w = -z as re = 0.0 + ((a_r + b_r w_r) - b_i w_i) and im = 0.0 + (b_r w_i
     + (a_i + b_i w_r)); the last entry has no a, and the first (no b) stays 1 + 0j. The 0.0 + is the
     kernel's zero start, which turns a -0.0 sum into +0.0. np.poly's exact conjugate-pair test only decides
-    a request whose coefficients have an imaginary part above 1e-9. When every root's imaginary part is +-0.0,
-    every im entry stays +0.0 and the 0.0 + drops b_i w_i's +-0.0: re alone is updated, in place from the end.
+    a request whose coefficients have an imaginary part above 1e-9.
     """
     desired = np.asarray(desired_eigs, dtype=complex).ravel()
     if desired.size != n:
@@ -117,13 +116,6 @@ def _monic_coefficients(desired_eigs, n):
     roots = desired.tolist()
     if not all(map(cmath.isfinite, roots)):
         raise ValueError("desired_eigs must be finite")
-    if not any(desired.imag.tolist()):
-        re = [1.0]
-        for w in [-z.real for z in roots]:
-            re.append(0.0 + re[-1] * w)
-            for k in range(len(re) - 2, 0, -1):
-                re[k] = 0.0 + (re[k] + re[k - 1] * w)
-        return np.array(re)
     re, im = [1.0], [0.0]
     for z in roots:
         wr, wi = -z.real, -z.imag

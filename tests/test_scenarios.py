@@ -889,6 +889,41 @@ class TestCli:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_override_without_equals_sign_returns_one(self, tmp_path, capsys):
+        rc = main(["run", "dip_smc", "--set", "x0", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: override 'x0' is not of the form key=value\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_run_flags_final_norm_mismatch(self, tmp_path, capsys):
+        """dip_smc ends on its expected event, a timeout, but 0.5 s leave the state far from 0."""
+        rc = main(["run", "dip_smc", "--set", "t_end=0.5", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert re.fullmatch(r"MISMATCH: final state norm 20\.46\d* >= 0\.05\n", err), err
+
+    def test_robust_riccati_without_a_positive_definite_solution_returns_one(self, tmp_path, capsys):
+        args = write_robust_riccati_files(tmp_path)
+        rc = main(["design", "robust-riccati", *[f"{k}={v}" for k, v in args.items()],
+                   "--a-bar=0.2", "--b-bar=0.2", "--epsilon=0.5"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("no positive definite solution for these settings; raise a-bar and b-bar "
+                                "somewhat and lower epsilon somewhat, then retry\n")
+        assert captured.out == ""
+
+    def test_diverging_run_returns_one(self, tmp_path, capsys, monkeypatch):
+        """The builders look their plant factory up at run time, so a patched one takes part."""
+        def exploding():
+            return dataclasses.replace(models.point2d_plant(), deriv=lambda s, u: (math.inf, s[1] + u[0]))
+
+        monkeypatch.setattr(scenarios, "point2d_plant", exploding)
+        rc = main(["run", "point2d_cbf_case1", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("simulation diverged: ") and "'point2d'" in captured.err, captured.err
+        assert captured.out == "" and not list(tmp_path.iterdir())
+
 
 def readme_commands():
     """Every `ctrlkit ...` line of the README's sh blocks, continuations joined, as argv lists."""
@@ -922,7 +957,8 @@ class TestReadmeCommands:
 
 def test_readme_exactness_map_names_code_and_tests_that_exist():
     """Each row of the README's exactness map names objects of ctrlkit (module prefix optional)
-    and tier-1 tests as file.py::Class::test, the file carried down from the row above."""
+    and tier-1 tests as file.py::Class::test, the file carried down from the row above; each test
+    is a class or function, found by AST, of tests/ or perfbench/test_perfbench.py."""
     root = pathlib.Path(__file__).resolve().parents[1]
     lines = root.joinpath("README.md").read_text().splitlines()
     start = lines.index("| shortcut | argument | oracle test |") + 2
@@ -930,7 +966,7 @@ def test_readme_exactness_map_names_code_and_tests_that_exist():
     assert len(rows) > 10
     modules = (models, control, numerics, scenarios, stability, synthesis)
     tests, test_file = {}, None
-    for path in root.joinpath("tests").glob("test_*.py"):
+    for path in [*root.joinpath("tests").glob("test_*.py"), root / "perfbench" / "test_perfbench.py"]:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                 tests[path.name, node.name] = node

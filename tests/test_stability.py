@@ -13,7 +13,6 @@ from ctrlkit import (
     IntervalPoly,
     bauer_fike_check,
     interval_poly_stable,
-    kharitonov_polys,
     routh_stable,
     sip_closed_loop_perturbation,
 )
@@ -251,7 +250,7 @@ class TestRouthFloatPath:
 class TestKharitonov:
     def test_four_vertex_polynomials_cubic(self):
         ip = IntervalPoly(lower=np.ones(4), upper=np.full(4, 2.0))
-        k1, k2, k3, k4 = kharitonov_polys(ip)
+        k1, k2, k3, k4 = stability._kharitonov(ip.lower, ip.upper)
         assert np.array_equal(k1, [1.0, 1.0, 2.0, 2.0])
         assert np.array_equal(k2, [1.0, 2.0, 2.0, 1.0])
         assert np.array_equal(k3, [2.0, 1.0, 1.0, 2.0])
@@ -259,7 +258,7 @@ class TestKharitonov:
 
     def test_patterns_repeat_with_period_four(self):
         ip = IntervalPoly(lower=np.ones(8), upper=np.full(8, 2.0))
-        k1 = kharitonov_polys(ip)[0]
+        k1 = next(stability._kharitonov(ip.lower, ip.upper))
         assert np.array_equal(k1[:4], k1[4:])
 
     def test_vertex_result_matches_exhaustive_corner_search(self):
@@ -293,7 +292,7 @@ class TestKharitonov:
                                                                    first_unstable):
         """Each Routh test goes through the module attribute, which the benchmark's tracer wraps."""
         ip = IntervalPoly(lower=lower, upper=upper)
-        verdicts = [routh_stable(k).stable for k in kharitonov_polys(ip)]
+        verdicts = [routh_stable(k).stable for k in stability._kharitonov(ip.lower, ip.upper)]
         expected = [True] * 4 if first_unstable is None else [True] * (first_unstable - 1) + [False]
         assert verdicts[:len(expected)] == expected
         tested = []
@@ -304,7 +303,7 @@ class TestKharitonov:
 
         monkeypatch.setattr(stability, "routh_stable", counted)
         assert interval_poly_stable(ip) is (first_unstable is None)
-        assert tested == kharitonov_polys(ip)[:len(expected)]
+        assert tested == list(stability._kharitonov(ip.lower, ip.upper))[:len(expected)]
 
     def test_stable_box_implies_stable_interior_samples(self):
         ip = IntervalPoly(lower=[4.0, 9.0, 5.0, 0.9], upper=[8.0, 13.0, 7.0, 1.1])

@@ -10,6 +10,7 @@ import math
 import operator
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -35,7 +36,7 @@ from ctrlkit import (
 )
 from ctrlkit import control, scenarios, synthesis
 from ctrlkit.models import G, sip_design_pair, sip_frozen_coefficients
-from ctrlkit.numerics import nnmf_rank1
+from ctrlkit.numerics import least_squares, nnmf_rank1, qp_small
 from ctrlkit.stability import IntervalPoly, interval_poly_stable, routh_stable
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
@@ -1140,6 +1141,24 @@ class TestEmptyInputsFailAtTheBoundary:
         args = {"Q": np.eye(3), "R": [[0.01]], field: np.zeros((0, 0))}
         with pytest.raises(ValueError, match=rf"^{field} must not be empty, got shape \(0, 0\)$"):
             RobustConfig(a_bar=1.0, b_bar=1.0, epsilon=0.01, **args)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: least_squares(np.ones(3), np.ones(3)), "design must be a 2-D matrix"),
+    (lambda: least_squares(np.eye(3, 2), np.ones(2)), "target length must match design row count"),
+    (lambda: nnmf_rank1(np.ones(3)), "input must be a 2-D matrix"),
+    (lambda: qp_small(np.eye(2), np.ones(3)), "H must be square and match len(c)"),
+    (lambda: qp_small(np.eye(2), np.ones(2), np.ones((1, 3)), [1.0]), "constraint shapes are inconsistent"),
+    (lambda: IntervalPoly([1.0, 1.0], [1.0, 1.0, 1.0]), "coefficient intervals must have equal degree"),
+    (lambda: IntervalPoly([], []), "an interval polynomial needs at least one coefficient"),
+    (lambda: IntervalPoly([2.0, 1.0], [1.0, 1.0]), "lower must be coefficient-wise <= upper"),
+    (lambda: design_gain_matrix(np.eye(2), np.ones(3), [-1.0, -2.0]), "A must be n x n and B length n"),
+    (lambda: scenarios.sip_robust_gain("corner"), "unknown parametrization 'corner'"),
+], ids=["least_squares-1d", "lstsq-target", "nnmf-1d", "qp-H", "qp-constraints", "interval-degree",
+        "interval-empty", "interval-order", "place-shape", "robust-parametrization"])
+def test_shape_and_domain_checks_name_the_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestNonFiniteInputsFailAtTheBoundary:
