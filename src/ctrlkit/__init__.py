@@ -18,9 +18,9 @@ from .stability import (IntervalPoly, RouthResult, bauer_fike_check,
                         interval_poly_stable, routh_stable,
                         sip_closed_loop_perturbation)
 from .synthesis import (CareNoSolution, RobustConfig, UncertaintyBounds,
-                        char_poly_ascending, design_gain_matrix, eig_sweep,
-                        robust_riccati_gain, sip_coefficients, sip_pole_gain,
-                        sip_region_bounds, sip_region_feasible, solve_care,
+                        design_gain_matrix, eig_sweep, robust_riccati_gain,
+                        sip_coefficients, sip_pole_gain, sip_region_bounds,
+                        sip_region_feasible, solve_care,
                         vertex_interval_char_poly)
 
 __version__ = "0.1.0"

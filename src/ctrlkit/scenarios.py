@@ -295,7 +295,7 @@ def _build_sip_adaptive_lookup(p):
 def _build_sip_adaptive_sysid(p):
     window = SysidWindow()  # rows (theta, the input before it, theta_dot's first difference)
     dt = p["dt"]
-    prev, acc, K = _SIP_X0, 1.0, None  # first difference 0; warm-up input until an estimate
+    prev, acc, K = _SIP_X0, math.copysign(1.0, _SIP_X0[0]), None  # first difference 0; warm-up input of theta_0's sign
     coeffs = sip_coefficients(_POLES3)
 
     def controller(t, x):

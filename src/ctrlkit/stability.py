@@ -57,10 +57,12 @@ class RouthResult:
 def routh_stable(p):
     """Routh-Hurwitz test on ascending coefficients (a0 ... an).
 
-    A negative leading coefficient is normalized away by negating the whole
-    polynomial.  A pivot smaller than 1e-12 in magnitude marks the array
-    degenerate and the polynomial not (strictly) stable; the rows it leaves
-    uncomputed count as 0.0 in first_column.  The array is built one row of
+    The array is built on the polynomial divided by its leading coefficient,
+    so the verdict does not depend on the polynomial's scale; a monic
+    polynomial is taken as it is, and a leading -1.0 negates it.  A pivot
+    smaller than 1e-12 in magnitude marks the array degenerate and the
+    polynomial not (strictly) stable; the rows it leaves uncomputed count as
+    0.0 in first_column.  The array is built one row of
     Python floats at a time, each entry (pivot*a - b*c) / pivot rounded as
     numpy rounds it, so the first column, signed zeros and nan included, is
     the numpy array's.
@@ -79,8 +81,8 @@ def routh_stable(p):
         raise ValueError("zero polynomial has no Routh array")
     if len(c) == 1:
         raise ValueError("degree must be at least 1")
-    if c[-1] < 0:
-        c = [-v for v in c]
+    if (lead := c[-1]) != 1.0:
+        c = [v / lead for v in c]
     if len(c) == 4:
         a0, a1, a2, a3 = c
         if abs(a2) < _ZERO_PIVOT:

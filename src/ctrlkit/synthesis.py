@@ -426,58 +426,38 @@ def _char_poly_3x3(m):
     return [-det, (a * e - b * d) + (a * i - c * g) + minor_ei, -(a + e + i), 1.0]
 
 
-def char_poly_ascending(m):
-    """Monic characteristic polynomial of a square matrix, ascending coeffs.
-
-    A 3x3 matrix takes the closed form of _char_poly_3x3, exact on integer
-    matrices and within about 1e-15 relative of np.poly otherwise; other sizes
-    go through np.poly (the eigenvalues).
-    """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape == (3, 3):
-        return np.array(_char_poly_3x3(m.ravel().tolist()))
-    return np.poly(m)[::-1].copy()
-
-
 def vertex_interval_char_poly(A_family, B_family, K):
-    """Coefficient interval over the closed loops of all (A*, B*) pairs.
+    """Coefficient interval over the 3-state closed loops of all (A*, B*) pairs.
 
     Every A* from A_family is paired with every B* from B_family; the
-    characteristic polynomial of A* - B* k' is evaluated at each pair and
-    coefficient-wise min/max become the interval polynomial.  With n = len(K) >= 1,
-    each A* must be n x n and each B* must have n entries.
+    characteristic polynomial of A* - B* k' is evaluated at each pair by the
+    closed form of _char_poly_3x3 and coefficient-wise min/max become the
+    interval polynomial.  K must have 3 entries, each A* must be 3x3 and each
+    B* must have 3 entries.
 
     The closed loops and the box are worked on Python floats: each entry
     a - b*k is rounded as numpy's broadcast rounds it, and of entries that
     compare equal (0.0 and -0.0) min and max keep the last, as numpy's
     reduction over the pairs does.
     """
-    k = finite_floats(K, "K")
-    n = len(k)
-    if not n:
-        raise ValueError("K must not be empty")
+    k = _three_gains(K)
     if not len(A_family) or not len(B_family):
         raise ValueError("vertex families must be non-empty")
-    shape_error = f"each A* must be {n}x{n} and each B* must have {n} entries, with n = len(K)"
     A_rows = []
     for A_v in A_family:
         A_v = np.asarray(A_v, dtype=float)
-        if A_v.shape != (n, n):
-            raise ValueError(shape_error)
+        if A_v.shape != (3, 3):
+            raise ValueError(f"each A* must be 3x3, got shape {A_v.shape}")
         A_rows.append(A_v.ravel().tolist())
     B_rows = []
     for B_v in B_family:
-        B_v = np.asarray(B_v, dtype=float).ravel()
-        if B_v.size != n:
-            raise ValueError(shape_error)
-        B_rows.append(B_v.tolist())
+        B_v = np.asarray(B_v, dtype=float)
+        if B_v.size != 3:
+            raise ValueError(f"each B* must have 3 entries, got shape {B_v.shape}")
+        B_rows.append(B_v.ravel().tolist())
     # the closed loops A* - B* k', row by row: one rounding per product, one per difference
     BK = [[b * k_c for b in B_v for k_c in k] for B_v in B_rows]
-    closed = (map(operator.sub, A_v, bk) for A_v in A_rows for bk in BK)
-    if n == 3:
-        coeff_rows = list(map(_char_poly_3x3, closed))
-    else:
-        coeff_rows = [char_poly_ascending(np.reshape(list(m), (n, n))).tolist() for m in closed]
+    coeff_rows = [_char_poly_3x3(map(operator.sub, A_v, bk)) for A_v in A_rows for bk in BK]
     if not all(map(math.isfinite, itertools.chain.from_iterable(coeff_rows))):
         raise ValueError("the vertex families give a non-finite characteristic coefficient")
     coeff_rows.reverse()  # last pair first: min and max keep the first of equals

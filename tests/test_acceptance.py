@@ -13,7 +13,6 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 
 from ctrlkit import (
     IntervalPoly,
@@ -26,7 +25,6 @@ from ctrlkit import (
     sip_interval_gain,
     sip_region_bounds,
     sip_region_feasible,
-    sip_robust_gain,
     sip_stabilizing_gain,
     solve_care,
 )
@@ -46,7 +44,6 @@ from ctrlkit.scenarios import (
     emit_table,
 )
 from ctrlkit.stability import routh_stable
-from ctrlkit.synthesis import char_poly_ascending
 
 THETA_MAX = 0.4 * math.pi
 DA21 = abs(10.0 * math.sin(THETA_MAX) / THETA_MAX - 10.0)

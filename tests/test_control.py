@@ -22,6 +22,7 @@ from ctrlkit.control import lookup_region
 from ctrlkit.models import G, sip_design_pair
 from ctrlkit.numerics import least_squares, qp_small
 from ctrlkit.synthesis import design_gain_matrix
+from test_acceptance import run_cached
 
 
 class TestFsfc:
@@ -327,6 +328,23 @@ class TestSysIdWindow:
         top = max(abs(theta) for theta, _, _ in pushed)
         assert top == pytest.approx(1.25691, abs=5e-6) and top > 0.4 * math.pi
         assert pushed[0] == (theta0, 1.0, 0.0)
+
+    def test_mirrored_start_gives_the_mirrored_run(self, monkeypatch):
+        """The pendulum is odd in its state and the warm-up input takes theta_0's sign, so the run
+        from -x0 is the default run negated, bit for bit: states, inputs and the same gains. With a
+        warm-up of +1.0 from either side the mirrored pendulum fell after 697 steps."""
+        def hexes(rows, sign):
+            return [[(sign * v).hex() for v in row] for row in rows]
+
+        traj, report = run_cached("sip_adaptive_sysid")
+        monkeypatch.setattr(scenarios, "_SIP_X0", tuple(-v for v in scenarios._SIP_X0))
+        mirrored, mirrored_report = scenarios.run_scenario("sip_adaptive_sysid")
+        assert traj.terminal_event == mirrored.terminal_event == "timeout"
+        assert len(traj.states) == len(mirrored.states) == 3001
+        assert mirrored.times == traj.times
+        assert hexes(mirrored.states, 1.0) == hexes(traj.states, -1.0)
+        assert hexes(mirrored.inputs, 1.0) == hexes(traj.inputs, -1.0)
+        assert hexes(mirrored_report.gain_matrices_used, 1.0) == hexes(report.gain_matrices_used, 1.0)
 
 
 class TestCbfFilterScalar:

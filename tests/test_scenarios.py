@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -955,6 +956,12 @@ class TestReadmeCommands:
         assert main(argv) == 0, capsys.readouterr().err
 
 
+@functools.cache
+def parsed(path):
+    """ast.parse of a source file, once per session: the exactness map and the import check read the same tests."""
+    return ast.parse(path.read_text())
+
+
 def test_readme_exactness_map_names_code_and_tests_that_exist():
     """Each row of the README's exactness map names objects of ctrlkit (module prefix optional)
     and tier-1 tests as file.py::Class::test, the file carried down from the row above; each test
@@ -967,7 +974,7 @@ def test_readme_exactness_map_names_code_and_tests_that_exist():
     modules = (models, control, numerics, scenarios, stability, synthesis)
     tests, test_file = {}, None
     for path in [*root.joinpath("tests").glob("test_*.py"), root / "perfbench" / "test_perfbench.py"]:
-        for node in ast.parse(path.read_text()).body:
+        for node in parsed(path).body:
             if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                 tests[path.name, node.name] = node
             if isinstance(node, ast.ClassDef):
@@ -985,3 +992,26 @@ def test_readme_exactness_map_names_code_and_tests_that_exist():
             if ".py::" in name:
                 test_file, name = name.split("::", 1)
             assert (test_file, name) in tests, name
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name a module of src/ctrlkit or tests/ imports is read in it (pyflakes' F401). The package
+    __init__.py re-exports, and import statements marked `# noqa: F401`, are exempt."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    unused = []
+    for path in sorted([*root.joinpath("src", "ctrlkit").glob("*.py"), *root.joinpath("tests").glob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        lines, read, imports = path.read_text().splitlines(), set(), []
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and not any(
+                    "noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                imports.append(node)
+        for node in imports:
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]  # import a.b binds a
+                if name not in read:
+                    unused.append(f"{path.relative_to(root)}:{node.lineno}: {name}")
+    assert unused == []

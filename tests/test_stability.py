@@ -121,8 +121,8 @@ def routh_numpy(p):
         return "zero polynomial has no Routh array"
     if c.size == 1:
         return "degree must be at least 1"
-    if c[-1] < 0:
-        c = -c
+    if c[-1] != 1.0:
+        c = c / c[-1]
     d = c[::-1]
     n = d.size - 1
     width = (n + 2) // 2
@@ -244,6 +244,13 @@ class TestRouthFloatPath:
         for c in ([1.0, 2.0, 2.0, 1.0, 1.0], [-6.0, -11.0, -6.0, -1.0], [6.0, 11.0, 6.0, 1.0, 0.0, -0.0],
                   [np.nan, 1.0, 1.0, 1.0], [1.0, np.nan, 1.0], [-0.0, 1.0], [2.0, -0.0, 1.0]):
             got, ref = routh_stable(c), routh_numpy(c)
+            assert (got.stable, got.degenerate, packed(got.first_column)) == (ref[0], ref[2], packed(ref[1]))
+        # (s+1)(s+2)(s+3) at any scale: times 1e160 a2*a1 once overflowed, and times 1e-170 every
+        # pivot once fell under the absolute 1e-12 bound
+        for k in (1.0, 1e160, 1e-170, -1.0, -1e160):
+            c = [6.0 * k, 11.0 * k, 6.0 * k, k]
+            got, ref = routh_stable(c), routh_numpy(c)
+            assert (got.stable, got.degenerate, got.first_column) == (True, False, [1.0, 6.0, 10.0, 6.0])
             assert (got.stable, got.degenerate, packed(got.first_column)) == (ref[0], ref[2], packed(ref[1]))
 
 

@@ -23,7 +23,6 @@ from ctrlkit import (
     CareNoSolution,
     RobustConfig,
     UncertaintyBounds,
-    char_poly_ascending,
     design_gain_matrix,
     eig_sweep,
     robust_riccati_gain,
@@ -647,6 +646,17 @@ class TestLapackHelpers:
         for m in matrices:
             assert synthesis._frobenius(m) == np.linalg.norm(m, "fro")
 
+    def test_lyapunov_perturbs_like_scipy_where_dtrsyl_reports_a_near_singular_equation(self):
+        """Eigenvalues +-i sum to zero: dtrsyl returns info != 0 and solves a perturbed equation,
+        with scipy's RuntimeWarning and scipy's bytes."""
+        a, q = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2)
+        with pytest.warns(RuntimeWarning, match="eigenvalue pair whose sum is very close to") as got:
+            x = synthesis._lyapunov(a, q)
+        with pytest.warns(RuntimeWarning) as ref:
+            x_ref = scipy.linalg.solve_continuous_lyapunov(a, q)
+        assert [str(w.message) for w in got] == [str(w.message) for w in ref]
+        assert x.tobytes() == x_ref.tobytes()
+
     def test_lyapunov_rejects_non_finite_input(self):
         with pytest.raises(ValueError):
             synthesis._lyapunov(np.array([[np.nan]]), np.eye(1))
@@ -1241,10 +1251,12 @@ class TestNonFiniteInputsFailAtTheBoundary:
     @pytest.mark.parametrize("K, count", [([5.0], 1), ([-110.0, -50.0], 2), ([-110.0, -50.0, -10.0, 1.0], 4)],
                              ids=["one", "two", "four"])
     def test_region_gain_without_three_entries(self, K, count):
-        """Once Python's "not enough/too many values to unpack"."""
+        """Once Python's "not enough/too many values to unpack"; the vertex box checks K
+        before it reads the families."""
         a_lo, a_hi, b_lo, b_hi = workloads.REGION
         for check in (lambda: sip_region_feasible(K, *workloads.REGION),
-                      lambda: sip_region_bounds(K, a_hi, b_lo)):
+                      lambda: sip_region_bounds(K, a_hi, b_lo),
+                      lambda: vertex_interval_char_poly(None, None, K)):
             with pytest.raises(ValueError, match=f"^K must have 3 entries, got {count}$"):
                 check()
 
@@ -1266,24 +1278,28 @@ class TestNonFiniteInputsFailAtTheBoundary:
             vertex_interval_char_poly([np.eye(3) * np.nan], [np.zeros(3)], [0.0, 0.0, 0.0])
 
     def test_vertex_families_of_the_wrong_size(self):
-        with pytest.raises(ValueError, match="^each A\\* must be 3x3 and each B\\* must have 3 entries"):
+        """The box is 3-state only: families and gains of sizes 1, 2 and 4, once taken to np.poly, are rejected."""
+        with pytest.raises(ValueError, match="^each B\\* must have 3 entries, got shape \\(2,\\)$"):
             vertex_interval_char_poly([np.eye(3)], [np.zeros(2)], [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="^each A\\* must be 2x2"):
-            vertex_interval_char_poly([np.eye(3)], [np.zeros(3)], [1.0, 1.0])
+        for n in (1, 2, 4):
+            with pytest.raises(ValueError, match=f"^each A\\* must be 3x3, got shape \\({n}, {n}\\)$"):
+                vertex_interval_char_poly([np.eye(n)], [np.zeros(3)], [1.0, 1.0, 1.0])
+            with pytest.raises(ValueError, match=f"^each B\\* must have 3 entries, got shape \\({n}, 1\\)$"):
+                vertex_interval_char_poly([np.eye(3)], [np.zeros((n, 1))], [1.0, 1.0, 1.0])
+            with pytest.raises(ValueError, match=f"^K must have 3 entries, got {n}$"):
+                vertex_interval_char_poly([np.eye(n)], [np.zeros(n)], np.ones(n))
+        with pytest.raises(ValueError, match="^each A\\* must be 3x3, got shape \\(9,\\)$"):
+            vertex_interval_char_poly([np.arange(9.0)], [np.zeros(3)], [1.0, 1.0, 1.0])
 
     def test_empty_gain(self):
         """Once numpy's "input must be 1d or non-empty square 2d array." from np.poly."""
-        with pytest.raises(ValueError, match="^K must not be empty$"):
+        with pytest.raises(ValueError, match="^K must have 3 entries, got 0$"):
             vertex_interval_char_poly([np.zeros((0, 0))], [np.zeros(0)], [])
-        with pytest.raises(ValueError, match="^K must not be empty$"):  # before the families are read
+        with pytest.raises(ValueError, match="^K must have 3 entries, got 0$"):  # before the families are read
             vertex_interval_char_poly(None, None, np.zeros(0))
 
 
 class TestCharPolyAndVertexFamilies:
-    def test_char_poly_ascending_quadratic(self):
-        m = [[0.0, 1.0], [-6.0, -5.0]]
-        assert char_poly_ascending(m) == pytest.approx([6.0, 5.0, 1.0])
-
     @staticmethod
     def leverrier(m):
         """Ascending characteristic coefficients by Faddeev-LeVerrier in exact integers."""
@@ -1298,21 +1314,21 @@ class TestCharPolyAndVertexFamilies:
             coeffs.append(-trace // k)
         return coeffs[::-1]
 
-    def test_char_poly_ascending_3x3_exact_on_integer_matrices(self):
+    def test_char_poly_3x3_exact_on_integer_matrices(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
             m = rng.integers(-9, 10, size=(3, 3))
-            got = char_poly_ascending(m)
-            assert got.tolist() == [float(c) for c in self.leverrier(m.tolist())]
+            got = synthesis._char_poly_3x3(m.astype(float).ravel().tolist())
+            assert got == [float(c) for c in self.leverrier(m.tolist())]
 
-    def test_char_poly_ascending_3x3_matches_np_poly(self):
+    def test_char_poly_3x3_matches_np_poly(self):
         rng = np.random.default_rng(22)
         for _ in range(300):
             m = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-2, 3)
             ref = np.poly(m)[::-1]
-            got = char_poly_ascending(m)
-            assert got.shape == (4,) and got[-1] == 1.0
-            assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+            got = synthesis._char_poly_3x3(m.ravel().tolist())
+            assert len(got) == 4 and got[-1] == 1.0
+            assert np.linalg.norm(np.subtract(got, ref)) <= 1e-9 * np.linalg.norm(ref)
 
     @staticmethod
     def vertex_box_numpy(A_family, B_family, K):
@@ -1325,13 +1341,10 @@ class TestCharPolyAndVertexFamilies:
             return [-det, (a * e - b * d) + (a * i - c * g) + minor_ei, -(a + e + i), 1.0]
 
         K = np.asarray(K, dtype=float).ravel()
-        A = np.array([np.atleast_2d(A_v) for A_v in A_family], dtype=float)
+        A = np.array(A_family, dtype=float)
         B = np.array([np.ravel(B_v) for B_v in B_family], dtype=float)
-        closed = (A[:, None] - B[None, :, :, None] * K).reshape(-1, *A.shape[1:])
-        if closed.shape[1:] == (3, 3):
-            coeff_rows = np.array([char_poly_3x3(m) for m in closed.tolist()])
-        else:
-            coeff_rows = np.array([np.poly(m)[::-1] for m in closed])
+        closed = (A[:, None] - B[None, :, :, None] * K).reshape(-1, 3, 3)
+        coeff_rows = np.array([char_poly_3x3(m) for m in closed.tolist()])
         return coeff_rows.min(axis=0), coeff_rows.max(axis=0)
 
     def assert_box_matches_numpy(self, A_family, B_family, K):
@@ -1366,13 +1379,6 @@ class TestCharPolyAndVertexFamilies:
             negative_zero_bounds += sum(v == 0 and math.copysign(1.0, v) < 0 for v in ip.lower + ip.upper)
         assert negative_zero_bounds > 50
 
-    def test_box_bit_identical_to_numpy_on_other_sizes(self):
-        rng = np.random.default_rng(1706)
-        for n in (1, 2, 4):
-            for _ in range(20):
-                self.assert_box_matches_numpy(list(rng.normal(size=(2, n, n))),
-                                              list(rng.normal(size=(2, n))), rng.normal(size=n))
-
     def test_region_op_matches_the_checked_calls_on_signed_zero_gains(self):
         """The design workload's region op, K checked once per public call: its box (bytes), an
         IntervalPoly equal to one built with every check, and both verdicts as the checked calls give them."""
@@ -1400,16 +1406,16 @@ class TestCharPolyAndVertexFamilies:
             ip.lower = ()
 
     def test_vertex_interval_covers_all_pairs(self):
-        A_family = [np.array([[0.0, 1.0], [-a, 0.0]]) for a in (1.0, 2.0)]
-        B_family = [np.array([0.0, b]) for b in (1.0, 2.0)]
-        ip = vertex_interval_char_poly(A_family, B_family, [1.0, 1.0])
-        # closed loop char poly is s^2 + b s + (a + b), ascending
-        assert ip.lower == pytest.approx([2.0, 1.0, 1.0])
-        assert ip.upper == pytest.approx([4.0, 2.0, 1.0])
+        A_family = [np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-a, 0.0, 0.0]]) for a in (1.0, 2.0)]
+        B_family = [np.array([0.0, 0.0, b]) for b in (1.0, 2.0)]
+        ip = vertex_interval_char_poly(A_family, B_family, [1.0, 1.0, 1.0])
+        # closed loop char poly is s^3 + b s^2 + b s + (a + b), ascending
+        assert ip.lower == (2.0, 1.0, 1.0, 1.0)
+        assert ip.upper == (4.0, 2.0, 2.0, 1.0)
 
     def test_empty_family_rejected(self):
-        with pytest.raises(ValueError):
-            vertex_interval_char_poly([], [np.array([0.0, 1.0])], [1.0, 1.0])
+        with pytest.raises(ValueError, match="^vertex families must be non-empty$"):
+            vertex_interval_char_poly([], [np.array([0.0, 0.0, 1.0])], [1.0, 1.0, 1.0])
 
 
 class TestGainRegion:
@@ -1449,7 +1455,7 @@ class TestGainRegion:
                 for b in (b_lo, b_hi):
                     A = np.array([[0.0, 1.0, 0.0], [a, 0.0, 0.0], [0.0, 0.0, 0.0]])
                     B = np.array([0.0, -b, 1.0])
-                    poly = char_poly_ascending(A - np.outer(B, K))
+                    poly = synthesis._char_poly_3x3((A - np.outer(B, K)).ravel().tolist())
                     if not routh_stable(poly).stable:
                         return False
             return True
