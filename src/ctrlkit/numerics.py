@@ -10,21 +10,44 @@ No simulation step calls it: control.clf_cbf_step solves its 2-variable
 program in closed form, and qp_small is the reference it is tested against.
 """
 
-import functools
 import math
 import types
 from itertools import combinations
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
+
+# numpy's floating-point error state: token = fp_state.set(state) enters one, fp_state.reset(token)
+# restores the caller's. Each state is built once, at import, by _make_extobj, the call np.errstate
+# makes on every entry. With the handler and all four fields given it takes only bufsize from the
+# importing context, which no ufunc run under these states reads (the linalg gufuncs and matmul
+# buffer nothing, and a buffered add rounds the same).
+fp_state = _extobj_contextvar
+
+# every flag ignored, for code that tests its own results for inf and nan
+QUIET = _make_extobj(call=None, divide="ignore", over="ignore", under="ignore", invalid="ignore")
 
 
 def _gufunc(name, signature, message):
-    """numpy.linalg's errstate-guarded call of _umath_linalg.<name>, without the wrapper's checks."""
+    """numpy.linalg's errstate-guarded call of _umath_linalg.<name>, without the wrapper's checks.
+
+    The guard is numpy.linalg's state (invalid, the flag a failing gufunc raises, calls fail; over,
+    divide and under are ignored), prebuilt once per binding and set around the bare gufunc.
+    """
     def fail(err, flag):
         raise np.linalg.LinAlgError(message)
 
-    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")(
-        functools.partial(getattr(np.linalg._umath_linalg, name), signature=signature))
+    state = _make_extobj(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    gufunc = getattr(np.linalg._umath_linalg, name)
+
+    def guarded(*args):
+        token = fp_state.set(state)
+        try:
+            return gufunc(*args, signature=signature)
+        finally:
+            fp_state.reset(token)
+
+    return guarded
 
 
 # numpy.linalg's solve (1-D b), lstsq, svd (no u, v), eigvals (complex), inv, eigvalsh (UPLO="L"),
@@ -87,6 +110,10 @@ def full_rank_lstsq(design, target):
     reduces such a finite design to a bidiagonal of at most 2 x 2, which dbdsqr deflates by
     dlasv2 without iterating (an all-zero design returns before, with rank 0). Wider designs
     keep the guarded lapack.lstsq.
+
+    The rescaled solve runs under QUIET: its two products by a power of two below 1 can only
+    underflow, and the gelsd inside is the unguarded call that cannot fail or the guarded
+    binding, which sets its own state.
     """
     rows, cols = design.shape
     if rows < cols:
@@ -99,8 +126,11 @@ def full_rank_lstsq(design, target):
     if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
         if sv[0] == math.inf:  # no rank verdict; as sv[0] <= sqrt(m n) max|entry|, this exact scale
             scale = 2.0 ** -(math.ceil(math.log2(rows * cols) / 2) + 1)  # takes it to half the top
-            with np.errstate(under="ignore"):  # a subnormal scaled entry or answer is no error
+            token = fp_state.set(QUIET)  # a subnormal scaled entry or answer is no error
+            try:
                 return full_rank_lstsq(design * scale, target) * scale
+            finally:
+                fp_state.reset(token)
         raise ValueError("design matrix is rank deficient")
     return z
 

@@ -523,15 +523,27 @@ def run_scenario(scenario_id, overrides=None):
     return traj, report
 
 
+_CHUNK = 1024  # samples that the checksum and the CSV writer pack or format at a time
+
+
+def _chunks(samples):
+    """Successive slices of up to _CHUNK of a trajectory list, so no pass holds a whole run's values."""
+    return (samples[i:i + _CHUNK] for i in range(0, len(samples), _CHUNK))
+
+
 def trajectory_checksum(traj):
     """SHA-256 over the float64 bytes of the times, states and inputs, then the terminal event.
 
-    struct packs native doubles, the bytes float64.tobytes() gives, without building an array.
+    struct packs native doubles, the bytes float64.tobytes() gives, without building an array;
+    SHA-256 fed the bytes chunk by chunk gives the digest of all of them at once.
     """
-    digest = hashlib.sha256(struct.pack(f"{len(traj.times)}d", *traj.times))
+    digest = hashlib.sha256()
+    for chunk in _chunks(traj.times):
+        digest.update(struct.pack(f"{len(chunk)}d", *chunk))
     for rows in (traj.states, traj.inputs):
         width = len(rows[0]) if rows else 0
-        digest.update(struct.pack(f"{len(rows) * width}d", *itertools.chain.from_iterable(rows)))
+        for chunk in _chunks(rows):
+            digest.update(struct.pack(f"{len(chunk) * width}d", *itertools.chain.from_iterable(chunk)))
     digest.update(traj.terminal_event.encode())
     return digest.hexdigest()
 
@@ -562,13 +574,14 @@ def emit_csv(traj, path):
                       + [f"u{j + 1}" for j in range(m)])
     width = 1 + n + m
     row = ",".join(["%.12g"] * width) + "\n"
-    # one % over every sample's values formats each value as a % per row would; the values
-    # are chained straight into one tuple, so no tuple per sample is kept alive
-    flat = tuple(itertools.chain.from_iterable(
-        map(itertools.chain, zip(traj.times), traj.states, traj.inputs)))
+    # one % over a chunk's values formats each value as a % per row would; the values are
+    # chained straight into one tuple, so no per-sample object is kept alive (a list of them
+    # would also set off the garbage collector every few hundred samples)
     with open(path, "w", newline="\n") as f:
         f.write(header + "\n")
-        f.write((row * (len(flat) // width)) % flat)
+        for times, states, inputs in zip(_chunks(traj.times), _chunks(traj.states), _chunks(traj.inputs)):
+            flat = tuple(itertools.chain.from_iterable(map(itertools.chain, zip(times), states, inputs)))
+            f.write((row * (len(flat) // width)) % flat)
 
 
 def emit_json(traj, report, path):

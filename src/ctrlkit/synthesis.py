@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import sip_design_pair, sip_frozen_coefficients
-from .numerics import _rank_one, all_finite, finite_floats, lapack
+from .models import sip_frozen_coefficients
+from .numerics import QUIET, _rank_one, all_finite, finite_floats, fp_state, lapack
 from .stability import IntervalPoly
 
 
@@ -152,7 +152,8 @@ def design_gain_matrix(A, B, desired_eigs):
     not promised: repeated or clustered poles are ill-conditioned roots of
     that polynomial (dip_smc's six poles at -4 come out 5.6e-3 away).  The
     request must be closed under conjugation.  A, B and desired_eigs must be finite and A non-empty
-    (ValueError naming the one that is not); a C, of any rank, or a gain that overflows raises one naming it.
+    (ValueError naming the one that is not); a C, of any rank, or a gain that overflows raises one naming it,
+    with no numpy warning or FloatingPointError before it: the products run under numerics.QUIET.
     """
     A = np.array(A, dtype=float, copy=None, ndmin=2)
     B = np.asarray(B, dtype=float).ravel()
@@ -167,23 +168,27 @@ def design_gain_matrix(A, B, desired_eigs):
 
     Ct = np.empty((n, n))  # C' = [B, AB, ..., A^(n-1) B]', each row written by one A @ product
     Ct[0] = B
-    for i in range(1, n):
-        np.matmul(A, Ct[i - 1], out=Ct[i])
-    # an entry that overflows spreads to every later column, so the SVD sees only a finite C
-    if not all(map(math.isfinite, Ct[-1].tolist())) or (sv := lapack.svd(Ct.T).tolist())[0] == math.inf:
-        raise ValueError("the controllability matrix [B, AB, ..., A^(n-1) B] overflows")
-    _check_controllability(sv[0], sv[-1])
+    token = fp_state.set(QUIET)
+    try:
+        for i in range(1, n):
+            np.matmul(A, Ct[i - 1], out=Ct[i])
+        # an entry that overflows spreads to every later column, so the SVD sees only a finite C
+        if not all(map(math.isfinite, Ct[-1].tolist())) or (sv := lapack.svd(Ct.T).tolist())[0] == math.inf:
+            raise ValueError("the controllability matrix [B, AB, ..., A^(n-1) B] overflows")
+        _check_controllability(sv[0], sv[-1])
 
-    # Horner's phi(A) = (...(A + c1 I) A + ...) + cn I; its first step, 0 A + 1 I,
-    # is I exactly for a finite A, so the loop starts there. Each step adds the whole
-    # c I in place: its off-diagonal c * 0.0 turns a -0.0 of the product into +0.0 for c > 0.
-    eye = _identity(n)
-    c_eye = coeffs[1:, None, None] * eye
-    phi = eye
-    for i in range(n):
-        phi = phi @ A
-        phi += c_eye[i]
-    K = lapack.solve1(Ct, eye[-1]) @ phi
+        # Horner's phi(A) = (...(A + c1 I) A + ...) + cn I; its first step, 0 A + 1 I,
+        # is I exactly for a finite A, so the loop starts there. Each step adds the whole
+        # c I in place: its off-diagonal c * 0.0 turns a -0.0 of the product into +0.0 for c > 0.
+        eye = _identity(n)
+        c_eye = coeffs[1:, None, None] * eye
+        phi = eye
+        for i in range(n):
+            phi = phi @ A
+            phi += c_eye[i]
+        K = lapack.solve1(Ct, eye[-1]) @ phi
+    finally:
+        fp_state.reset(token)
     if not all(map(math.isfinite, K.tolist())):
         raise ValueError("the pole-placement gain overflows")
     return K
@@ -521,12 +526,17 @@ def eig_sweep(K, theta_grid):
     pair frozen at theta (exact coefficients, no small-angle branch), sorted
     by descending magnitude of the real part, the order the printed tables use.
     K must have 3 entries and K and theta_grid must be finite (ValueError otherwise).
+
+    The grid's closed loops are one (N, 3, 3) stack, each A - B k' rounded as np.outer's
+    products and the difference round it, and one eigvals call runs dgeev on each of them.
     """
     K = np.array(_three_gains(K))
-    rows = []
-    for theta in finite_floats(theta_grid, "theta_grid"):
-        A, B = sip_design_pair(*sip_frozen_coefficients(theta))
-        re = lapack.eigvals(A - np.outer(B, K)).real.tolist()
-        # a stable sort, as np.argsort(-np.abs(re), kind="stable"); eigvals of a finite matrix has no nan
-        rows.append((theta, np.array(sorted(re, key=lambda v: -abs(v)))))
-    return rows
+    thetas = finite_floats(theta_grid, "theta_grid")
+    a, b = np.array([sip_frozen_coefficients(theta) for theta in thetas]).reshape(-1, 2).T
+    A = np.zeros((len(thetas), 3, 3))  # sip_design_pair(a, b) at each angle
+    A[:, 0, 1], A[:, 1, 0] = 1.0, a
+    B = np.zeros((len(thetas), 3))
+    B[:, 1], B[:, 2] = b, 1.0
+    res = lapack.eigvals(A - B[:, :, None] * K).real.tolist()
+    # a stable sort, as np.argsort(-np.abs(re), kind="stable"); eigvals of a finite matrix has no nan
+    return [(theta, np.array(sorted(re, key=lambda v: -abs(v)))) for theta, re in zip(thetas, res)]

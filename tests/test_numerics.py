@@ -17,8 +17,8 @@ from numpy.testing import assert_allclose
 
 import ctrlkit
 from ctrlkit import (MotorcycleGuidance, bauer_fike_check, design_gain_matrix, eig_sweep,
-                     SysidWindow, UncertaintyBounds, run_scenario, scenarios, solve_care, synthesis,
-                     sysid_solve, trajectory_checksum)
+                     SysidWindow, UncertaintyBounds, numerics, run_scenario, scenarios, solve_care,
+                     synthesis, sysid_solve, trajectory_checksum)
 from ctrlkit.models import G, sip_design_pair
 from ctrlkit.numerics import fma, lapack, least_squares, nnmf_rank1, qp_small
 
@@ -733,3 +733,110 @@ class TestLapackBindings:
             solve_care(mats["A"], mats["M"], mats["Q"])
         with pytest.raises(np.linalg.LinAlgError, match=message):
             np.linalg.eigvals(np.block([[mats["A"], -mats["M"]], [-mats["Q"], -mats["A"].T]]))
+
+
+# an input on which each guarded binding fails, as numpy.linalg's function fails on it. dgeev fails on
+# the finite matrix; on a nan one it fails or returns nan, depending on earlier calls in the process
+_SINGULAR, _NAN = np.array([[1.0, 2.0], [2.0, 4.0]]), np.full((3, 3), np.nan)
+FAILING_CALLS = {
+    "solve1": (_SINGULAR, np.ones(2)),
+    "inv": (_SINGULAR,),
+    "svd": (_NAN,),
+    "eigvals": (np.array([[0.0, 1e308, 1e300], [-1e308, -5e-324, -5e-324], [-1.7e308, 0.0, 1.0]]),),
+    "eigvalsh_lo": (_NAN,),
+    "lstsq": (_NAN, np.ones((3, 1)), 3 * np.finfo(float).eps),
+}
+# inputs whose LAPACK work overflows or underflows, and which succeed
+_HUGE_PIVOT = np.diag([1e308, 1.0])  # 1 / 1e308 is subnormal
+EXTREME_CALLS = {
+    "solve1": (_HUGE_PIVOT, np.ones(2)),
+    "inv": (_HUGE_PIVOT,),
+    "svd": (np.full((2, 2), 1e-200),),
+    "eigvals": (np.array([[1e300, 1e300], [-1e300, 1e300]]),),
+    "eigvalsh_lo": (np.full((2, 2), 1e-200),),
+    "lstsq": (np.full((3, 2), 1e-200) + [[1e-199, 0.0], [0.0, 1e-199], [0.0, 0.0]], np.ones((3, 1)),
+              3 * np.finfo(float).eps),
+}
+
+
+def linalg_error(call, *args):
+    """The message of the LinAlgError that call(*args) raises."""
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        call(*args)
+    return str(raised.value)
+
+
+def fp_settings():
+    return np.geterr(), np.geterrcall(), np.getbufsize()
+
+
+@contextlib.contextmanager
+def caller_state(kind):
+    """numpy's default error state, or one that raises on every flag with its own handler and bufsize."""
+    if kind == "default":
+        yield
+        return
+    with np.errstate(all="raise", call=lambda err, flag: None):
+        np.setbufsize(16384)  # undone when the errstate is left
+        yield
+
+
+class TestPrebuiltErrorStates:
+    def test_every_guarded_binding_is_covered(self):
+        assert set(FAILING_CALLS) == set(EXTREME_CALLS) == set(vars(lapack)) - {"lstsq_unguarded"}
+
+    @pytest.mark.parametrize("name", sorted(FAILING_CALLS))
+    @pytest.mark.parametrize("kind", ["default", "raising"])
+    def test_failing_call_raises_numpys_linalg_error(self, name, kind):
+        """Under either caller state the failure is LinAlgError with numpy.linalg's message, never a
+        FloatingPointError or RuntimeWarning from the invalid flag a failing gufunc raises."""
+        args = FAILING_CALLS[name]
+        with caller_state(kind), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = linalg_error(getattr(lapack, name), *args)
+        assert message == linalg_error(NUMPY_LINALG[name], *args)
+
+    @pytest.mark.parametrize("name", sorted(FAILING_CALLS))
+    @pytest.mark.parametrize("kind", ["default", "raising"])
+    def test_callers_settings_unchanged_after_a_call(self, name, kind):
+        """np.geterr(), np.geterrcall() and np.getbufsize() read the same after a successful call and
+        after a failing one as before them."""
+        with caller_state(kind):
+            before = fp_settings()
+            getattr(lapack, name)(*EXTREME_CALLS[name])
+            assert fp_settings() == before
+            with pytest.raises(np.linalg.LinAlgError):
+                getattr(lapack, name)(*FAILING_CALLS[name])
+            assert fp_settings() == before
+
+    @pytest.mark.parametrize("name", sorted(EXTREME_CALLS))
+    def test_flags_inside_lapack_raise_nothing_under_a_raising_state(self, name):
+        """A success whose LAPACK work overflows or underflows gives numpy.linalg's answer under
+        np.errstate(all="raise"), as numpy.linalg's own wrappers do."""
+        args = EXTREME_CALLS[name]
+        with strict_fp():
+            out = getattr(lapack, name)(*args)
+        assert_calls_match_numpy([(name, args, out)])
+
+    def test_no_function_of_the_package_builds_an_errstate(self):
+        """Error states are built once, at import (numerics.QUIET and each binding's guard): an
+        np.errstate(...) call inside a function of src/ctrlkit would rebuild one on every call."""
+        found = set()
+        for path in sorted(pathlib.Path(ctrlkit.__file__).parent.glob("*.py")):
+            for scope in ast.walk(ast.parse(path.read_text())):
+                if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    found.update(f"{path.name}:{node.lineno}" for node in ast.walk(scope)
+                                 if isinstance(node, ast.Call) and "errstate" in (
+                                     getattr(node.func, "attr", None), getattr(node.func, "id", None)))
+        assert found == set()
+
+    def test_quiet_state_sets_every_field(self):
+        """QUIET ignores all four flags whatever state the caller had when it is set."""
+        with np.errstate(all="raise"):
+            token = numerics.fp_state.set(numerics.QUIET)
+            try:
+                assert np.geterr() == dict.fromkeys(["divide", "over", "under", "invalid"], "ignore")
+                assert np.geterrcall() is None
+            finally:
+                numerics.fp_state.reset(token)
+            assert set(np.geterr().values()) == {"raise"}

@@ -10,6 +10,7 @@ import math
 import pathlib
 import re
 import shlex
+import struct
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -577,6 +578,35 @@ class TestSvg:
         path = tmp_path / "run.svg"
         emit_svg(traj, report, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def random_trajectory(samples, rng):
+    """A 4-state, 1-input trajectory of random floats, with signed zeros, infinities, a nan and subnormals."""
+    pool = np.concatenate([rng.normal(size=64) * 10.0 ** rng.integers(-300, 300, 64),
+                           [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310]]).tolist()
+    draw = rng.integers(0, len(pool), size=(samples, 6)).tolist()
+    return Trajectory(times=[0.001 * k for k in range(samples)],
+                      states=[tuple(pool[i] for i in row[:4]) for row in draw],
+                      inputs=[(pool[row[4]],) for row in draw], terminal_event="timeout")
+
+
+class TestChunkedWriters:
+    @pytest.mark.parametrize("samples", [0, scenarios._CHUNK - 1, scenarios._CHUNK, scenarios._CHUNK + 1])
+    def test_same_bytes_and_digest_as_the_whole_run(self, samples, tmp_path):
+        """The oracle is the whole-run form: one struct.pack per sequence, one % over every sample."""
+        traj = random_trajectory(samples, np.random.default_rng(3902 + samples))
+        packed = struct.pack(f"{samples}d", *traj.times)
+        for rows in (traj.states, traj.inputs):
+            packed += struct.pack(f"{len(rows) * (len(rows[0]) if rows else 0)}d", *itertools.chain(*rows))
+        assert trajectory_checksum(traj) == hashlib.sha256(packed + b"timeout").hexdigest()
+
+        path = tmp_path / "run.csv"
+        emit_csv(traj, path)
+        header, width = ("t,x1,x2,x3,x4,u1", 6) if samples else ("t", 1)
+        flat = tuple(itertools.chain.from_iterable(
+            map(itertools.chain, zip(traj.times), traj.states, traj.inputs)))
+        row = ",".join(["%.12g"] * width) + "\n"
+        assert path.read_bytes() == (header + "\n" + (row * samples) % flat).encode()
 
 
 class TestEigTable:

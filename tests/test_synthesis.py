@@ -35,7 +35,7 @@ from ctrlkit import (
 )
 from ctrlkit import control, scenarios, synthesis
 from ctrlkit.models import G, sip_design_pair, sip_frozen_coefficients
-from ctrlkit.numerics import least_squares, nnmf_rank1, qp_small
+from ctrlkit.numerics import lapack, least_squares, nnmf_rank1, qp_small
 from ctrlkit.stability import IntervalPoly, interval_poly_stable, routh_stable
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
@@ -95,12 +95,14 @@ class TestDesignGainMatrix:
         with pytest.raises(ValueError):
             design_gain_matrix(A, B, [-3.0, -4.0])
 
-    @pytest.mark.parametrize("A, B, message", [
+    OVERFLOWING_PAIRS = [
         ([[0.0, 1.0], [1e308, 0.0]], [0.0, 1e10], "the pole-placement gain overflows"),  # phi(A)
         ([[1e200, 1.0], [0.0, 2e200]], [1e200, 1.0], "the controllability matrix .* overflows"),  # A B
         ([[1e200, -1e200], [1.0, 1.0]], [1e200, 1e200], "the controllability matrix .* overflows"),  # inf - inf
         ([[1.0, 1.0], [0.0, 1.0]], [0.0, 1.5e308], "the controllability matrix .* overflows"),  # its norm
-    ])
+    ]
+
+    @pytest.mark.parametrize("A, B, message", OVERFLOWING_PAIRS)
     def test_finite_inputs_that_overflow_name_the_overflow(self, A, B, message, capfd):
         """Each pair is controllable (the last C is finite with singular values inf and 9.3e307);
         before, the first returned a nan gain and the others were reported uncontrollable.
@@ -108,6 +110,17 @@ class TestDesignGainMatrix:
         with pytest.raises(ValueError, match=f"^{message}$"), np.errstate(over="ignore", invalid="ignore"):
             design_gain_matrix(A, B, [-1.0, -2.0])
         assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("A, B, message", OVERFLOWING_PAIRS)
+    def test_overflow_raises_with_no_warning_first(self, A, B, message):
+        """The Krylov, Horner and gain products run under numerics.QUIET: with warnings as errors and
+        numpy raising on every flag, the named ValueError is the only signal, and the caller's state
+        is back after it."""
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                design_gain_matrix(A, B, [-1.0, -2.0])
+            assert set(np.geterr().values()) == {"raise"}
 
     @staticmethod
     def assert_coefficients_as_promised(A, B, poles):
@@ -1497,7 +1510,57 @@ class TestPartialDesignModel:
         assert B[1] == pytest.approx(-math.cos(THETA_MAX))
 
 
+def sweep_per_angle(K, grid):
+    """eig_sweep's rows by its former loop, the oracle of the stacked call: one eigvals call per angle."""
+    K = np.asarray(K, dtype=float)
+    rows = []
+    for theta in grid:
+        A, B = sip_design_pair(*sip_frozen_coefficients(theta))
+        re = lapack.eigvals(A - np.outer(B, K)).real.tolist()
+        rows.append((theta, np.array(sorted(re, key=lambda v: -abs(v)))))
+    return rows
+
+
+def row_bytes(rows):
+    return [(float.hex(theta), re.tobytes()) for theta, re in rows]
+
+
+TABLE_GRID = [math.radians(d) for d in range(-72, 73)]
+
+
 class TestEigSweep:
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_one_stacked_call_gives_the_per_angle_rows_for_the_table_gains(self, which, monkeypatch):
+        K = scenarios.sip_robust_gain("vertex") if which == 1 else scenarios.sip_interval_gain()
+        want = row_bytes(sweep_per_angle(K, TABLE_GRID))
+        shapes = []
+        eigvals = lapack.eigvals
+        monkeypatch.setattr(lapack, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
+        assert row_bytes(eig_sweep(K, TABLE_GRID)) == want
+        assert shapes == [(145, 3, 3)]
+
+    def test_stacked_call_gives_the_per_angle_rows_on_random_gains_and_grids(self):
+        """Finite gains of all signs, some entries +-0.0, over random grids that hold theta = 0 exactly."""
+        rng = np.random.default_rng(3901)
+        for _ in range(200):
+            K = np.where(rng.random(3) < 0.2, rng.choice([0.0, -0.0], 3), rng.uniform(-300.0, 50.0, 3))
+            grid = rng.uniform(-1.5, 1.5, rng.integers(0, 40)).tolist()
+            grid.insert(rng.integers(0, len(grid) + 1), 0.0)
+            assert row_bytes(eig_sweep(K, grid)) == row_bytes(sweep_per_angle(K, grid))
+
+    def test_empty_grid(self):
+        assert eig_sweep([-110.0, -50.0, -10.0], []) == sweep_per_angle([-110.0, -50.0, -10.0], []) == []
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_table_file_is_the_per_angle_rows(self, which, tmp_path):
+        """emit_table's bytes are the oracle's rows written in the table's format."""
+        path = tmp_path / "table.csv"
+        K = scenarios.emit_table(which, path)
+        lines = ["theta_deg,re1,re2,re3"]
+        for d, (_, re) in zip(range(-72, 73), sweep_per_angle(K, TABLE_GRID)):
+            lines.append(f"{d},{re[0]:.12g},{re[1]:.12g},{re[2]:.12g}")
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_even_in_angle(self):
         K = np.array([-110.0, -50.0, -10.0])
         grid = np.deg2rad([-30.0, 30.0])
